@@ -4,9 +4,12 @@
 //
 //   usage: mpmcs4fta_cli [options] <tree.ft>
 //          mpmcs4fta_cli [options] --batch <dir>
-//     --solver NAME   portfolio (default) | oll | fu-malik | lsu | brute
-//                     | stratified (module decomposition; falls back to
-//                     the portfolio on non-decomposable trees)
+//     --solver NAME   auto (default: the session OLL alone, the portfolio
+//                     race joining only after 50 ms without an answer)
+//                     | portfolio (the paper's race from the start) | oll
+//                     | fu-malik | lsu | brute | stratified (module
+//                     decomposition; falls back to auto on
+//                     non-decomposable trees)
 //     --top K         also report the K most probable MCSs
 //     --json PATH     write the JSON result document ('-' for stdout)
 //     --dot PATH      write Graphviz with the MPMCS highlighted
@@ -16,7 +19,7 @@
 //     --card-lowering MODE  vote-gate encoding: expand | totalizer | auto
 //     --no-preprocess skip the Step 3.5 WCNF simplification
 //     --no-hedge      don't race the raw instance against the
-//                     preprocessed one in portfolio solves
+//                     preprocessed one in Step 5 races
 //     --timeout SEC   per-tree wall-clock cap
 //     --format F      input format: auto (default) | json | galileo | openpsa
 //     --mission-time T  horizon for Galileo `lambda=` basic events
@@ -86,8 +89,15 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [options] <tree.ft>\n"
                "       %s [options] --batch <dir>\n"
-               "  --solver NAME   portfolio|oll|fu-malik|lsu|brute|"
-               "stratified\n"
+               "  --solver NAME   Step 5 solver (default auto):\n"
+               "                  auto       OLL on the warm session alone;\n"
+               "                             the portfolio race joins after\n"
+               "                             50 ms without an answer\n"
+               "                  portfolio  the paper's parallel race from\n"
+               "                             the start\n"
+               "                  oll | lsu | fu-malik | brute  one solver\n"
+               "                  stratified  per-module sub-solves (auto's\n"
+               "                             Step 5 each), else auto\n"
                "  --top K         report the K most probable MCSs\n"
                "  --json PATH     write JSON result ('-' = stdout)\n"
                "  --dot PATH      write Graphviz with MPMCS highlighted\n"
@@ -98,7 +108,7 @@ int usage(const char* argv0) {
                "  --no-preprocess skip the Step 3.5 WCNF simplification\n"
                "  --no-incremental stateless solving (no SAT sessions)\n"
                "  --no-hedge      don't race the raw instance against the\n"
-               "                  preprocessed one in portfolio solves\n"
+               "                  preprocessed one in Step 5 races\n"
                "  --timeout SEC   per-tree time limit\n"
                "  --format F      input format: auto (default) | json |\n"
                "                  galileo | openpsa\n"
@@ -319,8 +329,8 @@ int run_batch(const std::string& dir, std::size_t jobs,
       // strata). Memoized repeats replay the stored solution, so the
       // attribution is stable across identical requests.
       const auto solution_json = [&](const core::MpmcsSolution& sol) {
-        return "{\"probability\": " + util::format_double(sol.probability) +
-               ", \"logCost\": " + util::format_double(sol.log_cost) +
+        return "{\"probability\": " + util::json_number(sol.probability) +
+               ", \"logCost\": " + util::json_number(sol.log_cost) +
                ", \"solver\": \"" + util::json_escape(sol.solver_name) +
                "\", \"lineage\": \"" + util::json_escape(sol.lineage) +
                "\", \"satDecisions\": " + std::to_string(sol.sat_decisions) +
@@ -513,8 +523,8 @@ int run_mutate(const std::string& tree_path, const std::string& edits_path,
   if (!json_path.empty()) {
     const auto solution_json = [](const std::vector<std::string>& names,
                                   const core::MpmcsSolution& sol) {
-      return "{\"probability\": " + util::format_double(sol.probability) +
-             ", \"logCost\": " + util::format_double(sol.log_cost) +
+      return "{\"probability\": " + util::json_number(sol.probability) +
+             ", \"logCost\": " + util::json_number(sol.log_cost) +
              ", \"solver\": \"" + util::json_escape(sol.solver_name) +
              "\", \"lineage\": \"" + util::json_escape(sol.lineage) +
              "\", \"mpmcs\": " + cut_to_json_array(names, sol.cut) + "}";
@@ -674,14 +684,10 @@ int main(int argc, char** argv) {
     };
     if (arg == "--solver") {
       const std::string name = next();
-      if (name == "portfolio") opts.solver = core::SolverChoice::Portfolio;
-      else if (name == "oll") opts.solver = core::SolverChoice::Oll;
-      else if (name == "fu-malik") opts.solver = core::SolverChoice::FuMalik;
-      else if (name == "lsu") opts.solver = core::SolverChoice::Lsu;
-      else if (name == "brute") opts.solver = core::SolverChoice::BruteForce;
-      else if (name == "stratified")
-        opts.solver = core::SolverChoice::Stratified;
-      else return usage(argv[0]);
+      if (!core::parse_solver_choice(name, &opts.solver)) {
+        std::fprintf(stderr, "unknown solver \"%s\"\n", name.c_str());
+        return usage(argv[0]);
+      }
     } else if (arg == "--top") {
       top_k = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
     } else if (arg == "--json") {

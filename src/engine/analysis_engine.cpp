@@ -388,10 +388,11 @@ void AnalysisEngine::run_mpmcs(const AnalysisRequest& request,
     // outcome-equivalent solver configuration skips Step 5 entirely.
     // Hedging widens the race (a raw-lineage member may win a tie with a
     // different-but-equal-cost cut), so it keys the memo too — but only
-    // where it is effective (portfolio-shaped solvers); keying the raw
-    // flag for single-solver choices would split identical outcomes.
-    // Stratified keeps the bit even when its plan applies: per-stratum
-    // sub-solves fall back to hedged races on non-decomposable subtrees.
+    // where it is effective (the choices that may race: auto once it
+    // escalates, portfolio, stratified); keying the raw flag for
+    // single-solver choices would split identical outcomes. Stratified
+    // keeps the bit even when its plan applies: per-stratum sub-solves may
+    // escalate to hedged races too.
     const std::string memo_key =
         std::string(core::solver_choice_name(request.pipeline.solver)) +
         (request.pipeline.shrink_to_minimal ? "|s" : "|-") +
@@ -554,6 +555,7 @@ void AnalysisEngine::run_resource(const AnalysisRequest& request,
         const auto it = res->solutions.find(memo_key);
         if (it != res->solutions.end()) {
           result.mpmcs = it->second;
+          result.cut_names = result.mpmcs.cut.names(res->tree);
           result.memoized = true;
           result.ok = true;
           memo_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -606,6 +608,7 @@ void AnalysisEngine::run_resource(const AnalysisRequest& request,
           result.mpmcs.status != maxsat::MaxSatStatus::Unknown) {
         res->solutions.emplace(memo_key, result.mpmcs);
       }
+      result.cut_names = result.mpmcs.cut.names(res->tree);
       result.ok = result.mpmcs.status != maxsat::MaxSatStatus::Unknown;
       break;
     }

@@ -99,6 +99,10 @@ struct AnalysisResult {
   std::uint64_t tree_version = 0; ///< Resource version after the request.
 
   core::MpmcsSolution mpmcs;             ///< Mpmcs.
+  /// Resource Mpmcs requests: the names of `mpmcs.cut`'s events, resolved
+  /// under the resource lock so the caller needs no copy of the tree to
+  /// print the answer.
+  std::vector<std::string> cut_names;
   std::vector<core::MpmcsSolution> top;  ///< TopK.
   std::vector<analysis::EventImportance> importance;  ///< Importance.
   QuantitativeSummary quantitative;      ///< Quantitative.

@@ -47,6 +47,13 @@ std::string CutSet::to_string(const FaultTree& tree) const {
   return out + "}";
 }
 
+std::vector<std::string> CutSet::names(const FaultTree& tree) const {
+  std::vector<std::string> out;
+  out.reserve(events_.size());
+  for (const EventIndex e : events_) out.push_back(tree.event(e).name);
+  return out;
+}
+
 namespace {
 
 /// Evaluates the top event with exactly the given events set to true.

@@ -38,6 +38,9 @@ class CutSet {
   /// "{x1, x2}" using event names from the tree.
   std::string to_string(const FaultTree& tree) const;
 
+  /// The events' names in the tree, in event order.
+  std::vector<std::string> names(const FaultTree& tree) const;
+
   friend bool operator==(const CutSet& a, const CutSet& b) noexcept {
     return a.events_ == b.events_;
   }

@@ -39,7 +39,7 @@ class JsonPrinter {
     first_ = false;
   }
   void str(const std::string& v) { raw('"' + util::json_escape(v) + '"'); }
-  void num(double v) { raw(util::format_double(v)); }
+  void num(double v) { raw(util::json_number(v)); }
   void num(std::uint64_t v) { raw(std::to_string(v)); }
   void boolean(bool v) { raw(v ? "true" : "false"); }
 

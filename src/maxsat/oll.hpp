@@ -31,7 +31,7 @@ struct OllOptions {
   /// instances discover well under a hundred). Hitting the ceiling
   /// latches the engine as fragmented and returns Unknown quickly, so a
   /// portfolio race moves on and the session pipeline diverts the
-  /// request to LSU (see MpmcsPipeline::solve_with_session).
+  /// request to LSU (see MpmcsPipeline::solve_step5).
   std::uint64_t core_ceiling = 2000;
   /// Structure-aware SAT layer: when the instance carries gate-map hints
   /// (WcnfInstance::structure) and this is not Off, the engine installs

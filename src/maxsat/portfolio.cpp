@@ -12,9 +12,8 @@
 
 namespace fta::maxsat {
 
-PortfolioSolver::PortfolioSolver(std::vector<PortfolioMember> members,
-                                 PortfolioOptions opts)
-    : members_(std::move(members)), opts_(opts) {}
+PortfolioSolver::PortfolioSolver(std::vector<PortfolioMember> members)
+    : members_(std::move(members)) {}
 
 std::vector<PortfolioMember> PortfolioSolver::default_members() {
   std::vector<PortfolioMember> members;
@@ -42,8 +41,8 @@ std::vector<PortfolioMember> PortfolioSolver::default_members() {
   return members;
 }
 
-PortfolioSolver PortfolioSolver::make_default(PortfolioOptions opts) {
-  return PortfolioSolver(default_members(), opts);
+PortfolioSolver PortfolioSolver::make_default() {
+  return PortfolioSolver(default_members());
 }
 
 MaxSatResult PortfolioSolver::solve(const WcnfInstance& instance,
@@ -103,10 +102,7 @@ MaxSatResult PortfolioSolver::solve(const WcnfInstance& instance,
     std::unique_lock<std::mutex> lock(mutex);
     const auto done = [&] { return winner.has_value() || finished == threads.size(); };
     while (!done()) {
-      const bool timed_out =
-          opts_.timeout_seconds > 0.0 && timer.seconds() >= opts_.timeout_seconds;
-      const bool externally_cancelled = cancel && cancel->cancelled();
-      if (timed_out || externally_cancelled) {
+      if (cancel && cancel->cancelled()) {
         shared_token->cancel();
         cv.wait(lock, done);
         break;

@@ -42,26 +42,22 @@ struct PortfolioMember {
   const WcnfInstance* instance = nullptr;
 };
 
-struct PortfolioOptions {
-  /// Wall-clock cap; 0 = none. On expiry all members are cancelled and the
-  /// portfolio reports Unknown (with the best incumbent, if any).
-  double timeout_seconds = 0.0;
-};
-
 class PortfolioSolver final : public MaxSatSolver {
  public:
-  PortfolioSolver(std::vector<PortfolioMember> members,
-                  PortfolioOptions opts = {});
+  explicit PortfolioSolver(std::vector<PortfolioMember> members);
 
   /// The default lineup: two differently-seeded OLL configurations, a
   /// Fu-Malik (WPM1) member, and an LSU member.
-  static PortfolioSolver make_default(PortfolioOptions opts = {});
+  static PortfolioSolver make_default();
 
   /// The default lineup as a member list, for callers composing custom
   /// portfolios — e.g. the pipeline racing incremental session engines
   /// against a subset of the stateless members.
   static std::vector<PortfolioMember> default_members();
 
+  /// The cancel token's deadline is the race's time limit: on expiry all
+  /// members are cancelled and the portfolio reports Unknown (with the
+  /// best incumbent, if any).
   MaxSatResult solve(const WcnfInstance& instance,
                      util::CancelTokenPtr cancel = nullptr) override;
 
@@ -75,7 +71,6 @@ class PortfolioSolver final : public MaxSatSolver {
 
  private:
   std::vector<PortfolioMember> members_;
-  PortfolioOptions opts_;
 };
 
 }  // namespace fta::maxsat

@@ -154,7 +154,9 @@ HttpServer::HttpServer(HttpServerOptions opts, HttpHandler handler)
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   port_ = ntohs(bound.sin_port);
 
-  acceptor_ = std::thread([this] { accept_loop(); });
+  // The acceptor gets the descriptor by value: shutdown() resets
+  // listen_fd_ under conn_mutex_, which the accept loop does not hold.
+  acceptor_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
 HttpServer::~HttpServer() { shutdown(); }
@@ -201,9 +203,9 @@ void HttpServer::shutdown() {
   }
 }
 
-void HttpServer::accept_loop() {
+void HttpServer::accept_loop(int listen_fd) {
   while (!stopping_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listener closed by shutdown()
@@ -384,15 +386,16 @@ bool HttpServer::serve_one(int fd, std::string& buffer) {
     response.status = 500;
     response.body = R"({"ok": false, "code": "internal", "error": "unknown"})";
   }
+  const bool keep_alive = head.keep_alive && !response.close_connection &&
+                          !stopping_.load(std::memory_order_relaxed);
+  send_response(fd, response, keep_alive);
+  // Busy until the response is written: shutdown() force-closes every
+  // connection once no handler is busy, which must not cut this one off.
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     --busy_handlers_;
     conn_cv_.notify_all();
   }
-
-  const bool keep_alive = head.keep_alive && !response.close_connection &&
-                          !stopping_.load(std::memory_order_relaxed);
-  send_response(fd, response, keep_alive);
   return keep_alive;
 }
 

@@ -86,7 +86,7 @@ class HttpServer {
   HttpServerCounters counters() const;
 
  private:
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void serve_connection(int fd);
   /// One request/response exchange; false ends the connection.
   bool serve_one(int fd, std::string& buffer);

@@ -32,18 +32,6 @@ HttpResponse error_response(int status, const char* code,
   return r;
 }
 
-/// The CLI's --solver vocabulary, shared by the service schema.
-bool parse_solver_name(const std::string& name, core::SolverChoice* out) {
-  if (name == "portfolio") *out = core::SolverChoice::Portfolio;
-  else if (name == "oll") *out = core::SolverChoice::Oll;
-  else if (name == "fu-malik") *out = core::SolverChoice::FuMalik;
-  else if (name == "lsu") *out = core::SolverChoice::Lsu;
-  else if (name == "brute") *out = core::SolverChoice::BruteForce;
-  else if (name == "stratified") *out = core::SolverChoice::Stratified;
-  else return false;
-  return true;
-}
-
 /// Parses an embedded tree body. `format_name` is the request's "format"
 /// member (auto = sniff); unknown names and parse defects both surface as
 /// exceptions the handlers map to HTTP 400.
@@ -58,24 +46,18 @@ fta::ft::FaultTree parse_tree_text(const std::string& text,
   return format::parse_tree(text, popts);
 }
 
-std::string cut_to_json_array(const ft::FaultTree& tree,
-                              const ft::CutSet& cut) {
-  std::string out = "[";
-  bool sep = false;
-  for (const ft::EventIndex e : cut.events()) {
-    if (sep) out += ", ";
-    out += '"' + util::json_escape(tree.event(e).name) + '"';
-    sep = true;
-  }
-  return out + "]";
-}
-
-/// Identical shape to the batch CLI's per-solution JSON. Approximate
-/// (anytime) answers additionally carry the certified optimality bounds.
-std::string solution_json(const ft::FaultTree& tree,
+/// Identical shape to the batch CLI's per-solution JSON; `names` are the
+/// names of `sol.cut`'s events. Approximate (anytime) answers additionally
+/// carry the certified optimality bounds.
+std::string solution_json(const std::vector<std::string>& names,
                           const core::MpmcsSolution& sol) {
-  std::string j = "{\"probability\": " + util::format_double(sol.probability) +
-                  ", \"logCost\": " + util::format_double(sol.log_cost) +
+  std::string cut = "[";
+  for (const std::string& name : names) {
+    if (cut.size() > 1) cut += ", ";
+    cut += '"' + util::json_escape(name) + '"';
+  }
+  std::string j = "{\"probability\": " + util::json_number(sol.probability) +
+                  ", \"logCost\": " + util::json_number(sol.log_cost) +
                   ", \"solver\": \"" + util::json_escape(sol.solver_name) +
                   "\", \"lineage\": \"" + util::json_escape(sol.lineage) +
                   "\", \"satDecisions\": " +
@@ -85,14 +67,14 @@ std::string solution_json(const ft::FaultTree& tree,
                   ", \"satConflicts\": " + std::to_string(sol.sat_conflicts) +
                   ", \"satBinaryPropagations\": " +
                   std::to_string(sol.sat_binary_propagations) +
-                  ", \"mpmcs\": " + cut_to_json_array(tree, sol.cut);
+                  ", \"mpmcs\": " + cut + "]";
   if (sol.approximate) {
     j += ", \"approximate\": true";
     j += ", \"scaledCost\": " + std::to_string(sol.scaled_cost);
     j += ", \"scaledLowerBound\": " + std::to_string(sol.scaled_lower_bound);
     j += ", \"probabilityUpperBound\": " +
-         util::format_double(sol.probability_upper_bound);
-    j += ", \"optimalityGap\": " + util::format_double(sol.optimality_gap);
+         util::json_number(sol.probability_upper_bound);
+    j += ", \"optimalityGap\": " + util::json_number(sol.optimality_gap);
   }
   return j + "}";
 }
@@ -201,7 +183,7 @@ void SolveService::replay_journal() {
       ft::FaultTree tree = parse_tree_text(e.tree_text);
       tree.validate();
       core::PipelineOptions popts = opts_.pipeline;
-      if (!e.solver.empty()) parse_solver_name(e.solver, &popts.solver);
+      if (!e.solver.empty()) core::parse_solver_choice(e.solver, &popts.solver);
       engine_.restore_tree(e.id, std::move(tree), popts, e.version, e.edits);
       {
         std::lock_guard<std::mutex> lock(trees_mutex_);
@@ -392,7 +374,7 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
     tree = parse_tree_text(tree_text, doc.get_string("format", "auto"));
     tree.validate();
     const std::string solver = doc.get_string("solver", "");
-    if (!solver.empty() && !parse_solver_name(solver, &popts.solver)) {
+    if (!solver.empty() && !core::parse_solver_choice(solver, &popts.solver)) {
       throw util::JsonError(0, "unknown solver \"" + solver + "\"");
     }
     if (kind == AnalysisKind::TopK) {
@@ -564,7 +546,8 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
     body += std::string("\"kind\": \"") +
             analysis_kind_name(result.kind) + "\", ";
     body += "\"seconds\": " + util::format_double(finish_latency()) + ", ";
-    body += "\"solution\": " + solution_json(tree, result.mpmcs) + "}";
+    body += "\"solution\": " +
+            solution_json(result.mpmcs.cut.names(tree), result.mpmcs) + "}";
     HttpResponse r;
     r.body = std::move(body);
     return r;
@@ -612,11 +595,12 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
     body += "\"top\": [";
     for (std::size_t i = 0; i < result.top.size(); ++i) {
       if (i > 0) body += ", ";
-      body += solution_json(tree, result.top[i]);
+      body += solution_json(result.top[i].cut.names(tree), result.top[i]);
     }
     body += "]}";
   } else {
-    body += "\"solution\": " + solution_json(tree, result.mpmcs) + "}";
+    body += "\"solution\": " +
+            solution_json(result.mpmcs.cut.names(tree), result.mpmcs) + "}";
   }
   HttpResponse r;
   r.body = std::move(body);
@@ -655,7 +639,7 @@ HttpResponse SolveService::handle_tree_create(const HttpRequest& request) {
     tree = parse_tree_text(tree_text, doc.get_string("format", "auto"));
     tree.validate();
     const std::string solver = doc.get_string("solver", "");
-    if (!solver.empty() && !parse_solver_name(solver, &popts.solver)) {
+    if (!solver.empty() && !core::parse_solver_choice(solver, &popts.solver)) {
       throw util::JsonError(0, "unknown solver \"" + solver + "\"");
     }
   } catch (const std::exception& e) {
@@ -1050,27 +1034,25 @@ HttpResponse SolveService::handle_tree_patch(const HttpRequest& request,
   // answers 200-approximate with its certified gap.
   if (!result.ok && result.error.empty() && result.mpmcs.approximate &&
       !result.mpmcs.cut.empty()) {
-    const auto snap = engine_.tree_snapshot(id);
-    if (snap) {
-      anon.degraded.fetch_add(1, std::memory_order_relaxed);
-      tenant.degraded.fetch_add(1, std::memory_order_relaxed);
-      anon.ok.fetch_add(1, std::memory_order_relaxed);
-      tenant.ok.fetch_add(1, std::memory_order_relaxed);
-      std::string body = "{\"ok\": true, \"status\": \"approximate\", ";
-      body += "\"tenant\": \"" + util::json_escape(tenant_name) + "\", ";
-      body += "\"id\": \"" + util::json_escape(id) + "\", ";
-      body += "\"etag\": \"" +
-              util::json_escape(make_etag(id, result.tree_version)) + "\", ";
-      body += "\"version\": " + std::to_string(result.tree_version) + ", ";
-      body += std::string("\"deltaApplied\": ") +
-              (result.delta_applied ? "true" : "false") + ", ";
-      body += "\"delta\": " + delta_application_json(result.delta) + ", ";
-      body += "\"seconds\": " + util::format_double(finish_latency()) + ", ";
-      body += "\"solution\": " + solution_json(*snap, result.mpmcs) + "}";
-      HttpResponse r;
-      r.body = std::move(body);
-      return r;
-    }
+    anon.degraded.fetch_add(1, std::memory_order_relaxed);
+    tenant.degraded.fetch_add(1, std::memory_order_relaxed);
+    anon.ok.fetch_add(1, std::memory_order_relaxed);
+    tenant.ok.fetch_add(1, std::memory_order_relaxed);
+    std::string body = "{\"ok\": true, \"status\": \"approximate\", ";
+    body += "\"tenant\": \"" + util::json_escape(tenant_name) + "\", ";
+    body += "\"id\": \"" + util::json_escape(id) + "\", ";
+    body += "\"etag\": \"" +
+            util::json_escape(make_etag(id, result.tree_version)) + "\", ";
+    body += "\"version\": " + std::to_string(result.tree_version) + ", ";
+    body += std::string("\"deltaApplied\": ") +
+            (result.delta_applied ? "true" : "false") + ", ";
+    body += "\"delta\": " + delta_application_json(result.delta) + ", ";
+    body += "\"seconds\": " + util::format_double(finish_latency()) + ", ";
+    body += "\"solution\": " +
+            solution_json(result.cut_names, result.mpmcs) + "}";
+    HttpResponse r;
+    r.body = std::move(body);
+    return r;
   }
   if (result.cancelled) {
     finish_latency();
@@ -1095,13 +1077,6 @@ HttpResponse SolveService::handle_tree_patch(const HttpRequest& request,
                                                : result.error);
   }
 
-  // Snapshot after the solve: edits only append events, so the snapshot
-  // names every event index in the solution's cut.
-  const auto snapshot = engine_.tree_snapshot(id);
-  if (!snapshot) {
-    finish_latency();
-    return error_response(404, "not_found", "unknown tree id \"" + id + "\"");
-  }
   if (result.memoized) {
     anon.memo_hits.fetch_add(1, std::memory_order_relaxed);
     tenant.memo_hits.fetch_add(1, std::memory_order_relaxed);
@@ -1121,7 +1096,8 @@ HttpResponse SolveService::handle_tree_patch(const HttpRequest& request,
   body += std::string("\"memoized\": ") +
           (result.memoized ? "true" : "false") + ", ";
   body += "\"seconds\": " + util::format_double(finish_latency()) + ", ";
-  body += "\"solution\": " + solution_json(*snapshot, result.mpmcs) + "}";
+  body += "\"solution\": " + solution_json(result.cut_names, result.mpmcs) +
+          "}";
   HttpResponse r;
   r.body = std::move(body);
   return r;
@@ -1170,13 +1146,17 @@ std::string SolveService::statsz_json() {
        std::string(util::failpoints_compiled() ? "true" : "false");
   j += "},\n  \"sat\": {";
   // Process-wide SAT effort: binaryPropagations > 0 proves the structure
-  // layer's dedicated binary watch layer is engaging in production.
+  // layer's dedicated binary watch layer is engaging in production;
+  // escalations counts the Step 5 solves that started race members.
   const sat::GlobalSatCounters sc = sat::Solver::global_counters();
   j += "\"solves\": " + std::to_string(sc.solves) + ", ";
   j += "\"decisions\": " + std::to_string(sc.decisions) + ", ";
   j += "\"propagations\": " + std::to_string(sc.propagations) + ", ";
   j += "\"conflicts\": " + std::to_string(sc.conflicts) + ", ";
-  j += "\"binaryPropagations\": " + std::to_string(sc.binary_propagations);
+  j += "\"binaryPropagations\": " + std::to_string(sc.binary_propagations) +
+       ", ";
+  j += "\"escalations\": " +
+       std::to_string(core::MpmcsPipeline::escalations());
   j += "},\n  \"tenants\": [";
   bool sep = false;
   for (const std::string& name : stats_.tenant_names()) {

@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 
 namespace fta::util {
@@ -64,6 +65,10 @@ std::string format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.12g", v);
   return buf;
+}
+
+std::string json_number(double v) {
+  return std::isfinite(v) ? format_double(v) : "null";
 }
 
 }  // namespace fta::util

@@ -26,4 +26,9 @@ std::string json_escape(std::string_view s);
 /// Formats a double with enough digits to round-trip, trimming zeros.
 std::string format_double(double v);
 
+/// A double as a JSON number: format_double for finite values, `null`
+/// for infinities and NaN, which JSON cannot represent (a probability-0
+/// cut has log cost +inf).
+std::string json_number(double v);
+
 }  // namespace fta::util

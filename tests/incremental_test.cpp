@@ -306,8 +306,12 @@ TEST(IncrementalDifferential, PortfolioSessionAgrees) {
     opts.num_events = 30;
     opts.sharing = 0.2;
     const ft::FaultTree tree = gen::random_tree(opts, seed);
-    expect_same_optimum(tree, core::SolverChoice::Portfolio,
-                        "seed " + std::to_string(seed));
+    for (const auto choice :
+         {core::SolverChoice::Portfolio, core::SolverChoice::Auto}) {
+      expect_same_optimum(tree, choice,
+                          std::string(core::solver_choice_name(choice)) +
+                              " seed " + std::to_string(seed));
+    }
   }
 }
 

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "bdd/fta_bdd.hpp"
 #include "core/pipeline.hpp"
+#include "format/format.hpp"
 #include "ft/builder.hpp"
 #include "gen/generator.hpp"
 #include "mocus/mocus.hpp"
+#include "util/timer.hpp"
 
 namespace fta::core {
 namespace {
@@ -277,6 +283,193 @@ TEST(Pipeline, MediumTreeUnderASecond) {
   ASSERT_EQ(sol.status, MaxSatStatus::Optimal);
   EXPECT_TRUE(ft::is_minimal_cut_set(tree, sol.cut));
   EXPECT_LT(sol.total_seconds, 5.0);
+}
+
+// --- Step 5: hedge by escalation --------------------------------------------
+
+// The escalation assertions hold the OLL lead to its 50 ms budget and the
+// solve to its time limit; unoptimised and sanitizer builds run the same
+// solves several times slower (under ThreadSanitizer a 1 s race returns
+// after ~3.5 s, the portfolio choice included), so there only what does
+// not depend on speed is checked.
+#ifdef NDEBUG
+constexpr bool kFullSpeed = true;
+#else
+constexpr bool kFullSpeed = false;
+#endif
+
+/// A 2-of-`n` vote over `n` independent 2-of-3 subsystems with fixed
+/// probabilities spread over [0.01, 0.2]. No Step 5 solver proves the
+/// optimum of n = 10 within a second.
+ft::FaultTree vote_of_votes(std::uint32_t n) {
+  ft::FaultTreeBuilder b;
+  std::vector<ft::NodeIndex> subsystems;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::vector<ft::NodeIndex> members;
+    for (std::uint32_t j = 0; j < 3; ++j) {
+      const double frac = std::fmod((i * 3 + j + 1) * 0.6180339887498949, 1.0);
+      members.push_back(b.event("e" + std::to_string(i) + "_" +
+                                    std::to_string(j),
+                                0.01 + 0.19 * frac));
+    }
+    subsystems.push_back(b.vote("S" + std::to_string(i), 2, members));
+  }
+  b.top(b.vote("TOP", 2, subsystems));
+  return std::move(b).build();
+}
+
+/// The models the default choice must answer without a hedge: every tree
+/// of examples/trees/ and a 3k-event generated DAG.
+std::vector<std::pair<std::string, ft::FaultTree>> lead_corpus() {
+  std::vector<std::pair<std::string, ft::FaultTree>> out;
+#ifdef FTA_SOURCE_DIR
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(FTA_SOURCE_DIR) / "examples" / "trees";
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string name = entry.path().filename().string();
+    out.emplace_back(name, format::parse_tree(text.str(), {}, name));
+  }
+#endif
+  gen::GeneratorOptions opts;
+  opts.num_events = 3000;
+  opts.sharing = 0.05;
+  out.emplace_back("dag3000", gen::random_tree(opts, 3));
+  return out;
+}
+
+TEST(Step5Escalation, DefaultLeadAnswersAloneAndMatchesPortfolio) {
+  PipelineOptions race_opts;
+  race_opts.solver = SolverChoice::Portfolio;
+  const MpmcsPipeline lead;  // the default choice
+  const MpmcsPipeline race(race_opts);
+  ASSERT_EQ(lead.options().solver, SolverChoice::Auto);
+  const auto corpus = lead_corpus();
+  ASSERT_GE(corpus.size(), 10u);
+  for (const auto& [name, tree] : corpus) {
+    const std::uint64_t before = MpmcsPipeline::escalations();
+    const MpmcsSolution a = lead.solve(tree);
+    if (kFullSpeed) {
+      EXPECT_EQ(MpmcsPipeline::escalations(), before) << name;
+    }
+    const MpmcsSolution b = race.solve(tree);
+    ASSERT_EQ(a.status, MaxSatStatus::Optimal) << name;
+    ASSERT_EQ(b.status, MaxSatStatus::Optimal) << name;
+    EXPECT_EQ(a.scaled_cost, b.scaled_cost) << name;
+    EXPECT_TRUE(ft::is_minimal_cut_set(tree, a.cut)) << name;
+    if (kFullSpeed) {
+      EXPECT_TRUE(a.solver_name == "oll-inc" || a.solver_name == "lsu-inc")
+          << name << ": " << a.solver_name;
+    }
+  }
+}
+
+TEST(Step5Escalation, PortfolioStartsItsHedgesOnEveryRace) {
+  PipelineOptions opts;
+  opts.solver = SolverChoice::Portfolio;
+  const MpmcsPipeline pipeline(opts);
+  const ft::FaultTree tree = ft::fire_protection_system();
+  const PreparedInstance prepared = pipeline.prepare(tree);
+  std::uint64_t before = MpmcsPipeline::escalations();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(pipeline.solve_prepared(tree, prepared).status,
+              MaxSatStatus::Optimal);
+  }
+  EXPECT_EQ(MpmcsPipeline::escalations(), before + 3);
+  before = MpmcsPipeline::escalations();
+  const auto top = pipeline.top_k(tree, 3);
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(MpmcsPipeline::escalations(), before + 3) << "one race per round";
+}
+
+TEST(Step5Escalation, TimeLimitBoundsLeadAndRaceOnEveryPath) {
+  PipelineOptions opts;
+  opts.timeout_seconds = 1.0;
+  const MpmcsPipeline pipeline(opts);
+  const ft::FaultTree tree = vote_of_votes(10);
+  const double limit = kFullSpeed ? opts.timeout_seconds + 0.1 : 60.0;
+
+  std::uint64_t before = MpmcsPipeline::escalations();
+  util::Timer timer;
+  const MpmcsSolution one_shot = pipeline.solve(tree);
+  EXPECT_LT(timer.seconds(), limit) << "solve()";
+  EXPECT_NE(one_shot.status, MaxSatStatus::Optimal);
+  EXPECT_EQ(MpmcsPipeline::escalations(), before + 1) << "solve()";
+
+  before = MpmcsPipeline::escalations();
+  timer.reset();
+  const PreparedInstance prepared = pipeline.prepare(tree);
+  // Small instances are bounded too: the lead gets no exemption by size.
+  ASSERT_LE(prepared.pre->simplified.num_vars(), 256u);
+  const MpmcsSolution warm = pipeline.solve_prepared(tree, prepared);
+  EXPECT_LT(timer.seconds(), limit) << "prepare() + solve_prepared()";
+  EXPECT_NE(warm.status, MaxSatStatus::Optimal);
+  EXPECT_EQ(MpmcsPipeline::escalations(), before + 1)
+      << "prepare() + solve_prepared()";
+
+  before = MpmcsPipeline::escalations();
+  timer.reset();
+  MaxSatStatus final_status = MaxSatStatus::Optimal;
+  const auto top = pipeline.top_k(tree, 3, nullptr, &final_status);
+  EXPECT_LT(timer.seconds(), limit) << "top_k";
+  EXPECT_TRUE(top.empty());
+  EXPECT_EQ(final_status, MaxSatStatus::Unknown);
+  EXPECT_EQ(MpmcsPipeline::escalations(), before + 1) << "top_k";
+}
+
+TEST(Step5Escalation, Step35TimeIsReportedOnlyByTheCallThatRanIt) {
+  gen::GeneratorOptions gopts;
+  gopts.num_events = 200;
+  gopts.sharing = 0.1;
+  const ft::FaultTree tree = gen::random_tree(gopts, 11);
+  for (const auto choice : {SolverChoice::Auto, SolverChoice::Stratified}) {
+    PipelineOptions opts;
+    opts.solver = choice;
+    const MpmcsPipeline pipeline(opts);
+    const auto name = solver_choice_name(choice);
+    const MpmcsSolution cold = pipeline.solve(tree);
+    EXPECT_GT(cold.preprocess_seconds, 0.0) << name;
+    EXPECT_LE(cold.preprocess_seconds, cold.total_seconds) << name;
+    const MpmcsSolution wcnf =
+        pipeline.solve_prepared(tree, pipeline.build_instance(tree));
+    EXPECT_GT(wcnf.preprocess_seconds, 0.0) << name;
+    EXPECT_LE(wcnf.preprocess_seconds, wcnf.total_seconds) << name;
+    const PreparedInstance prepared = pipeline.prepare(tree);
+    const MpmcsSolution warm = pipeline.solve_prepared(tree, prepared);
+    EXPECT_EQ(warm.preprocess_seconds, 0.0) << name;
+    for (const MpmcsSolution& round : pipeline.top_k(tree, 3)) {
+      EXPECT_EQ(round.preprocess_seconds, 0.0) << name;
+      EXPECT_LE(round.preprocess_seconds, round.total_seconds) << name;
+    }
+  }
+  PipelineOptions dec;
+  dec.decompose_top_or = true;
+  const ft::FaultTree ladder = gen::ladder_tree(4, 5);
+  const MpmcsSolution decomposed = MpmcsPipeline(dec).solve(ladder);
+  ASSERT_EQ(decomposed.status, MaxSatStatus::Optimal);
+  EXPECT_LE(decomposed.preprocess_seconds, decomposed.total_seconds);
+}
+
+TEST(Step5Escalation, SolverNamesParseBothWays) {
+  for (const auto choice :
+       {SolverChoice::Auto, SolverChoice::Portfolio, SolverChoice::Oll,
+        SolverChoice::FuMalik, SolverChoice::Lsu, SolverChoice::BruteForce,
+        SolverChoice::Stratified}) {
+    SolverChoice parsed = SolverChoice::Portfolio;
+    ASSERT_TRUE(parse_solver_choice(solver_choice_name(choice), &parsed))
+        << solver_choice_name(choice);
+    EXPECT_EQ(parsed, choice);
+  }
+  SolverChoice parsed = SolverChoice::Auto;
+  EXPECT_TRUE(parse_solver_choice("brute", &parsed));
+  EXPECT_EQ(parsed, SolverChoice::BruteForce);
+  EXPECT_FALSE(parse_solver_choice("fastest", &parsed));
+  EXPECT_FALSE(parse_solver_choice("", &parsed));
+  EXPECT_EQ(parsed, SolverChoice::BruteForce)
+      << "a rejected name changes nothing";
 }
 
 }  // namespace

@@ -155,12 +155,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TreeSweep,
 //
 // Members: the monolithic single-solver choices (oll, lsu, fu-malik), the
 // stratified module strategy, the portfolio without hedging (the PR 4
-// lineup), the raw-vs-pre hedged portfolio, and a preprocessing-off
-// monolithic member (pure raw lineage). Oracles: an exhaustive 2^n subset
-// enumeration over the tree formula (independent of the whole MaxSAT
-// stack) and the BDD engine. Optima must be identical across members and
-// equal to the brute-force oracle bit for bit; top-k probability (cost)
-// sequences must match the BDD family.
+// lineup), the raw-vs-pre hedged portfolio, the default lead-then-hedge
+// choice, and a preprocessing-off monolithic member (pure raw lineage).
+// Oracles: an exhaustive 2^n subset enumeration over the tree formula
+// (independent of the whole MaxSAT stack) and the BDD engine. Optima must
+// be identical across members and equal to the brute-force oracle bit for
+// bit; top-k probability (cost) sequences must match the BDD family.
 
 struct FuzzMember {
   const char* label;
@@ -189,6 +189,7 @@ std::vector<FuzzMember> fuzz_members() {
       {"stratified", with(SolverChoice::Stratified, true, true)},
       {"portfolio", with(SolverChoice::Portfolio, false, true)},
       {"hedged", with(SolverChoice::Portfolio, true, true)},
+      {"auto", with(SolverChoice::Auto, true, true)},
       {"oll-raw", with(SolverChoice::Oll, false, false)},
       // The structure-ablation axis: the gate-map SAT layer at each level
       // must leave every optimum bit-identical (it only reorders search).

@@ -394,10 +394,16 @@ TEST(SolveService, MalformedBodiesAlwaysGetStructured400s) {
     ++expected_bad;
   }
   EXPECT_EQ(svc.stats().global().bad_requests.load(), expected_bad);
-  // The service stayed healthy throughout.
+  // The service stayed healthy throughout, and takes every solver name
+  // the CLI takes.
   const HttpResponse solved =
       svc.handle(post("/v1/solve", solve_body("a", ladder_text())));
   EXPECT_EQ(solved.status, 200) << solved.body;
+  for (const char* solver : {"auto", "portfolio", "oll", "stratified"}) {
+    const HttpResponse named =
+        svc.handle(post("/v1/solve", solve_body("a", ladder_text(), solver)));
+    EXPECT_EQ(named.status, 200) << solver << ": " << named.body;
+  }
 }
 
 TEST(SolveService, StatszExposesTheWholeFunnel) {
@@ -434,6 +440,11 @@ TEST(SolveService, StatszExposesTheWholeFunnel) {
   ASSERT_NE(engine, nullptr);
   EXPECT_EQ(engine->get_number("submitted", -1), 2);
   EXPECT_EQ(engine->get_number("threads", -1), 2);
+
+  const util::JsonValue* sat = doc.find("sat");
+  ASSERT_NE(sat, nullptr);
+  EXPECT_EQ(sat->get_number("escalations", -1),
+            static_cast<double>(core::MpmcsPipeline::escalations()));
 
   const util::JsonValue* tenants = doc.find("tenants");
   ASSERT_NE(tenants, nullptr);
@@ -537,6 +548,36 @@ TEST(TreeResources, LifecycleCreatePatchDeleteRoundTrips) {
                            "{\"tenant\": \"plant\"}")).status,
             404);
   EXPECT_EQ(svc.engine().num_trees(), 0u);
+}
+
+// Disabling an event of the only cut leaves a probability-0 answer; its
+// log cost is infinite, which JSON cannot carry, so it answers null.
+TEST(TreeResources, ProbabilityZeroAnswerIsValidJson) {
+  SolveService svc(test_options());
+  const HttpResponse created = svc.handle(
+      req("POST", "/v1/trees",
+          solve_body("plant", "toplevel TOP; TOP and a b; a prob=0.1; "
+                              "b prob=0.2;")));
+  ASSERT_EQ(created.status, 201) << created.body;
+  const std::string id =
+      util::JsonValue::parse(created.body).get_string("id", "");
+  const HttpResponse patched = svc.handle(
+      req("PATCH", "/v1/trees/" + id,
+          patch_body("plant", "",
+                     "[{\"op\": \"toggle\", \"event\": \"a\", "
+                     "\"enabled\": false}]")));
+  ASSERT_EQ(patched.status, 200) << patched.body;
+  const util::JsonValue doc = util::JsonValue::parse(patched.body);
+  const util::JsonValue* sol = doc.find("solution");
+  ASSERT_NE(sol, nullptr);
+  EXPECT_EQ(sol->get_number("probability", -1.0), 0.0);
+  ASSERT_NE(sol->find("logCost"), nullptr);
+  EXPECT_TRUE(sol->find("logCost")->is_null());
+  const util::JsonValue* cut = sol->find("mpmcs");
+  ASSERT_NE(cut, nullptr);
+  ASSERT_EQ(cut->items().size(), 2u);
+  EXPECT_EQ(cut->items()[0].as_string(), "a");
+  EXPECT_EQ(cut->items()[1].as_string(), "b");
 }
 
 TEST(TreeResources, StaleEtagConflictsAndOmittedEtagWins) {

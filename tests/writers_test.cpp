@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ft/builder.hpp"
 #include "ft/dot_writer.hpp"
 #include "ft/json_writer.hpp"
+#include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace fta::ft {
 namespace {
@@ -30,6 +34,24 @@ TEST(JsonWriter, SolutionBlockMatchesPaperFig2) {
   EXPECT_NE(json.find("\"probability\": 0.02"), std::string::npos);
   // Members of the cut are marked on their event nodes.
   EXPECT_NE(json.find("\"inMpmcs\": true"), std::string::npos);
+}
+
+TEST(JsonWriter, ProbabilityZeroSolutionStaysValidJson) {
+  const FaultTree t = fire_protection_system();
+  JsonSolution sol;
+  sol.mpmcs = CutSet({0, 1});
+  sol.probability = 0.0;
+  sol.log_cost = std::numeric_limits<double>::infinity();
+  const util::JsonValue doc = util::JsonValue::parse(to_json(t, sol));
+  const util::JsonValue* block = doc.find("mpmcs");
+  ASSERT_NE(block, nullptr);
+  ASSERT_NE(block->find("logCost"), nullptr);
+  EXPECT_TRUE(block->find("logCost")->is_null());
+  EXPECT_EQ(util::json_number(0.25), "0.25");
+  EXPECT_EQ(util::json_number(-std::numeric_limits<double>::infinity()),
+            "null");
+  EXPECT_EQ(util::json_number(std::numeric_limits<double>::quiet_NaN()),
+            "null");
 }
 
 TEST(JsonWriter, BalancedBracketsAndQuotes) {
