@@ -12,14 +12,18 @@
 //     incremental session: zero re-encoding and zero cold prepares
 //     (asserted via the global prepare counter). Reported per edit size
 //     (1/4/16 ops — the patch cost is edit-size-insensitive).
-//   * weight drift, stratified — the dirty-stratum tracker reweights
-//     only the module the edit touched; every other stratum re-solves
-//     from the per-stratum memo without a SAT call. This is the
+//   * weight drift, frontier modules — a closed-form OR over modules
+//     that need search (the default's module pass gives each its own
+//     artefact and session): the edit reweights only the module it
+//     touched and rebases that module's session; every other module's
+//     converged session re-answers in one SAT call. This is the
 //     architecture's headline number and carries the acceptance gate:
 //     median >= 10x over the cold path.
-//   * module splice — exactly one stratum pays a cold prepare (or a
-//     reweight when the new module shape coincides with the old); the
-//     untouched modules' sub-artefacts and memoized optima are reused.
+//   * module splice — exactly one frontier module pays a cold prepare (or
+//     a reweight when the new module shape coincides with the old); the
+//     untouched modules' artefacts and warm sessions are reused.
+//   * weight drift, closed form — an OR of AND modules needs no search at
+//     all; reported beside the gated figures.
 //
 // Every warm re-solve is differential: its scaled-integer optimum must
 // equal a from-scratch prepare+solve of the identical tree.
@@ -29,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -44,10 +49,13 @@ namespace {
 
 using namespace fta;
 
-/// A top-OR of AND modules (the stratified decomposition's native
-/// shape): `modules` strata of 12-19 events each, names scoped per
-/// module so splices can re-address them.
-ft::FaultTree modular_tree(std::size_t modules, std::uint64_t seed) {
+/// A top-OR over `modules` modules of 12-19 events each, names scoped
+/// per module so splices can re-address them. Closed form: each module is
+/// an AND of its events. Otherwise each module is an AND of eight ORs
+/// over three of its events, which overlap: a hitting-set kernel that
+/// needs search.
+ft::FaultTree modular_tree(std::size_t modules, std::uint64_t seed,
+                           bool closed_form) {
   util::Rng rng(seed);
   std::string text = "toplevel TOP;\nTOP or";
   for (std::size_t m = 0; m < modules; ++m) {
@@ -55,19 +63,32 @@ ft::FaultTree modular_tree(std::size_t modules, std::uint64_t seed) {
   }
   text += ";\n";
   for (std::size_t m = 0; m < modules; ++m) {
+    const std::string p = "m" + std::to_string(m);
     const std::size_t arity = 12 + rng.below(8);
-    std::string decl = "m" + std::to_string(m) + " and";
     for (std::size_t e = 0; e < arity; ++e) {
-      const std::string name =
-          "m" + std::to_string(m) + "e" + std::to_string(e);
-      decl += " " + name;
-      text += name + " prob=" + util::format_double(rng.uniform(0.02, 0.4)) +
-              ";\n";
+      text += p + "e" + std::to_string(e) +
+              " prob=" + util::format_double(rng.uniform(0.02, 0.4)) + ";\n";
+    }
+    std::string decl = p + " and";
+    const std::size_t terms = closed_form ? arity : 8;
+    for (std::size_t t = 0; t < terms; ++t) {
+      if (closed_form) {
+        decl += " " + p + "e" + std::to_string(t);
+        continue;
+      }
+      const std::string term = p + "c" + std::to_string(t);
+      decl += " " + term;
+      text += term + " or";
+      for (int i = 0; i < 3; ++i) {
+        text += " " + p + "e" + std::to_string((3 * t + i) % arity);
+      }
+      text += ";\n";
     }
     text += decl + ";\n";
   }
   return ft::parse_fault_tree(text);
 }
+
 
 ft::TreeDelta weight_drift(const ft::FaultTree& tree, util::Rng& rng,
                            std::size_t ops) {
@@ -78,6 +99,45 @@ ft::TreeDelta weight_drift(const ft::FaultTree& tree, util::Rng& rng,
         ft::TreeDelta::weight(tree.event(e).name, rng.uniform(0.01, 0.95)));
   }
   return delta;
+}
+
+/// Median warm (apply_delta + solve_prepared) and cold (prepare + solve)
+/// milliseconds over `edits` one-event weight edits of `tree`, whose
+/// artefact is `prepared`. Clears `zero_prepare_ok` when a warm edit
+/// cold-prepares and `all_match` when warm and cold optima differ.
+std::pair<double, double> drift(const core::MpmcsPipeline& pipeline,
+                                ft::FaultTree& tree,
+                                core::PreparedInstance& prepared,
+                                std::size_t edits, std::uint64_t seed,
+                                bool& zero_prepare_ok, bool& all_match,
+                                std::vector<double>& speedups) {
+  std::vector<double> warm_ms, cold_ms;
+  util::Rng rng(seed);
+  for (std::size_t rep = 0; rep < edits; ++rep) {
+    const ft::TreeDelta delta = weight_drift(tree, rng, 1);
+    ft::FaultTree next = ft::apply_delta(tree, delta);
+
+    const std::uint64_t prepares_before =
+        core::MpmcsPipeline::prepare_calls();
+    util::Timer warm_t;
+    pipeline.apply_delta(next, delta, prepared);
+    const core::MpmcsSolution warm = pipeline.solve_prepared(next, prepared);
+    warm_ms.push_back(warm_t.seconds() * 1e3);
+    zero_prepare_ok = zero_prepare_ok &&
+                      core::MpmcsPipeline::prepare_calls() == prepares_before;
+
+    util::Timer cold_t;
+    const core::PreparedInstance fresh = pipeline.prepare(next);
+    const core::MpmcsSolution cold = pipeline.solve_prepared(next, fresh);
+    cold_ms.push_back(cold_t.seconds() * 1e3);
+    speedups.push_back(cold_ms.back() / warm_ms.back());
+
+    all_match = all_match && warm.status == maxsat::MaxSatStatus::Optimal &&
+                cold.status == maxsat::MaxSatStatus::Optimal &&
+                warm.scaled_cost == cold.scaled_cost;
+    tree = std::move(next);
+  }
+  return {bench::median(warm_ms), bench::median(cold_ms)};
 }
 
 }  // namespace
@@ -182,45 +242,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The stratified artefact: drift touches one module; everything else
-  // comes back from the per-stratum memo. This is where the acceptance
-  // gate lives.
+  // The module pass on frontier modules: drift touches one module, whose
+  // session is rebased; the others re-answer warm. This is where the
+  // acceptance gate lives.
   core::PipelineOptions sopts = opts;
-  sopts.solver = core::SolverChoice::Stratified;
+  sopts.solver = core::SolverChoice::Auto;
   const core::MpmcsPipeline strat(sopts);
   constexpr std::size_t kModules = 48;
-  ft::FaultTree mod = modular_tree(kModules, 0x51ab);
+  ft::FaultTree mod = modular_tree(kModules, 0x51ab, /*closed_form=*/false);
   core::PreparedInstance sprep = strat.prepare(mod);
   all_match = all_match && strat.solve_prepared(mod, sprep).status ==
                                maxsat::MaxSatStatus::Optimal;
-  bool splice_strata_ok = sprep.strata && sprep.strata->applicable;
+  bool splice_strata_ok =
+      sprep.strata && sprep.strata->strata.size() == kModules;
 
-  std::vector<double> strat_warm_ms, strat_cold_ms, strat_speedups;
-  util::Rng drng(0xd21f7);
-  for (std::size_t rep = 0; rep < 2 * repeats; ++rep) {
-    const ft::TreeDelta delta = weight_drift(mod, drng, 1);
-    ft::FaultTree next = ft::apply_delta(mod, delta);
-
-    const std::uint64_t prepares_before =
-        core::MpmcsPipeline::prepare_calls();
-    util::Timer warm_t;
-    strat.apply_delta(next, delta, sprep);
-    const core::MpmcsSolution warm = strat.solve_prepared(next, sprep);
-    strat_warm_ms.push_back(warm_t.seconds() * 1e3);
-    zero_prepare_ok = zero_prepare_ok &&
-                      core::MpmcsPipeline::prepare_calls() == prepares_before;
-
-    util::Timer cold_t;
-    const core::PreparedInstance fresh = strat.prepare(next);
-    const core::MpmcsSolution cold = strat.solve_prepared(next, fresh);
-    strat_cold_ms.push_back(cold_t.seconds() * 1e3);
-    strat_speedups.push_back(strat_cold_ms.back() / strat_warm_ms.back());
-
-    all_match = all_match && warm.status == maxsat::MaxSatStatus::Optimal &&
-                cold.status == maxsat::MaxSatStatus::Optimal &&
-                warm.scaled_cost == cold.scaled_cost;
-    mod = std::move(next);
-  }
+  std::vector<double> strat_speedups;
+  const auto [strat_warm, strat_cold] = drift(
+      strat, mod, sprep, 2 * repeats, 0xd21f7, zero_prepare_ok, all_match,
+      strat_speedups);
+  ft::FaultTree closed = modular_tree(kModules, 0x51ab, /*closed_form=*/true);
+  core::PreparedInstance cprep = strat.prepare(closed);
+  std::vector<double> closed_speedups;
+  const auto [closed_warm, closed_cold] =
+      drift(strat, closed, cprep, 2 * repeats, 0xc105e, zero_prepare_ok,
+            all_match, closed_speedups);
 
   // Structural splices: swap one module's definition per edit; exactly
   // one stratum may pay (a cold prepare normally, a reweight when the
@@ -284,13 +329,16 @@ int main(int argc, char** argv) {
   std::printf("\nmonolithic drift : median %.2f ms warm vs %.2f ms cold "
               "(%.1fx)\n",
               warm_median_ms, cold_median_ms, mono_median);
-  std::printf("stratified drift : median %.2f ms warm vs %.2f ms cold "
+  std::printf("frontier drift   : median %.2f ms warm vs %.2f ms cold "
               "(%.1fx, gate >= 10x: %s)\n",
-              bench::median(strat_warm_ms), bench::median(strat_cold_ms),
-              strat_median, weight_speedup_ok ? "ok" : "FAIL");
+              strat_warm, strat_cold, strat_median,
+              weight_speedup_ok ? "ok" : "FAIL");
   std::printf("module splice    : median %.1fx over cold "
-              "(one touched stratum per splice: %s)\n",
+              "(one touched module per splice: %s)\n",
               splice_median, splice_strata_ok ? "ok" : "FAIL");
+  std::printf("closed-form drift: median %.3f ms warm vs %.3f ms cold "
+              "(%.1fx, no search)\n",
+              closed_warm, closed_cold, bench::median(closed_speedups));
   std::printf("zero prepares on weight drift: %s\n",
               zero_prepare_ok ? "ok" : "FAIL");
   std::printf("results          : %s\n",
@@ -313,10 +361,14 @@ int main(int argc, char** argv) {
     }
     json += "  \"warmEditsPerSecond\": " + util::format_double(warm_rate) +
             ",\n";
-    json += "  \"stratWarmMsMedian\": " +
-            util::format_double(bench::median(strat_warm_ms)) + ",\n";
-    json += "  \"stratColdMsMedian\": " +
-            util::format_double(bench::median(strat_cold_ms)) + ",\n";
+    json += "  \"stratWarmMsMedian\": " + util::format_double(strat_warm) +
+            ",\n";
+    json += "  \"stratColdMsMedian\": " + util::format_double(strat_cold) +
+            ",\n";
+    json += "  \"closedFormWarmMsMedian\": " +
+            util::format_double(closed_warm) + ",\n";
+    json += "  \"closedFormColdMsMedian\": " +
+            util::format_double(closed_cold) + ",\n";
     json += "  \"weightMedianSpeedup\": " +
             util::format_double(strat_median) + ",\n";
     json += "  \"spliceMedianSpeedup\": " +

@@ -1,16 +1,16 @@
-// Ablation: stratified module solving + raw-vs-pre portfolio hedging on
+// Ablation: the default's module pass + raw-vs-pre portfolio hedging on
 // repeated-subsystem ("ladder") corpora vs equal-size random DAGs.
 //
 // ROADMAP "Ladder-shaped optimization hardness": monolithic core-guided
 // search solves 2-of-3 ladders ~50x slower than equal-size DAGs — every
 // unsat core spans all subsystems and the near-equal weights fragment
-// into long core chains. The stratified strategy (maxsat/stratified)
-// solves each subsystem module on its own prepared sub-instance and
-// recombines exactly, so ladder cost collapses to a per-module sweep.
+// into long core chains. The module pass (maxsat/stratified) composes a
+// ladder's closed-form gates from the events' weights alone, so ladder
+// cost collapses to one linear walk with no SAT call.
 //
 // Three configurations over the same deterministic corpus:
 //   * mono   — monolithic OLL (the PR 4 baseline behaviour),
-//   * strat  — SolverChoice::Stratified,
+//   * strat  — SolverChoice::Stratified, the default's module pass,
 //   * hedged — the portfolio racing raw and preprocessed artefacts.
 // For each tree: one end-to-end solve (prepare + solve, the cold path),
 // `repeats` warm re-solves on the prepared artefact, and a top-k run.

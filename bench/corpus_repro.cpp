@@ -4,7 +4,8 @@
 //
 //   * per-instance optimum, cut set, SAT solve calls, parse + solve wall
 //     time (the perf-gate-tracked corpus metrics);
-//   * differential sweep: oll / lsu / stratified, each with the
+//   * differential sweep: oll / lsu / the default's module pass (named
+//     by its alias, stratified), each with the
 //     structure-aware SAT layer off and full, must agree on the scaled
 //     optimum;
 //   * BDD oracle agreement wherever the tree has <= 24 events;
@@ -12,7 +13,7 @@
 //     produce identical scaled optima;
 //   * WCNF export -> re-import -> re-solve is an identity on the optimum;
 //   * generator scale-up: serialize/parse round-trips at 10^3..10^5
-//     events (parse throughput metric) plus a stratified solve on the
+//     events (parse throughput metric) plus a module-pass solve on the
 //     3k-event ladder.
 //
 // Exits non-zero when any check fails, so CI can gate on it directly.
@@ -279,7 +280,7 @@ int main(int argc, char** argv) {
                       equal ? "yes" : "NO"},
                      {10, 10, 10, 12, 8});
   }
-  // Stratified solve on a decomposable 3k-event ladder: the scale point
+  // The module pass on a closed-form 3k-event ladder: the scale point
   // where monolithic core-guided search already struggles.
   double ladder_solve_seconds = 0.0;
   bool ladder_ok = false;

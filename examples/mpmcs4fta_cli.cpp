@@ -4,12 +4,13 @@
 //
 //   usage: mpmcs4fta_cli [options] <tree.ft>
 //          mpmcs4fta_cli [options] --batch <dir>
-//     --solver NAME   auto (default: the session OLL alone, the portfolio
-//                     race joining only after 50 ms without an answer)
+//     --solver NAME   auto (default: the module pass answers closed-form
+//                     gates without search; each module that needs search
+//                     runs the session OLL alone, the portfolio race
+//                     joining only after 50 ms without an answer)
 //                     | portfolio (the paper's race from the start) | oll
-//                     | fu-malik | lsu | brute | stratified (module
-//                     decomposition; falls back to auto on
-//                     non-decomposable trees)
+//                     | fu-malik | lsu | brute | stratified (an alias of
+//                     auto)
 //     --top K         also report the K most probable MCSs
 //     --json PATH     write the JSON result document ('-' for stdout)
 //     --dot PATH      write Graphviz with the MPMCS highlighted
@@ -50,8 +51,8 @@
 //     resource: each step is a TreeDelta (an array of op objects, the
 //     PATCH /v1/trees wire form); the tool reports per-edit re-solve
 //     latency and how much of the solver artefact survived each edit
-//     (weight-only reweighting, session rebases, strata reused vs
-//     re-prepared).
+//     (weight-only reweighting, session rebases, frontier modules reused
+//     vs re-prepared).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -90,14 +91,17 @@ int usage(const char* argv0) {
                "usage: %s [options] <tree.ft>\n"
                "       %s [options] --batch <dir>\n"
                "  --solver NAME   Step 5 solver (default auto):\n"
-               "                  auto       OLL on the warm session alone;\n"
-               "                             the portfolio race joins after\n"
+               "                  auto       module pass: closed-form gates\n"
+               "                             without search; each module\n"
+               "                             that needs search runs OLL on\n"
+               "                             its warm session alone, the\n"
+               "                             portfolio race joining after\n"
                "                             50 ms without an answer\n"
                "                  portfolio  the paper's parallel race from\n"
-               "                             the start\n"
-               "                  oll | lsu | fu-malik | brute  one solver\n"
-               "                  stratified  per-module sub-solves (auto's\n"
-               "                             Step 5 each), else auto\n"
+               "                             the start, whole tree\n"
+               "                  oll | lsu | fu-malik | brute  one solver,\n"
+               "                             whole tree\n"
+               "                  stratified  an alias of auto\n"
                "  --top K         report the K most probable MCSs\n"
                "  --json PATH     write JSON result ('-' = stdout)\n"
                "  --dot PATH      write Graphviz with MPMCS highlighted\n"

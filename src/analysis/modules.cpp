@@ -1,70 +1,73 @@
 #include "analysis/modules.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <unordered_map>
 
 namespace fta::analysis {
 
-namespace {
-
-/// Nodes strictly below `gate` (descendants across the DAG).
-std::vector<bool> descendant_mask(const ft::FaultTree& tree,
-                                  ft::NodeIndex gate) {
-  std::vector<bool> seen(tree.num_nodes(), false);
-  std::vector<ft::NodeIndex> stack(tree.node(gate).children.begin(),
-                                   tree.node(gate).children.end());
-  while (!stack.empty()) {
-    const ft::NodeIndex id = stack.back();
-    stack.pop_back();
-    if (seen[id]) continue;
-    seen[id] = true;
-    for (ft::NodeIndex c : tree.node(id).children) stack.push_back(c);
-  }
-  return seen;
-}
-
-/// Nodes reachable from the top.
-std::vector<bool> reachable_mask(const ft::FaultTree& tree) {
-  std::vector<bool> seen(tree.num_nodes(), false);
-  std::vector<ft::NodeIndex> stack{tree.top()};
-  while (!stack.empty()) {
-    const ft::NodeIndex id = stack.back();
-    stack.pop_back();
-    if (seen[id]) continue;
-    seen[id] = true;
-    for (ft::NodeIndex c : tree.node(id).children) stack.push_back(c);
-  }
-  return seen;
-}
-
-}  // namespace
-
 std::vector<ModuleInfo> find_modules(const ft::FaultTree& tree) {
   tree.validate();
-  const auto reachable = reachable_mask(tree);
-  std::vector<ModuleInfo> modules;
-  for (ft::NodeIndex g = 0; g < tree.num_nodes(); ++g) {
-    const ft::Node& n = tree.node(g);
-    if (n.type == ft::NodeType::BasicEvent || !reachable[g]) continue;
+  const std::size_t n = tree.num_nodes();
+  // Visit dates start at 1; 0 marks a node the walk has not reached.
+  std::vector<std::uint32_t> first(n, 0), last(n, 0), exit(n, 0);
+  std::vector<std::size_t> events_under(n, 0);
+  std::vector<ft::NodeIndex> post_order;  // gates, children first
+  std::uint32_t date = 0;
+  std::size_t events_seen = 0;
 
-    // g is a module iff the only edges into its descendant set come from
-    // g itself: no reachable node outside subtree(g) may have a child
-    // inside it.
-    const auto inside = descendant_mask(tree, g);
-    bool ok = true;
-    std::size_t events = 0;
-    for (ft::NodeIndex d = 0; d < tree.num_nodes() && ok; ++d) {
-      if (inside[d] && tree.node(d).type == ft::NodeType::BasicEvent) {
-        ++events;
-      }
-      if (d == g || !reachable[d] || inside[d]) continue;
-      for (ft::NodeIndex c : tree.node(d).children) {
-        if (inside[c]) {
-          ok = false;
-          break;
-        }
-      }
+  // Pass 1: the dated depth-first walk. An arrival at a node already seen
+  // only moves its last-visit date; a first arrival at a gate opens its
+  // frame, whose event tally at closing counts exactly the events first
+  // reached inside it (all of them, when the gate is a module).
+  struct Frame {
+    ft::NodeIndex node;
+    std::size_t next_child = 0;
+    std::size_t events_before = 0;
+  };
+  std::vector<Frame> stack;
+  const auto arrive = [&](ft::NodeIndex id) {
+    last[id] = ++date;
+    if (first[id] != 0) return;
+    first[id] = date;
+    if (tree.node(id).type == ft::NodeType::BasicEvent) {
+      ++events_seen;
+      return;
     }
-    if (ok) modules.push_back(ModuleInfo{g, events});
+    stack.push_back({id, 0, events_seen});
+  };
+  arrive(tree.top());
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    const ft::Node& node = tree.node(f.node);
+    if (f.next_child < node.children.size()) {
+      arrive(node.children[f.next_child++]);  // may reallocate `stack`
+      continue;
+    }
+    exit[f.node] = ++date;
+    events_under[f.node] = events_seen - f.events_before;
+    post_order.push_back(f.node);
+    stack.pop_back();
+  }
+
+  // Pass 2: children first, fold every node's dates into the earliest
+  // first visit and the latest last visit at or below it.
+  std::vector<std::uint32_t> lo = first, hi = last;
+  std::vector<bool> module(n, false);
+  for (const ft::NodeIndex g : post_order) {
+    std::uint32_t min_first = UINT32_MAX, max_last = 0;
+    for (const ft::NodeIndex c : tree.node(g).children) {
+      min_first = std::min(min_first, lo[c]);
+      max_last = std::max(max_last, hi[c]);
+    }
+    module[g] = min_first > first[g] && max_last < exit[g];
+    lo[g] = std::min(lo[g], min_first);
+    hi[g] = std::max(hi[g], max_last);
+  }
+
+  std::vector<ModuleInfo> modules;
+  for (ft::NodeIndex g = 0; g < n; ++g) {
+    if (module[g]) modules.push_back(ModuleInfo{g, events_under[g]});
   }
   return modules;
 }
@@ -73,8 +76,9 @@ ExtractedModule extract_module(const ft::FaultTree& tree,
                                ft::NodeIndex gate) {
   ExtractedModule out;
   // Post-order copy: children are materialised before the gate that uses
-  // them. `mapping` keeps shared sub-DAGs shared in the copy.
-  std::vector<ft::NodeIndex> mapping(tree.num_nodes(), ft::kNoIndex);
+  // them. `mapping` keeps shared sub-DAGs shared in the copy; it is keyed
+  // by node so an extraction costs the size of the module, not the tree.
+  std::unordered_map<ft::NodeIndex, ft::NodeIndex> mapping;
   struct Frame {
     ft::NodeIndex node;
     std::size_t next_child = 0;
@@ -83,7 +87,7 @@ ExtractedModule extract_module(const ft::FaultTree& tree,
   while (!stack.empty()) {
     Frame& f = stack.back();
     const ft::Node& n = tree.node(f.node);
-    if (mapping[f.node] != ft::kNoIndex) {
+    if (mapping.count(f.node) != 0) {
       stack.pop_back();
       continue;
     }

@@ -1,6 +1,8 @@
 #include "bdd/zbdd.hpp"
 
 #include <cassert>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace fta::bdd {
@@ -164,11 +166,22 @@ std::size_t ZbddManager::enumerate(
 std::optional<ZbddManager::BestSet> ZbddManager::best_probability(
     ZRef f, const std::vector<double>& level_prob) {
   if (f == kEmptyFamily) return std::nullopt;
-  // DP over the DAG: best(r) = max(best(lo), p[level] * best(hi)).
-  // -1 marks "no set".
-  std::unordered_map<ZRef, double> best;
-  best.emplace(kEmptyFamily, -1.0);
-  best.emplace(kUnitFamily, 1.0);
+  // DP over the DAG in log space, best(r) = min(best(lo), w[level] +
+  // best(hi)) with w = -ln p: a product of many probabilities underflows
+  // a double (a 600-event AND ladder's MPMCS has -ln P ~ 1600), the sum
+  // of their logs does not. Costs order p = 0 members first, then the
+  // sum; `kNoSet` marks "no set".
+  using Cost = std::pair<std::uint64_t, double>;
+  const Cost kNoSet{UINT64_MAX, 0.0};
+  const auto via_hi = [&](const ZNode& n, const Cost& hi) {
+    if (hi == kNoSet) return kNoSet;
+    const double p = level_prob.at(n.level);
+    return p > 0.0 ? Cost{hi.first, hi.second - std::log(p)}
+                   : Cost{hi.first + 1, hi.second};
+  };
+  std::unordered_map<ZRef, Cost> best;
+  best.emplace(kEmptyFamily, kNoSet);
+  best.emplace(kUnitFamily, Cost{0, 0.0});
   std::vector<std::pair<ZRef, bool>> stack{{f, false}};
   while (!stack.empty()) {
     auto [r, expanded] = stack.back();
@@ -181,20 +194,17 @@ std::optional<ZbddManager::BestSet> ZbddManager::best_probability(
       if (!best.count(n.hi)) stack.push_back({n.hi, false});
       continue;
     }
-    const double via_hi =
-        best.at(n.hi) < 0 ? -1.0 : level_prob.at(n.level) * best.at(n.hi);
-    best.emplace(r, std::max(best.at(n.lo), via_hi));
+    best.emplace(r, std::min(best.at(n.lo), via_hi(n, best.at(n.hi))));
   }
 
-  // Reconstruct one optimal set by walking the argmax choices.
+  // Reconstruct one optimal set by walking the argmin choices.
   BestSet out;
-  out.probability = best.at(f);
+  const Cost& top = best.at(f);
+  out.probability = top.first > 0 ? 0.0 : std::exp(-top.second);
   ZRef r = f;
   while (!is_terminal(r)) {
     const ZNode& n = nodes_[r];
-    const double via_hi =
-        best.at(n.hi) < 0 ? -1.0 : level_prob.at(n.level) * best.at(n.hi);
-    if (via_hi >= best.at(n.lo)) {
+    if (!(best.at(n.lo) < via_hi(n, best.at(n.hi)))) {
       out.set.push_back(n.level);
       r = n.hi;
     } else {

@@ -69,8 +69,9 @@ class ZbddManager {
   };
 
   /// The member set maximising the product of per-level probabilities —
-  /// i.e. the MPMCS when `f` is the minimal-cut-set family. nullopt for
-  /// the empty family.
+  /// i.e. the MPMCS when `f` is the minimal-cut-set family — compared in
+  /// log space, so products below the double range still rank. nullopt
+  /// for the empty family.
   std::optional<BestSet> best_probability(ZRef f,
                                           const std::vector<double>& level_prob);
 

@@ -375,11 +375,7 @@ void AnalysisEngine::run_mpmcs(const AnalysisRequest& request,
                                util::CancelTokenPtr token,
                                AnalysisResult& result) {
   const core::MpmcsPipeline pipeline(request.pipeline);
-  // Top-OR decomposition builds per-child instances, which the whole-tree
-  // cache entry cannot serve.
-  const bool cacheable =
-      cache_.capacity() > 0 && !request.pipeline.decompose_top_or;
-  if (!cacheable) {
+  if (cache_.capacity() == 0) {
     WatchScope watch(*this, token, "");
     result.mpmcs = pipeline.solve(request.tree, std::move(token));
   } else {
@@ -389,10 +385,10 @@ void AnalysisEngine::run_mpmcs(const AnalysisRequest& request,
     // Hedging widens the race (a raw-lineage member may win a tie with a
     // different-but-equal-cost cut), so it keys the memo too — but only
     // where it is effective (the choices that may race: auto once it
-    // escalates, portfolio, stratified); keying the raw flag for
-    // single-solver choices would split identical outcomes. Stratified
-    // keeps the bit even when its plan applies: per-stratum sub-solves may
-    // escalate to hedged races too.
+    // escalates, portfolio); keying the raw flag for single-solver
+    // choices would split identical outcomes. Auto keeps the bit even when
+    // its module pass composes the answer: frontier modules may escalate
+    // to hedged races too.
     const std::string memo_key =
         std::string(core::solver_choice_name(request.pipeline.solver)) +
         (request.pipeline.shrink_to_minimal ? "|s" : "|-") +
@@ -537,8 +533,8 @@ void AnalysisEngine::run_resource(const AnalysisRequest& request,
     res->tree = std::move(next);
     ++res->version;
     res->edits += request.delta->ops.size();
-    // Whole-solution memo dies with the edit; the stratum-level memo
-    // inside the artefact carries the untouched modules across.
+    // Whole-solution memo dies with the edit; untouched frontier modules
+    // keep their warm sessions inside the artefact.
     res->solutions.clear();
     result.delta_applied = true;
     tree_edits_.fetch_add(1, std::memory_order_relaxed);

@@ -46,12 +46,12 @@ std::string structural_key(const ft::FaultTree& tree,
   // structure modes must not share an entry (an Off artefact carries no
   // hints, a Full session has inprocessing clauses an Hints one lacks).
   key.push_back(static_cast<char>('0' + static_cast<int>(opts.sat_structure)));
-  // The stratified choice attaches the decomposition plan and its
-  // per-module sub-artefacts to the PreparedInstance; an artefact built
-  // under any other solver lacks them (and vice versa pays for them), so
-  // the two shapes must not share a cache entry. The solver choice is
-  // otherwise deliberately NOT part of the key.
-  key.push_back(opts.solver == core::SolverChoice::Stratified ? 'T' : 't');
+  // Auto's module pass may leave the whole-tree instance unbuilt and
+  // attach per-module artefacts instead, while every other choice solves
+  // the tree as one instance, so the two shapes must not share a cache
+  // entry. The solver choice is otherwise deliberately NOT part of the
+  // key.
+  key.push_back(opts.solver == core::SolverChoice::Auto ? 'T' : 't');
   // Step 3.5 configuration: a differently-preprocessed instance is a
   // different artefact (the reconstructor travels with it).
   key.push_back(opts.preprocess ? 'Z' : 'z');

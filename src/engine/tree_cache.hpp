@@ -48,10 +48,10 @@ struct PreparedTree {
   mutable std::unordered_map<std::string, std::vector<core::MpmcsSolution>>
       topk_solutions;
 
-  /// The incremental session's footprint, lock-free (see
+  /// The incremental sessions' footprint, lock-free (see
   /// IncrementalSolveSession::memory_bytes_estimate). 0 without a session.
   std::size_t session_bytes_estimate() const noexcept {
-    return prepared.session ? prepared.session->memory_bytes_estimate() : 0;
+    return prepared.session_bytes_estimate();
   }
 };
 

@@ -23,6 +23,9 @@ MaxSatResult BruteForceSolver::solve(const WcnfInstance& instance,
       res.seconds = timer.seconds();
       return res;
     }
+    // Liveness for watchdogs: an exhaustive sweep makes no SAT conflicts
+    // to tick on.
+    if (cancel && (mask & 0xff) == 0) cancel->note_progress();
     for (std::uint32_t v = 0; v < n; ++v) assignment[v] = (mask >> v) & 1;
     if (!instance.satisfies_hard(assignment)) continue;
     const Weight cost = instance.cost_of(assignment);

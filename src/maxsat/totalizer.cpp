@@ -1,5 +1,6 @@
 #include "maxsat/totalizer.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/failpoint.hpp"
@@ -30,17 +31,21 @@ std::optional<GeneralizedTotalizer> GeneralizedTotalizer::build(
   // clause-heavy cardinality encoding (the other allocation hot spot
   // besides the clause arena).
   FTA_FAILPOINT("totalizer.build");
-  using Node = std::map<Weight, Lit>;
+  // A node: its attainable sums, ascending, each with its output literal.
+  // Sorted vectors, not maps: a merge near the root holds up to millions
+  // of pairwise sums, which vectors build, search and free in bulk.
+  using Node = std::vector<std::pair<Weight, Lit>>;
+  const auto output = [](const Node& node, Weight sum) {
+    return std::lower_bound(node.begin(), node.end(), sum,
+                            [](const auto& e, Weight w) { return e.first < w; })
+        ->second;
+  };
   std::vector<Node> nodes;
   nodes.reserve(inputs.size());
-  std::size_t total_outputs = 0;
+  for (const auto& [lit, w] : inputs) nodes.push_back({{w, lit}});
+  std::size_t total_outputs = inputs.size();
   std::size_t total_clauses = 0;
-  for (const auto& [lit, w] : inputs) {
-    Node leaf;
-    leaf.emplace(w, lit);
-    nodes.push_back(std::move(leaf));
-    ++total_outputs;
-  }
+  std::vector<Weight> sums;
   while (nodes.size() > 1) {
     std::vector<Node> next;
     next.reserve(nodes.size() / 2 + 1);
@@ -53,35 +58,42 @@ std::optional<GeneralizedTotalizer> GeneralizedTotalizer::build(
       total_clauses += a.size() + b.size() + a.size() * b.size();
       if (total_clauses > max_clauses) return std::nullopt;
       // Attainable sums of the merged node: sums of a, sums of b, and all
-      // pairwise combinations.
-      Node merged;
-      auto output_for = [&](Weight sum) -> Lit {
-        auto it = merged.find(sum);
-        if (it != merged.end()) return it->second;
-        const Lit o = Lit::pos(solver.new_var());
-        merged.emplace(sum, o);
-        ++total_outputs;
-        return o;
-      };
+      // pairwise combinations. A merge can be large: poll per row.
+      sums.clear();
+      for (const auto& [wa, la] : a) sums.push_back(wa);
+      for (const auto& [wb, lb] : b) sums.push_back(wb);
       for (const auto& [wa, la] : a) {
-        solver.add_clause({~la, output_for(wa)});
+        if (cancel && cancel->cancelled()) return std::nullopt;
+        for (const auto& [wb, lb] : b) sums.push_back(wa + wb);
+      }
+      std::sort(sums.begin(), sums.end());
+      sums.erase(std::unique(sums.begin(), sums.end()), sums.end());
+      total_outputs += sums.size();
+      if (total_outputs > max_outputs) return std::nullopt;
+      Node merged;
+      merged.reserve(sums.size());
+      for (const Weight sum : sums) {
+        merged.emplace_back(sum, Lit::pos(solver.new_var()));
+      }
+      for (const auto& [wa, la] : a) {
+        solver.add_clause({~la, output(merged, wa)});
       }
       for (const auto& [wb, lb] : b) {
-        solver.add_clause({~lb, output_for(wb)});
+        solver.add_clause({~lb, output(merged, wb)});
       }
       for (const auto& [wa, la] : a) {
+        if (cancel && cancel->cancelled()) return std::nullopt;
         for (const auto& [wb, lb] : b) {
-          solver.add_clause({~la, ~lb, output_for(wa + wb)});
+          solver.add_clause({~la, ~lb, output(merged, wa + wb)});
         }
       }
-      if (total_outputs > max_outputs) return std::nullopt;
       next.push_back(std::move(merged));
     }
     if (nodes.size() % 2 == 1) next.push_back(std::move(nodes.back()));
     nodes = std::move(next);
   }
   GeneralizedTotalizer gte;
-  gte.root_ = std::move(nodes.front());
+  gte.root_.insert(nodes.front().begin(), nodes.front().end());
   return gte;
 }
 

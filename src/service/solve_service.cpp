@@ -32,6 +32,17 @@ HttpResponse error_response(int status, const char* code,
   return r;
 }
 
+/// The 504 text for a cancelled `what` ("solve", "re-solve"): the deadline
+/// when the request set one, else the cancellation (a watchdog that saw
+/// no progress, or shutdown).
+std::string cancelled_message(double deadline_seconds, const char* what) {
+  if (deadline_seconds > 0.0) {
+    return "deadline of " + util::format_double(deadline_seconds) +
+           "s expired before the " + what + " finished";
+  }
+  return std::string("the ") + what + " was cancelled before it finished";
+}
+
 /// Parses an embedded tree body. `format_name` is the request's "format"
 /// member (auto = sniff); unknown names and parse defects both surface as
 /// exceptions the handlers map to HTTP 400.
@@ -557,9 +568,7 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
     anon.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
     tenant.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
     return error_response(504, "deadline_exceeded",
-                          "deadline of " +
-                              util::format_double(deadline_seconds) +
-                              "s expired before the solve finished");
+                          cancelled_message(deadline_seconds, "solve"));
   }
   if (!result.ok) {
     finish_latency();
@@ -1059,9 +1068,7 @@ HttpResponse SolveService::handle_tree_patch(const HttpRequest& request,
     anon.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
     tenant.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
     return error_response(504, "deadline_exceeded",
-                          "deadline of " +
-                              util::format_double(deadline_seconds) +
-                              "s expired before the re-solve finished");
+                          cancelled_message(deadline_seconds, "re-solve"));
   }
   if (!result.ok) {
     finish_latency();

@@ -61,6 +61,62 @@ TEST(Modules, SharedEventBreaksModularity) {
   EXPECT_TRUE(is_module(t, t.top()));
 }
 
+TEST(Modules, LinearPassMatchesTheDefinition) {
+  // The two-date DFS against the definition itself, checked the slow way:
+  // a reachable gate is a module iff no reachable node outside its
+  // descendants has a child among them; its events are counted directly.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    gen::GeneratorOptions opts;
+    opts.num_events = 10 + static_cast<std::uint32_t>(seed % 20);
+    opts.sharing = 0.05 * static_cast<double>(seed % 8);
+    opts.vote_fraction = 0.2;
+    const auto tree = gen::random_tree(opts, seed);
+    const auto below = [&](ft::NodeIndex root) {
+      std::vector<bool> seen(tree.num_nodes(), false);
+      std::vector<ft::NodeIndex> stack(tree.node(root).children.begin(),
+                                       tree.node(root).children.end());
+      while (!stack.empty()) {
+        const ft::NodeIndex id = stack.back();
+        stack.pop_back();
+        if (seen[id]) continue;
+        seen[id] = true;
+        for (const ft::NodeIndex c : tree.node(id).children) {
+          stack.push_back(c);
+        }
+      }
+      return seen;
+    };
+    std::vector<bool> reachable = below(tree.top());
+    reachable[tree.top()] = true;
+    std::vector<ModuleInfo> expected;
+    for (ft::NodeIndex g = 0; g < tree.num_nodes(); ++g) {
+      if (!reachable[g] || tree.node(g).type == ft::NodeType::BasicEvent) {
+        continue;
+      }
+      const std::vector<bool> inside = below(g);
+      bool module = true;
+      std::size_t events = 0;
+      for (ft::NodeIndex d = 0; d < tree.num_nodes(); ++d) {
+        if (inside[d] && tree.node(d).type == ft::NodeType::BasicEvent) {
+          ++events;
+        }
+        if (d == g || !reachable[d] || inside[d]) continue;
+        for (const ft::NodeIndex c : tree.node(d).children) {
+          module = module && !inside[c];
+        }
+      }
+      if (module) expected.push_back({g, events});
+    }
+    const auto modules = find_modules(tree);
+    ASSERT_EQ(modules.size(), expected.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < modules.size(); ++i) {
+      EXPECT_EQ(modules[i].gate, expected[i].gate) << "seed " << seed;
+      EXPECT_EQ(modules[i].descendant_events, expected[i].descendant_events)
+          << "seed " << seed;
+    }
+  }
+}
+
 TEST(Modules, TopIsAlwaysAModule) {
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     gen::GeneratorOptions opts;

@@ -406,17 +406,16 @@ TEST(AnalysisEngine, HedgedRaceReusesOnePreparedArtefact) {
   EXPECT_GE(stats.cache_hits, 1u);
 }
 
-TEST(AnalysisEngine, StratifiedChoiceGetsItsOwnArtefactAndLineage) {
-  // The stratified plan rides on the PreparedInstance, so the structural
-  // key must separate stratified artefacts from monolithic ones...
+TEST(AnalysisEngine, ModulePassGetsItsOwnArtefactAndLineage) {
+  // The module pass rides on the PreparedInstance, so the structural key
+  // must separate the default's artefacts from monolithic ones...
   const auto ladder = gen::ladder_tree(6, 19);
-  core::PipelineOptions strat;
-  strat.solver = core::SolverChoice::Stratified;
+  const core::PipelineOptions strat;
   EXPECT_NE(structural_key(ladder, strat),
             structural_key(ladder, deterministic_options()));
 
-  // ...and engine traffic through the stratified choice recombines module
-  // optima (lineage "strata") that agree with the monolithic answer.
+  // ...and engine traffic through the default composes the closed-form
+  // ladder (lineage "strata") into the monolithic answer.
   EngineOptions eopts;
   eopts.num_threads = 1;
   AnalysisEngine engine(eopts);

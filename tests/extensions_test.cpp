@@ -1,6 +1,6 @@
 // Tests for the library extensions layered over the paper's method:
-// stratified OLL, top-OR decomposition, the explicit success-tree
-// artefact, and the RAW/RRW importance measures.
+// stratified OLL, the module pass, the explicit success-tree artefact,
+// and the RAW/RRW importance measures.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -104,74 +104,79 @@ TEST(StratifiedOll, SolvesPaperExampleThroughPipeline) {
   EXPECT_TRUE(r.model[1]);
 }
 
-// ------------------------------------------------------- decomposition --
+// ---------------------------------------------------------- module pass --
 
-TEST(Decomposition, MatchesMonolithicOnLadders) {
+TEST(ModulePass, MatchesMonolithicOnLadders) {
+  // Ladders are closed-form all the way down: the default composes them
+  // without search, and agrees with the monolithic OLL.
   core::PipelineOptions mono;
   mono.solver = core::SolverChoice::Oll;
-  core::PipelineOptions dec = mono;
-  dec.decompose_top_or = true;
   for (const std::uint32_t subsystems : {1u, 3u, 10u, 40u}) {
     const auto tree = gen::ladder_tree(subsystems, subsystems + 5);
     const auto a = core::MpmcsPipeline(mono).solve(tree);
-    const auto b = core::MpmcsPipeline(dec).solve(tree);
+    const auto b = core::MpmcsPipeline().solve(tree);
     ASSERT_EQ(a.status, maxsat::MaxSatStatus::Optimal);
     ASSERT_EQ(b.status, maxsat::MaxSatStatus::Optimal);
+    EXPECT_EQ(a.scaled_cost, b.scaled_cost) << subsystems << " subsystems";
     EXPECT_NEAR(a.probability, b.probability, 1e-12 + 1e-9 * a.probability)
         << subsystems << " subsystems";
     EXPECT_TRUE(ft::is_minimal_cut_set(tree, b.cut));
-    // A single subsystem has a Vote top; no decomposition there.
-    if (tree.node(tree.top()).type == ft::NodeType::Or) {
-      EXPECT_NE(b.solver_name.find("+decomp"), std::string::npos);
-    }
+    EXPECT_EQ(b.solver_name, "stratified");
+    EXPECT_EQ(b.lineage, "strata");
   }
 }
 
-TEST(Decomposition, MatchesMonolithicOnRandomTrees) {
+TEST(ModulePass, MatchesMonolithicOnRandomTrees) {
+  // Shared events and votes: some tops are closed-form over frontier
+  // modules, some are frontier modules themselves.
   core::PipelineOptions mono;
   mono.solver = core::SolverChoice::Oll;
-  core::PipelineOptions dec = mono;
-  dec.decompose_top_or = true;
-  int decomposed_seen = 0;
+  int composed_seen = 0;
   for (std::uint64_t seed = 900; seed < 925; ++seed) {
     gen::GeneratorOptions gopts;
     gopts.num_events = 12;
     gopts.sharing = 0.3;  // children may share events: the tricky case
     gopts.vote_fraction = 0.15;
     const auto tree = gen::random_tree(gopts, seed);
-    if (tree.node(tree.top()).type == ft::NodeType::Or) ++decomposed_seen;
     const auto a = core::MpmcsPipeline(mono).solve(tree);
-    const auto b = core::MpmcsPipeline(dec).solve(tree);
+    const auto b = core::MpmcsPipeline().solve(tree);
     ASSERT_EQ(a.status, maxsat::MaxSatStatus::Optimal) << "seed " << seed;
     ASSERT_EQ(b.status, maxsat::MaxSatStatus::Optimal) << "seed " << seed;
+    EXPECT_EQ(a.scaled_cost, b.scaled_cost) << "seed " << seed;
     EXPECT_NEAR(a.probability, b.probability, 1e-12 + 1e-9 * a.probability)
         << "seed " << seed;
     EXPECT_TRUE(ft::is_minimal_cut_set(tree, b.cut)) << "seed " << seed;
+    if (b.lineage == "strata") ++composed_seen;
   }
-  EXPECT_GT(decomposed_seen, 0) << "sweep never hit an OR top";
+  EXPECT_GT(composed_seen, 0) << "sweep never hit a closed-form top";
 }
 
-TEST(Decomposition, NonOrTopFallsBackToMonolithic) {
+TEST(ModulePass, FrontierTopKeepsTheMonolithicPath) {
+  // Event e feeds both children of the top: no child is a module, so the
+  // whole tree is one instance, as in the paper.
   ft::FaultTree t;
+  const auto e = t.add_basic_event("e", 0.1);
   const auto a = t.add_basic_event("a", 0.5);
   const auto b = t.add_basic_event("b", 0.4);
-  t.set_top(t.add_gate("TOP", ft::NodeType::And, {a, b}));
-  core::PipelineOptions dec;
-  dec.decompose_top_or = true;
-  const auto sol = core::MpmcsPipeline(dec).solve(t);
+  const auto g1 = t.add_gate("G1", ft::NodeType::And, {e, a});
+  const auto g2 = t.add_gate("G2", ft::NodeType::And, {e, b});
+  t.set_top(t.add_gate("TOP", ft::NodeType::Or, {g1, g2}));
+  const core::MpmcsPipeline pipeline;
+  const core::PreparedInstance prepared = pipeline.prepare(t);
+  EXPECT_EQ(prepared.strata, nullptr);
+  ASSERT_NE(prepared.session, nullptr);
+  const auto sol = pipeline.solve_prepared(t, prepared);
   ASSERT_EQ(sol.status, maxsat::MaxSatStatus::Optimal);
-  EXPECT_EQ(sol.cut.size(), 2u);
-  EXPECT_EQ(sol.solver_name.find("+decomp"), std::string::npos);
+  EXPECT_EQ(sol.cut, ft::CutSet({0, 1}));
+  EXPECT_NE(sol.lineage, "strata");
 }
 
-TEST(Decomposition, PaperExample) {
-  core::PipelineOptions dec;
-  dec.decompose_top_or = true;
-  const auto sol =
-      core::MpmcsPipeline(dec).solve(ft::fire_protection_system());
+TEST(ModulePass, PaperExample) {
+  const auto sol = core::MpmcsPipeline().solve(ft::fire_protection_system());
   ASSERT_EQ(sol.status, maxsat::MaxSatStatus::Optimal);
   EXPECT_EQ(sol.cut, ft::CutSet({0, 1}));
   EXPECT_NEAR(sol.probability, 0.02, 1e-12);
+  EXPECT_EQ(sol.solver_name, "stratified");
 }
 
 // -------------------------------------------------- success tree (Step 1) --
@@ -248,7 +253,7 @@ TEST(RawRrw, SpofDominatesRrw) {
 
 // ------------------------------------------------- end-to-end coherence --
 
-TEST(Extensions, DecomposedStratifiedPortfolioAllAgree) {
+TEST(Extensions, ModulePassPortfolioAllAgree) {
   for (std::uint64_t seed = 1000; seed < 1012; ++seed) {
     gen::GeneratorOptions gopts;
     gopts.num_events = 15;
@@ -258,8 +263,7 @@ TEST(Extensions, DecomposedStratifiedPortfolioAllAgree) {
 
     std::vector<core::PipelineOptions> configs(3);
     configs[0].solver = core::SolverChoice::Portfolio;
-    configs[1].solver = core::SolverChoice::Oll;
-    configs[1].decompose_top_or = true;
+    configs[1].solver = core::SolverChoice::Auto;
     configs[2].solver = core::SolverChoice::Lsu;
 
     bdd::FaultTreeBdd baseline(tree);

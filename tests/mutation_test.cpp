@@ -7,8 +7,8 @@
 // integer objective the MaxSAT layer optimises; tied optimal cuts may
 // differ, their cost may not). The suite also pins the structural
 // guarantees the bench relies on: weight-only edits never cold-prepare,
-// a single-module splice re-prepares exactly one stratum, and a session
-// survives a thousand edits without unbounded memory growth.
+// a single-module splice re-prepares exactly one frontier module, and a
+// session survives a thousand edits without unbounded memory growth.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,12 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "bdd/fta_bdd.hpp"
 #include "core/pipeline.hpp"
 #include "ft/fault_tree.hpp"
 #include "ft/parser.hpp"
 #include "ft/tree_delta.hpp"
 #include "gen/generator.hpp"
 #include "maxsat/incremental.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace fta {
@@ -93,29 +95,38 @@ ft::TreeDelta random_delta(const ft::FaultTree& tree, util::Rng& rng,
   return delta;
 }
 
+/// A closed-form OR over three modules that need search: inside each,
+/// two gates share an event, so the module pass gives every module an
+/// artefact and a session of its own.
 ft::FaultTree modular_tree() {
   return ft::parse_fault_tree(
       "toplevel TOP;\n"
       "TOP or M1 M2 M3;\n"
-      "M1 and a b;\n"
-      "M2 and c d;\n"
-      "M3 or e f;\n"
+      "M1 and X1 Y1;\nX1 or a b;\nY1 or a c;\n"
+      "M2 and X2 Y2;\nX2 or d e;\nY2 or d f;\n"
+      "M3 and X3 Y3;\nX3 or g h;\nY3 or g i;\n"
       "a prob=0.1; b prob=0.2; c prob=0.3;\n"
-      "d prob=0.1; e prob=0.05; f prob=0.02;\n");
+      "d prob=0.1; e prob=0.05; f prob=0.02;\n"
+      "g prob=0.15; h prob=0.25; i prob=0.05;\n");
 }
 
 // The headline differential: 100 generator seeds, each mutated through a
 // random multi-step edit script, with every step's warm re-solve checked
-// against a cold solve of the same tree.
+// against a cold solve of the same tree. Each seed runs a random DAG and
+// a closed-form top over modules that need search; the latter is also
+// checked against the BDD, since its edits go through the module pass.
 TEST(MutationDifferential, RandomEditScriptsMatchColdSolvesOn100Seeds) {
-  const core::PipelineOptions opts;  // default portfolio, incremental
+  const core::PipelineOptions opts;  // the default choice, incremental
   const core::MpmcsPipeline pipeline(opts);
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+  for (std::uint64_t run = 0; run < 200; ++run) {
+    const std::uint64_t seed = run / 2;
+    const bool composed = run % 2 == 1;
     gen::GeneratorOptions g;
     g.num_events = 10 + seed % 5;
     g.vote_fraction = 0.2;
     g.sharing = 0.2;
-    ft::FaultTree tree = gen::random_tree(g, seed);
+    ft::FaultTree tree =
+        composed ? test::composed_tree(seed) : gen::random_tree(g, seed);
     core::PreparedInstance prepared = pipeline.prepare(tree);
     util::Rng rng(0xed17ull * (seed + 1));
     for (int step = 0; step < 3; ++step) {
@@ -128,9 +139,17 @@ TEST(MutationDifferential, RandomEditScriptsMatchColdSolvesOn100Seeds) {
 
       const core::MpmcsSolution warm = pipeline.solve_prepared(tree, prepared);
       const core::MpmcsSolution cold = pipeline.solve(tree);
-      expect_same_optimum(tree, warm, cold, opts.weight_scale,
-                          "seed " + std::to_string(seed) + " step " +
-                              std::to_string(step));
+      const std::string context = "seed " + std::to_string(seed) +
+                                  (composed ? " composed" : "") + " step " +
+                                  std::to_string(step);
+      expect_same_optimum(tree, warm, cold, opts.weight_scale, context);
+      if (composed && warm.status == maxsat::MaxSatStatus::Optimal) {
+        const auto best = bdd::FaultTreeBdd(tree).mpmcs();
+        ASSERT_TRUE(best.has_value()) << context;
+        EXPECT_NEAR(warm.probability, best->second,
+                    1e-5 * best->second + 1e-300)
+            << context;
+      }
     }
   }
 }
@@ -183,24 +202,24 @@ TEST(MutationDifferential, WeightOnlyEditsNeverColdPrepare) {
   EXPECT_EQ(warm_prepares, 0u) << "a weight-only edit triggered a cold prepare";
 }
 
-// A splice inside one module of a stratified artefact re-prepares exactly
-// that stratum; the untouched modules' sub-artefacts are shared as-is.
+// A splice inside one frontier module re-prepares exactly that module;
+// the untouched modules' artefacts are shared as-is.
 TEST(MutationDifferential, SingleModuleSpliceRepreparesOneStratum) {
-  core::PipelineOptions opts;
-  opts.solver = core::SolverChoice::Stratified;
+  const core::PipelineOptions opts;
   const core::MpmcsPipeline pipeline(opts);
   const ft::FaultTree tree = modular_tree();
   core::PreparedInstance prepared = pipeline.prepare(tree);
   ASSERT_TRUE(prepared.strata && prepared.strata->applicable)
-      << "test tree must decompose into strata";
+      << "test tree must have a closed-form top";
+  ASSERT_EQ(prepared.strata->strata.size(), 3u);
 
   ft::TreeDelta delta;
   // Replacement leaves reuse existing events by name but take the
-  // replacement's probability — restate c/d so only the shape changes.
+  // replacement's probability — restate d/e so only the shape changes.
   delta.ops.push_back(ft::TreeDelta::replace(
-      "M2",
-      "toplevel r2;\nr2 or c d g2x;\n"
-      "c prob=0.3;\nd prob=0.1;\ng2x prob=0.15;\n"));
+      "X2",
+      "toplevel r2;\nr2 or d e g2x;\n"
+      "d prob=0.1;\ne prob=0.05;\ng2x prob=0.15;\n"));
   const ft::FaultTree next = ft::apply_delta(tree, delta);
 
   const std::uint64_t before = core::MpmcsPipeline::prepare_calls();
@@ -228,7 +247,7 @@ TEST(MutationDifferential, DerivedArtefactLeavesSharedBaseIntact) {
   const core::PreparedInstance base = pipeline.prepare(base_tree);
 
   ft::TreeDelta delta;
-  delta.ops.push_back(ft::TreeDelta::weight("c", 0.9));
+  delta.ops.push_back(ft::TreeDelta::weight("e", 0.9));
   delta.ops.push_back(ft::TreeDelta::weight("d", 0.8));
   const ft::FaultTree next = ft::apply_delta(base_tree, delta);
 
@@ -238,6 +257,8 @@ TEST(MutationDifferential, DerivedArtefactLeavesSharedBaseIntact) {
   EXPECT_TRUE(stats.weight_only);
   EXPECT_FALSE(stats.session_rebased)
       << "a shared base's session must never be rebased in place";
+  EXPECT_EQ(stats.strata_reweighted, 1u);
+  EXPECT_EQ(stats.strata_reused, 2u);
 
   expect_same_optimum(next, pipeline.solve_prepared(next, derived),
                       pipeline.solve(next), opts.weight_scale, "derived");
@@ -248,9 +269,12 @@ TEST(MutationDifferential, DerivedArtefactLeavesSharedBaseIntact) {
 
 // A long-lived session under a 1000-edit drift stream stays within its
 // configured memory cap (the session sheds and lazily rebuilds engines —
-// state is a cache, not required for correctness).
+// state is a cache, not required for correctness). The ladder is
+// closed-form, so the paper's race solves it as one instance, on one
+// session.
 TEST(MutationDifferential, SessionMemoryBoundedAcross1000Edits) {
   core::PipelineOptions opts;
+  opts.solver = core::SolverChoice::Portfolio;
   opts.incremental_memory_cap_bytes = std::size_t{8} << 20;
   const core::MpmcsPipeline pipeline(opts);
   ft::FaultTree tree = gen::ladder_tree(3, 7);

@@ -298,19 +298,29 @@ constexpr bool kFullSpeed = true;
 constexpr bool kFullSpeed = false;
 #endif
 
-/// A 2-of-`n` vote over `n` independent 2-of-3 subsystems with fixed
-/// probabilities spread over [0.01, 0.2]. No Step 5 solver proves the
-/// optimum of n = 10 within a second.
-ft::FaultTree vote_of_votes(std::uint32_t n) {
+/// The ring: six 2-of-4 subsystems under a 2-of-6 top, each sharing one
+/// event with each neighbour (18 events, fixed probabilities spread over
+/// [0.01, 0.2]). No subsystem is a module, so the module pass leaves the
+/// whole tree to Step 5, and no Step 5 solver proves its optimum within a
+/// second at the default weight scale.
+ft::FaultTree ring_of_votes() {
+  constexpr std::uint32_t kSubsystems = 6;
   ft::FaultTreeBuilder b;
+  const auto prob = [](std::uint32_t i) {
+    return 0.01 + 0.19 * std::fmod((i + 1) * 0.6180339887498949, 1.0);
+  };
+  std::vector<ft::NodeIndex> shared;
+  for (std::uint32_t i = 0; i < kSubsystems; ++i) {
+    shared.push_back(b.event("s" + std::to_string(i), prob(i)));
+  }
   std::vector<ft::NodeIndex> subsystems;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::vector<ft::NodeIndex> members;
-    for (std::uint32_t j = 0; j < 3; ++j) {
-      const double frac = std::fmod((i * 3 + j + 1) * 0.6180339887498949, 1.0);
+  for (std::uint32_t i = 0; i < kSubsystems; ++i) {
+    std::vector<ft::NodeIndex> members{shared[i],
+                                       shared[(i + 1) % kSubsystems]};
+    for (std::uint32_t j = 0; j < 2; ++j) {
       members.push_back(b.event("e" + std::to_string(i) + "_" +
                                     std::to_string(j),
-                                0.01 + 0.19 * frac));
+                                prob(kSubsystems + 2 * i + j)));
     }
     subsystems.push_back(b.vote("S" + std::to_string(i), 2, members));
   }
@@ -360,8 +370,11 @@ TEST(Step5Escalation, DefaultLeadAnswersAloneAndMatchesPortfolio) {
     ASSERT_EQ(b.status, MaxSatStatus::Optimal) << name;
     EXPECT_EQ(a.scaled_cost, b.scaled_cost) << name;
     EXPECT_TRUE(ft::is_minimal_cut_set(tree, a.cut)) << name;
+    // Closed-form trees are composed by the module pass; the rest are
+    // answered by the lead.
     if (kFullSpeed) {
-      EXPECT_TRUE(a.solver_name == "oll-inc" || a.solver_name == "lsu-inc")
+      EXPECT_TRUE(a.solver_name == "oll-inc" || a.solver_name == "lsu-inc" ||
+                  a.solver_name == "stratified")
           << name << ": " << a.solver_name;
     }
   }
@@ -389,7 +402,7 @@ TEST(Step5Escalation, TimeLimitBoundsLeadAndRaceOnEveryPath) {
   PipelineOptions opts;
   opts.timeout_seconds = 1.0;
   const MpmcsPipeline pipeline(opts);
-  const ft::FaultTree tree = vote_of_votes(10);
+  const ft::FaultTree tree = ring_of_votes();
   const double limit = kFullSpeed ? opts.timeout_seconds + 0.1 : 60.0;
 
   std::uint64_t before = MpmcsPipeline::escalations();
@@ -420,12 +433,28 @@ TEST(Step5Escalation, TimeLimitBoundsLeadAndRaceOnEveryPath) {
   EXPECT_EQ(MpmcsPipeline::escalations(), before + 1) << "top_k";
 }
 
+TEST(Step5Escalation, TimeLimitBoundsSingleEngines) {
+  // timeout_seconds bounds a single engine too, not only the race.
+  PipelineOptions opts;
+  opts.solver = SolverChoice::Oll;
+  opts.timeout_seconds = 1.0;
+  const ft::FaultTree tree = ring_of_votes();
+  util::Timer timer;
+  const MpmcsSolution sol = MpmcsPipeline(opts).solve(tree);
+  if (kFullSpeed) {
+    EXPECT_LT(timer.seconds(), 1.1);
+  }
+  if (sol.status == MaxSatStatus::Optimal) {
+    EXPECT_TRUE(ft::is_minimal_cut_set(tree, sol.cut));
+  }
+}
+
 TEST(Step5Escalation, Step35TimeIsReportedOnlyByTheCallThatRanIt) {
   gen::GeneratorOptions gopts;
   gopts.num_events = 200;
   gopts.sharing = 0.1;
   const ft::FaultTree tree = gen::random_tree(gopts, 11);
-  for (const auto choice : {SolverChoice::Auto, SolverChoice::Stratified}) {
+  for (const auto choice : {SolverChoice::Auto, SolverChoice::Portfolio}) {
     PipelineOptions opts;
     opts.solver = choice;
     const MpmcsPipeline pipeline(opts);
@@ -445,25 +474,26 @@ TEST(Step5Escalation, Step35TimeIsReportedOnlyByTheCallThatRanIt) {
       EXPECT_LE(round.preprocess_seconds, round.total_seconds) << name;
     }
   }
-  PipelineOptions dec;
-  dec.decompose_top_or = true;
+  // A closed-form ladder runs no Step 3.5 at all.
   const ft::FaultTree ladder = gen::ladder_tree(4, 5);
-  const MpmcsSolution decomposed = MpmcsPipeline(dec).solve(ladder);
-  ASSERT_EQ(decomposed.status, MaxSatStatus::Optimal);
-  EXPECT_LE(decomposed.preprocess_seconds, decomposed.total_seconds);
+  const MpmcsSolution composed = MpmcsPipeline().solve(ladder);
+  ASSERT_EQ(composed.status, MaxSatStatus::Optimal);
+  EXPECT_EQ(composed.preprocess_seconds, 0.0);
+  EXPECT_LE(composed.solve_seconds, composed.total_seconds);
 }
 
 TEST(Step5Escalation, SolverNamesParseBothWays) {
   for (const auto choice :
        {SolverChoice::Auto, SolverChoice::Portfolio, SolverChoice::Oll,
-        SolverChoice::FuMalik, SolverChoice::Lsu, SolverChoice::BruteForce,
-        SolverChoice::Stratified}) {
+        SolverChoice::FuMalik, SolverChoice::Lsu, SolverChoice::BruteForce}) {
     SolverChoice parsed = SolverChoice::Portfolio;
     ASSERT_TRUE(parse_solver_choice(solver_choice_name(choice), &parsed))
         << solver_choice_name(choice);
     EXPECT_EQ(parsed, choice);
   }
-  SolverChoice parsed = SolverChoice::Auto;
+  SolverChoice parsed = SolverChoice::Portfolio;
+  EXPECT_TRUE(parse_solver_choice("stratified", &parsed));
+  EXPECT_EQ(parsed, SolverChoice::Auto) << "stratified is auto's alias";
   EXPECT_TRUE(parse_solver_choice("brute", &parsed));
   EXPECT_EQ(parsed, SolverChoice::BruteForce);
   EXPECT_FALSE(parse_solver_choice("fastest", &parsed));

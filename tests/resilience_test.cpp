@@ -445,8 +445,12 @@ TEST(Watchdog, FrozenSolveIsCancelledQuarantinedAndResetCold) {
   eo.watchdog_interval_seconds = 0.05;
   eo.watchdog_stall_intervals = 3;
   engine::AnalysisEngine eng(eo);
+  // The plant is closed-form: under the paper's race its solve is one
+  // SAT-backed instance for the failpoint to hold.
+  core::PipelineOptions race;
+  race.solver = core::SolverChoice::Portfolio;
   const std::string id =
-      eng.create_tree(ft::parse_fault_tree(plant_text()), {});
+      eng.create_tree(ft::parse_fault_tree(plant_text()), race);
 
   // Every SAT solve entry sleeps 600 ms *before* ticking the liveness
   // counter — from the watchdog's side this is indistinguishable from a
@@ -500,8 +504,12 @@ TEST(WarmReset, BudgetTripAbandonsWarmSessionAndStillAnswers) {
   // immediately and the engine must fall back to a cold re-solve.
   eo.warm_reset_multiple = 1e-6;
   engine::AnalysisEngine eng(eo);
+  // The plant is closed-form: under the paper's race it is one instance
+  // with one warm session to abandon.
+  core::PipelineOptions race;
+  race.solver = core::SolverChoice::Portfolio;
   const std::string id =
-      eng.create_tree(ft::parse_fault_tree(plant_text()), {});
+      eng.create_tree(ft::parse_fault_tree(plant_text()), race);
 
   engine::AnalysisRequest cold;
   cold.id = "cold";

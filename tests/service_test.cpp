@@ -23,6 +23,7 @@
 #include "service/http_client.hpp"
 #include "service/http_server.hpp"
 #include "service/solve_service.hpp"
+#include "util/failpoint.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 
@@ -404,6 +405,39 @@ TEST(SolveService, MalformedBodiesAlwaysGetStructured400s) {
         svc.handle(post("/v1/solve", solve_body("a", ladder_text(), solver)));
     EXPECT_EQ(named.status, 200) << solver << ": " << named.body;
   }
+}
+
+TEST(SolveService, BruteForceKeepsTheWatchdogFed) {
+  // The exhaustive solver makes no SAT conflicts to tick on; its own
+  // liveness ticks keep a watchdog with a 30 ms stall window from taking
+  // its sweep of the ladder (19 variables, ~80 ms in optimised builds)
+  // for a wedged solve.
+  ServiceOptions opts = test_options();
+  opts.watchdog_interval_seconds = 0.01;
+  opts.watchdog_stall_intervals = 3;
+  SolveService svc(opts);
+  const HttpResponse r =
+      svc.handle(post("/v1/solve", solve_body("b", ladder_text(), "brute")));
+  EXPECT_EQ(r.status, 200) << r.body;
+}
+
+TEST(SolveService, CancelledSolveWithoutDeadlineNamesNoDeadline) {
+  // A watchdog cancel of a request that set no deadline must not cite a
+  // "deadline of 0s". Every SAT solve entry sleeps before its first
+  // liveness tick, so the watchdog cancels.
+  if (!util::failpoints_compiled()) {
+    GTEST_SKIP() << "build without MPMCS_FAILPOINTS";
+  }
+  ServiceOptions opts = test_options();
+  opts.watchdog_interval_seconds = 0.01;
+  opts.watchdog_stall_intervals = 2;
+  SolveService svc(opts);
+  util::configure_failpoints("sat.solve=delay(200)");
+  const HttpResponse r = svc.handle(
+      post("/v1/solve", solve_body("c", distinct_tree_text(7), "oll")));
+  util::clear_failpoints();
+  EXPECT_EQ(r.status, 504) << r.body;
+  EXPECT_EQ(r.body.find("deadline of 0s"), std::string::npos) << r.body;
 }
 
 TEST(SolveService, StatszExposesTheWholeFunnel) {

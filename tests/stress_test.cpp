@@ -2,6 +2,7 @@
 // parser inputs, cancellation races, and budget exhaustion paths.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
 
 #include "bdd/fta_bdd.hpp"
@@ -32,6 +33,27 @@ TEST(Stress, VeryDeepChainDoesNotOverflowStack) {
   opts.solver = core::SolverChoice::Oll;
   const auto sol = core::MpmcsPipeline(opts).solve(tree);
   ASSERT_EQ(sol.status, maxsat::MaxSatStatus::Optimal);
+  EXPECT_TRUE(ft::is_minimal_cut_set(tree, sol.cut));
+}
+
+TEST(Stress, MillionEventChainComposesWithoutRecursion) {
+  // Every gate of a chain is closed-form: the default's module pass
+  // (modules, plan, composition, cut extraction) walks 2 * 10^6 nodes
+  // with explicit stacks and no SAT call.
+  const auto tree = gen::chain_tree(1'000'000, 5);
+  const std::uint64_t sat_calls = sat::Solver::global_solve_calls();
+  const auto sol = core::MpmcsPipeline().solve(tree);
+  EXPECT_EQ(sat::Solver::global_solve_calls(), sat_calls);
+  ASSERT_EQ(sol.status, maxsat::MaxSatStatus::Optimal);
+  EXPECT_EQ(sol.solver_name, "stratified");
+  // The chain's optimum by its own recurrence: an AND level adds the
+  // fresh event, an OR level keeps the cheaper of the two.
+  double best = -std::log(tree.event_probability(0));
+  for (ft::EventIndex e = 1; e < tree.num_events(); ++e) {
+    const double w = -std::log(tree.event_probability(e));
+    best = e % 2 == 1 ? best + w : std::min(best, w);
+  }
+  EXPECT_NEAR(sol.log_cost, best, 1e-6 * (1.0 + best) * sol.cut.size());
   EXPECT_TRUE(ft::is_minimal_cut_set(tree, sol.cut));
 }
 

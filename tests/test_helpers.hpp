@@ -1,10 +1,13 @@
 // Shared helpers for the test suites: random CNF generation, brute-force
-// SAT/MaxSAT oracles, and random fault-formula construction.
+// SAT/MaxSAT oracles, random fault-formula construction, and fault trees
+// whose closed-form top sits over modules that need search.
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "ft/builder.hpp"
 #include "logic/cnf.hpp"
 #include "logic/formula.hpp"
 #include "util/rng.hpp"
@@ -71,6 +74,44 @@ inline logic::NodeId random_monotone_formula(util::Rng& rng,
     pool.push_back(combined);
   }
   return pool[0];
+}
+
+/// A closed-form top — OR, AND or k-of-n — over two or three modules that
+/// need search (each a gate over two sub-gates that share an event) and,
+/// half the time, a private event. The default choice composes the top
+/// and solves each module on its own artefact. At most 13 events, so
+/// exhaustive oracles stay cheap.
+inline ft::FaultTree composed_tree(std::uint64_t seed) {
+  util::Rng rng(seed * 6271 + 5);
+  ft::FaultTreeBuilder b;
+  std::uint32_t events = 0;
+  const auto event = [&] {
+    std::string name = "x";
+    name += std::to_string(events++);
+    return b.event(std::move(name), rng.uniform(0.01, 0.4));
+  };
+  const auto gate = [&](const std::string& name,
+                        std::vector<ft::NodeIndex> kids) {
+    const std::uint64_t pick = rng.below(kids.size() >= 3 ? 3 : 2);
+    if (pick == 0) return b.and_(name, std::move(kids));
+    if (pick == 1) return b.or_(name, std::move(kids));
+    const auto k = static_cast<std::uint32_t>(2 + rng.below(kids.size() - 2));
+    return b.vote(name, k, std::move(kids));
+  };
+  std::vector<ft::NodeIndex> children;
+  const std::uint64_t modules = 2 + rng.below(2);
+  for (std::uint64_t m = 0; m < modules; ++m) {
+    const std::string name = "M" + std::to_string(m);
+    const ft::NodeIndex shared = event();
+    std::vector<ft::NodeIndex> right{shared, event()};
+    if (rng.chance(0.5)) right.push_back(event());
+    const ft::NodeIndex l = gate(name + "l", {shared, event()});
+    const ft::NodeIndex r = gate(name + "r", std::move(right));
+    children.push_back(gate(name, {l, r}));
+  }
+  if (rng.chance(0.5)) children.push_back(event());
+  b.top(gate("TOP", std::move(children)));
+  return std::move(b).build();
 }
 
 }  // namespace fta::test
