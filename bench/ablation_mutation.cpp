@@ -15,10 +15,10 @@
 //   * weight drift, frontier modules — a closed-form OR over modules
 //     that need search (the default's module pass gives each its own
 //     artefact and session): the edit reweights only the module it
-//     touched and rebases that module's session; every other module's
-//     converged session re-answers in one SAT call. This is the
-//     architecture's headline number and carries the acceptance gate:
-//     median >= 10x over the cold path.
+//     touched and rebases that module's session; every other module
+//     keeps its proven optimum and re-answers without a SAT call. This
+//     is the architecture's headline number and carries the acceptance
+//     gate: median >= 10x over the cold path.
 //   * module splice — exactly one frontier module pays a cold prepare (or
 //     a reweight when the new module shape coincides with the old); the
 //     untouched modules' artefacts and warm sessions are reused.
@@ -243,8 +243,8 @@ int main(int argc, char** argv) {
   }
 
   // The module pass on frontier modules: drift touches one module, whose
-  // session is rebased; the others re-answer warm. This is where the
-  // acceptance gate lives.
+  // session is rebased; the others keep their proven optima. This is
+  // where the acceptance gate lives.
   core::PipelineOptions sopts = opts;
   sopts.solver = core::SolverChoice::Auto;
   const core::MpmcsPipeline strat(sopts);

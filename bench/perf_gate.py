@@ -129,9 +129,9 @@ def collect_metrics(build_dir, runs):
     # inverts it), so it would gate on the machine, not the code.
     flags["stratified.results_match"] = all(
         d["resultsMatch"] for d in stratified)
-    # The PR 5 acceptance bar: the module pass (named by its alias,
-    # stratified) must beat the monolithic PR 4 behaviour >= 5x (median,
-    # end-to-end) on the ladder corpus.
+    # The ladder acceptance bar: the module pass (named by its alias,
+    # stratified) must beat monolithic OLL >= 5x (median, end-to-end) on
+    # the ladder corpus.
     flags["stratified.ladder_speedup_ok"] = all(
         d["ladderSpeedupOk"] for d in stratified)
 
@@ -145,7 +145,7 @@ def collect_metrics(build_dir, runs):
         mutation, lambda d: d["warmEditsPerSecond"])
     flags["mutation.results_match"] = all(
         d["resultsMatch"] for d in mutation)
-    # The PR 7 acceptance bar: weight-only drift on a closed-form top
+    # The mutation acceptance bar: weight-only drift on a closed-form top
     # over frontier modules must re-solve >= 10x faster than a cold
     # prepare+solve, with zero cold prepares (counter-verified) and one
     # touched frontier module per splice.

@@ -562,7 +562,7 @@ void AnalysisEngine::run_resource(const AnalysisRequest& request,
       const bool fresh = res->fresh_artefact;
       const bool warm_budgeted =
           !fresh && opts_.warm_reset_multiple > 0.0 &&
-          res->cold_solve_ewma > 0.0 && res->prepared.session != nullptr;
+          res->cold_solve_ewma > 0.0 && res->prepared.has_session();
       if (warm_budgeted) {
         // Self-reset heuristic: give the warm (rebased-session) re-solve
         // a budget of N x the cold estimate. A healthy warm path beats

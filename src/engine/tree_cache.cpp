@@ -49,8 +49,12 @@ std::string structural_key(const ft::FaultTree& tree,
   // Auto's module pass may leave the whole-tree instance unbuilt and
   // attach per-module artefacts instead, while every other choice solves
   // the tree as one instance, so the two shapes must not share a cache
-  // entry. The solver choice is otherwise deliberately NOT part of the
-  // key.
+  // entry. The key is taken before the artefact exists, and telling the
+  // shapes apart would cost the module pass on every lookup, so Auto keys
+  // apart even where its artefact is the whole-tree one (a top gate that
+  // is itself a frontier module): mixed-choice traffic on such a tree
+  // prepares it once per side. The solver choice is otherwise
+  // deliberately NOT part of the key.
   key.push_back(opts.solver == core::SolverChoice::Auto ? 'T' : 't');
   // Step 3.5 configuration: a differently-preprocessed instance is a
   // different artefact (the reconstructor travels with it).

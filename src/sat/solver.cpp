@@ -906,7 +906,6 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
       opts_.restart_base * util::luby(++restart_count);
   std::uint64_t conflicts_at_start = stats_.conflicts;
   std::vector<Lit> learnt;
-  std::uint32_t rounds = 0;
 
   while (true) {
     const ClauseRef conflict = propagate();
@@ -951,10 +950,8 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
       continue;
     }
 
-    // No conflict: bookkeeping, then decide. The token is polled every
-    // 64th round: a deadline token reads the clock on each poll, which
-    // would otherwise dominate the short solves of a warm session.
-    if (((++rounds & 63) == 0 && cancelled()) ||
+    // No conflict: bookkeeping, then decide.
+    if (cancelled() ||
         (opts_.conflict_budget != 0 &&
          stats_.conflicts - conflicts_at_start >= opts_.conflict_budget)) {
       backtrack(0);

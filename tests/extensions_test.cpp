@@ -171,6 +171,54 @@ TEST(ModulePass, FrontierTopKeepsTheMonolithicPath) {
   EXPECT_NE(sol.lineage, "strata");
 }
 
+TEST(ModulePass, TopKDeepensOnlyTheModulesItTakes) {
+  // An OR over twelve frontier modules, each an AND of five ORs over a
+  // ring of five events (neighbouring ORs share one, so no inner gate is
+  // a module; each module has five minimal cut sets). Top-4 takes four
+  // cuts in all, so after one cut from every module only the modules
+  // those four come from are asked for more.
+  util::Rng rng(4242);
+  ft::FaultTreeBuilder b;
+  std::vector<ft::NodeIndex> modules;
+  for (int m = 0; m < 12; ++m) {
+    const std::string p = "m" + std::to_string(m);
+    std::vector<ft::NodeIndex> events, terms;
+    for (int e = 0; e < 5; ++e) {
+      events.push_back(
+          b.event(p + "e" + std::to_string(e), rng.uniform(0.02, 0.4)));
+    }
+    for (int t = 0; t < 5; ++t) {
+      terms.push_back(b.or_(p + "c" + std::to_string(t),
+                            {events[t], events[(t + 1) % 5]}));
+    }
+    modules.push_back(b.and_(p, terms));
+  }
+  b.top(b.or_("TOP", modules));
+  const ft::FaultTree tree = std::move(b).build();
+
+  const core::MpmcsPipeline pipeline;
+  const core::PreparedInstance prepared = pipeline.prepare(tree);
+  ASSERT_NE(prepared.strata, nullptr);
+  ASSERT_EQ(prepared.strata->strata.size(), 12u);
+  constexpr std::size_t k = 4;
+  const auto top = pipeline.top_k_prepared(tree, prepared, k);
+  core::PipelineOptions mono;
+  mono.solver = core::SolverChoice::Portfolio;
+  const auto expected = core::MpmcsPipeline(mono).top_k(tree, k);
+  ASSERT_EQ(top.size(), expected.size());
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(top[i].scaled_cost, expected[i].scaled_cost) << "rank " << i;
+    EXPECT_TRUE(ft::is_minimal_cut_set(tree, top[i].cut)) << "rank " << i;
+  }
+  std::uint64_t rounds = 0;
+  for (const maxsat::StratifiedStratum& s : prepared.strata->strata) {
+    ASSERT_NE(s.prepared->session, nullptr);
+    rounds += s.prepared->session->stats().solves;
+  }
+  // Enumerating every module to depth k would take 48 rounds.
+  EXPECT_LE(rounds, 12u + 2 * k);
+}
+
 TEST(ModulePass, PaperExample) {
   const auto sol = core::MpmcsPipeline().solve(ft::fire_protection_system());
   ASSERT_EQ(sol.status, maxsat::MaxSatStatus::Optimal);

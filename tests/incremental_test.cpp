@@ -282,11 +282,23 @@ void expect_same_optimum(const ft::FaultTree& tree, core::SolverChoice solver,
               1e-9 * std::max(a.probability, b.probability))
       << label;
   EXPECT_TRUE(ft::is_minimal_cut_set(tree, b.cut)) << label;
-  // And a second (warm) session solve must agree with itself. The
-  // portfolio drives both engines per call, so only a lower bound on the
-  // session's solve count is exact here.
+  // And a second (warm) session solve must agree with itself. Under the
+  // module pass a repeat is served by the frontier modules' proven
+  // optima, so each module's own artefact is re-solved on its warm
+  // session and must reproduce the kept optimum. The portfolio drives
+  // both engines per call, so only a lower bound on the session's solve
+  // count is exact here.
   const core::MpmcsSolution c = on.solve_prepared(tree, prepared);
   EXPECT_EQ(b.scaled_cost, c.scaled_cost) << label;
+  if (prepared.strata) {
+    for (const auto& s : prepared.strata->strata) {
+      const auto& kept = s.prepared->optimum->solution;
+      ASSERT_TRUE(kept.has_value()) << label;
+      EXPECT_EQ(on.solve_prepared(s.module->tree, *s.prepared).scaled_cost,
+                kept->scaled_cost)
+          << label;
+    }
+  }
   for (const auto& session : sessions) {
     EXPECT_GE(session->stats().solves, 2u) << label;
   }

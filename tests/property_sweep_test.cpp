@@ -156,7 +156,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TreeSweep,
 // oracles on a ladder/repeated-subsystem + random-DAG corpus.
 //
 // Members: the monolithic single-solver choices (oll, lsu, fu-malik), the
-// portfolio without hedging (the PR 4 lineup), the raw-vs-pre hedged
+// portfolio without hedging (the unhedged lineup), the raw-vs-pre hedged
 // portfolio, the default choice (the module pass, with lead-then-hedge
 // Step 5 on frontier modules), and a preprocessing-off monolithic member
 // (pure raw lineage). Oracles: an exhaustive 2^n subset enumeration over

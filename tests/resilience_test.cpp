@@ -27,6 +27,7 @@
 #include "service/http_client.hpp"
 #include "service/journal.hpp"
 #include "service/solve_service.hpp"
+#include "test_helpers.hpp"
 #include "util/cancel.hpp"
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
@@ -526,6 +527,37 @@ TEST(WarmReset, BudgetTripAbandonsWarmSessionAndStillAnswers) {
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_TRUE(res.delta_applied);
   EXPECT_EQ(res.tree_version, 2u);
+  EXPECT_GE(eng.stats().session_resets, 1u);
+}
+
+TEST(WarmReset, BudgetCoversFrontierModuleSessionsUnderTheDefault) {
+  engine::EngineOptions eo;
+  eo.num_threads = 2;
+  eo.warm_reset_multiple = 1e-6;  // trips on the first warm descent
+  engine::AnalysisEngine eng(eo);
+  // A closed-form top over frontier modules: the default keeps no
+  // whole-tree session, only one per module, and the warm budget must
+  // cover those too.
+  const std::string id = eng.create_tree(test::composed_tree(3), {});
+
+  engine::AnalysisRequest cold;
+  cold.id = "cold";
+  cold.tree_id = id;
+  const engine::AnalysisResult first = eng.submit(std::move(cold)).get();
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_EQ(first.mpmcs.solver_name, "stratified");
+
+  engine::AnalysisRequest warm;
+  warm.id = "warm";
+  warm.tree_id = id;
+  ft::TreeDelta delta;
+  // x0 is the event the first module's two gates share.
+  delta.ops.push_back(ft::TreeDelta::weight("x0", 0.17));
+  warm.delta = delta;
+  const engine::AnalysisResult res = eng.submit(std::move(warm)).get();
+  EXPECT_TRUE(res.ok) << res.error;
+  EXPECT_TRUE(res.delta_applied);
+  EXPECT_EQ(res.delta.strata_reweighted, 1u);
   EXPECT_GE(eng.stats().session_resets, 1u);
 }
 
