@@ -1,5 +1,5 @@
-// Ablation: the default's module pass + raw-vs-pre portfolio hedging on
-// repeated-subsystem ("ladder") corpora vs equal-size random DAGs.
+// Ablation: the default's module pass on repeated-subsystem ("ladder")
+// corpora vs equal-size random DAGs.
 //
 // ROADMAP "Ladder-shaped optimization hardness": monolithic core-guided
 // search solves 2-of-3 ladders ~50x slower than equal-size DAGs — every
@@ -8,13 +8,12 @@
 // ladder's closed-form gates from the events' weights alone, so ladder
 // cost collapses to one linear walk with no SAT call.
 //
-// Three configurations over the same deterministic corpus:
+// Two configurations over the same deterministic corpus:
 //   * mono   — monolithic OLL (the PR 4 baseline behaviour),
-//   * strat  — SolverChoice::Stratified, the default's module pass,
-//   * hedged — the portfolio racing raw and preprocessed artefacts.
+//   * strat  — SolverChoice::Stratified, the default's module pass.
 // For each tree: one end-to-end solve (prepare + solve, the cold path),
 // `repeats` warm re-solves on the prepared artefact, and a top-k run.
-// All configurations must produce bit-identical optimal probabilities
+// Both configurations must produce bit-identical optimal probabilities
 // and top-k cost sequences; ladders additionally cross-check against the
 // exact BDD engine.
 //
@@ -85,16 +84,12 @@ int main(int argc, char** argv) {
   mono.solver = core::SolverChoice::Oll;  // deterministic, single-thread
   core::PipelineOptions strat = mono;
   strat.solver = core::SolverChoice::Stratified;
-  core::PipelineOptions hedged;
-  hedged.solver = core::SolverChoice::Portfolio;
-  hedged.hedge_raw = true;
 
   struct Config {
     std::string label;
     const core::PipelineOptions* opts;
   };
-  const std::vector<Config> configs = {
-      {"mono", &mono}, {"strat", &strat}, {"hedged", &hedged}};
+  const std::vector<Config> configs = {{"mono", &mono}, {"strat", &strat}};
 
   const std::vector<Member> corpus = build_corpus();
 
@@ -106,17 +101,17 @@ int main(int argc, char** argv) {
                    {18, 12, 13, 8, 13, 14, 8, 8});
 
   struct PerTree {
-    double e2e_ms[3] = {0, 0, 0};
-    double warm_ms[3] = {0, 0, 0};
-    double topk_ms[3] = {0, 0, 0};
-    double probability[3] = {0, 0, 0};
-    std::vector<double> topk_probs[3];
+    double e2e_ms[2] = {0, 0};
+    double warm_ms[2] = {0, 0};
+    double topk_ms[2] = {0, 0};
+    double probability[2] = {0, 0};
+    std::vector<double> topk_probs[2];
     bool ok = true;
   };
 
   bool all_match = true;
   std::vector<double> ladder_e2e_speedups, ladder_warm_speedups,
-      ladder_topk_speedups, hedged_e2e_speedups;
+      ladder_topk_speedups;
   std::vector<double> ladder_strat_e2e, dag_strat_e2e, ladder_mono_e2e,
       dag_mono_e2e;
   double ladder_warm_strat_total = 0.0;
@@ -152,7 +147,7 @@ int main(int argc, char** argv) {
         for (const auto& s : sols) r.topk_probs[c].push_back(s.probability);
       }
     }
-    // Bit-identical across all three configurations.
+    // Bit-identical across both configurations.
     bool match = r.ok;
     for (std::size_t c = 1; c < configs.size(); ++c) {
       match = match && r.probability[c] == r.probability[0] &&
@@ -175,8 +170,6 @@ int main(int argc, char** argv) {
       ladder_e2e_speedups.push_back(e2e_x);
       ladder_warm_speedups.push_back(warm_x);
       ladder_topk_speedups.push_back(topk_x);
-      hedged_e2e_speedups.push_back(r.e2e_ms[0] /
-                                    std::max(r.e2e_ms[2], 1e-6));
       ladder_strat_e2e.push_back(r.e2e_ms[1]);
       ladder_mono_e2e.push_back(r.e2e_ms[0]);
       ladder_warm_strat_total += r.warm_ms[1];
@@ -197,7 +190,6 @@ int main(int argc, char** argv) {
   const double ladder_median_speedup = bench::median(ladder_e2e_speedups);
   const double ladder_warm_median = bench::median(ladder_warm_speedups);
   const double ladder_topk_median = bench::median(ladder_topk_speedups);
-  const double hedged_median = bench::median(hedged_e2e_speedups);
   const bool speedup_ok = ladder_median_speedup >= 5.0;
   const double strat_ladder_sps =
       ladder_warm_strat_total > 0.0
@@ -212,7 +204,6 @@ int main(int argc, char** argv) {
 
   std::printf("\nladder median speedup : e2e %.1fx  warm %.1fx  top-k %.1fx\n",
               ladder_median_speedup, ladder_warm_median, ladder_topk_median);
-  std::printf("hedged vs mono (ladder): %.1fx\n", hedged_median);
   std::printf("ladder/DAG time ratio : mono %.1f  strat %.2f\n", parity_mono,
               parity_strat);
   std::printf("strat ladder warm     : %.0f solves/s\n", strat_ladder_sps);
@@ -231,8 +222,6 @@ int main(int argc, char** argv) {
             util::format_double(ladder_warm_median) + ",\n";
     json += "  \"ladderTopkMedianSpeedup\": " +
             util::format_double(ladder_topk_median) + ",\n";
-    json += "  \"hedgedMedianSpeedup\": " + util::format_double(hedged_median) +
-            ",\n";
     json += "  \"ladderDagRatioMono\": " + util::format_double(parity_mono) +
             ",\n";
     json += "  \"ladderDagRatioStrat\": " + util::format_double(parity_strat) +

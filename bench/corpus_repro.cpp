@@ -5,9 +5,7 @@
 //   * per-instance optimum, cut set, SAT solve calls, parse + solve wall
 //     time (the perf-gate-tracked corpus metrics);
 //   * differential sweep: oll / lsu / the default's module pass (named
-//     by its alias, stratified), each with the
-//     structure-aware SAT layer off and full, must agree on the scaled
-//     optimum;
+//     by its alias, stratified) must agree on the scaled optimum;
 //   * BDD oracle agreement wherever the tree has <= 24 events;
 //   * cross-format twins (same instance in Galileo and Open-PSA) must
 //     produce identical scaled optima;
@@ -152,27 +150,21 @@ int main(int argc, char** argv) {
     rep.cut = cut_names(tree, sol.cut);
     all_optimal = all_optimal && rep.optimal;
 
-    // Differential sweep: every portfolio member x structure mode must
-    // land on the same scaled optimum.
+    // Differential sweep: every single-solver choice must land on the
+    // same scaled optimum.
     for (const auto choice :
          {core::SolverChoice::Oll, core::SolverChoice::Lsu,
           core::SolverChoice::Stratified}) {
-      for (const auto structure :
-           {logic::StructureMode::Off, logic::StructureMode::Full}) {
-        core::PipelineOptions opts;
-        opts.solver = choice;
-        opts.sat_structure = structure;
-        const core::MpmcsSolution alt = core::MpmcsPipeline(opts).solve(tree);
-        if (alt.status != maxsat::MaxSatStatus::Optimal ||
-            alt.scaled_cost != sol.scaled_cost) {
-          rep.differential_ok = false;
-          std::fprintf(stderr,
-                       "%s: %s/%s disagrees (cost %llu vs %llu)\n",
-                       rep.name.c_str(), core::solver_choice_name(choice),
-                       structure == logic::StructureMode::Off ? "off" : "full",
-                       static_cast<unsigned long long>(alt.scaled_cost),
-                       static_cast<unsigned long long>(sol.scaled_cost));
-        }
+      core::PipelineOptions opts;
+      opts.solver = choice;
+      const core::MpmcsSolution alt = core::MpmcsPipeline(opts).solve(tree);
+      if (alt.status != maxsat::MaxSatStatus::Optimal ||
+          alt.scaled_cost != sol.scaled_cost) {
+        rep.differential_ok = false;
+        std::fprintf(stderr, "%s: %s disagrees (cost %llu vs %llu)\n",
+                     rep.name.c_str(), core::solver_choice_name(choice),
+                     static_cast<unsigned long long>(alt.scaled_cost),
+                     static_cast<unsigned long long>(sol.scaled_cost));
       }
     }
     differential_ok = differential_ok && rep.differential_ok;

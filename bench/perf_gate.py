@@ -3,8 +3,8 @@
 
 Runs the fixed-seed benchmark binaries (bench_engine_batch,
 fig1_fps_mpmcs, ablation_preprocess, ablation_incremental,
-voting_gates, ablation_stratified, ablation_mutation,
-ablation_structure, corpus_repro), takes per-metric medians over a few
+voting_gates, ablation_stratified, ablation_mutation, corpus_repro),
+takes per-metric medians over a few
 runs, writes the combined report (BENCH_pr10.json) and fails when a
 throughput metric regresses more than --tolerance below the committed
 bench/baseline.json.
@@ -13,11 +13,9 @@ bench/baseline.json.
     python3 bench/perf_gate.py --build-dir build --update   # refresh baseline
 
 Correctness flags (fig1 allOk, the ablations' resultsMatch, the
-voting-gate >= 40% wide-vote clause-reduction bar, the structure
-ablation's identical-optima / engagement / non-regression gates, and
-the corpus harness's optimality / differential / cross-format /
-round-trip / paper-anchor gates) are hard failures regardless of
-tolerance.
+voting-gate >= 40% wide-vote clause-reduction bar, and the corpus
+harness's optimality / differential / cross-format / round-trip /
+paper-anchor gates) are hard failures regardless of tolerance.
 """
 
 import argparse
@@ -34,7 +32,6 @@ ABLATION_INCREMENTAL_ARGS = ["8"]
 VOTING_GATES_ARGS = ["1"]
 ABLATION_STRATIFIED_ARGS = ["4"]
 ABLATION_MUTATION_ARGS = ["4"]
-ABLATION_STRUCTURE_ARGS = ["3"]
 
 
 def run_bench(binary, args, runs):
@@ -124,9 +121,6 @@ def collect_metrics(build_dir, runs):
         stratified, lambda d: d["ladderMedianSpeedup"])
     metrics["stratified.ladder_solves_per_second"] = median_of(
         stratified, lambda d: d["stratLadderSolvesPerSecond"])
-    # hedgedMedianSpeedup stays report-only: racing 8 portfolio threads
-    # against single-thread OLL is hardware-dependent (a 1-core container
-    # inverts it), so it would gate on the machine, not the code.
     flags["stratified.results_match"] = all(
         d["resultsMatch"] for d in stratified)
     # The ladder acceptance bar: the module pass (named by its alias,
@@ -156,34 +150,13 @@ def collect_metrics(build_dir, runs):
     flags["mutation.splice_strata_ok"] = all(
         d["spliceStrataOk"] for d in mutation)
 
-    structure = run_bench(os.path.join(build_dir, "ablation_structure"),
-                          ABLATION_STRUCTURE_ARGS, runs)
-    # The speedup ratios sit near 1.0 (the layer is worth ~1.05-1.15x
-    # cold, up to ~1.2x warm on card-rich ladders), so the tolerance
-    # band effectively asserts "hints never became a slowdown" rather
-    # than a headline number; the bench's own per-tree/median floors
-    # carry the hard line via speedupOk.
-    metrics["structure.cold_median_speedup_hints"] = median_of(
-        structure, lambda d: d["coldMedianSpeedupHints"])
-    metrics["structure.warm_median_speedup_hints"] = median_of(
-        structure, lambda d: d["warmMedianSpeedupHints"])
-    flags["structure.results_match"] = all(
-        d["resultsMatch"] for d in structure)
-    flags["structure.engaged"] = all(
-        d["structureEngaged"] for d in structure)
-    # any(): the floors already sit at the noise boundary; one clean run
-    # out of `runs` proves the layer is not a regression, while a single
-    # drift-flapped run must not fail CI.
-    flags["structure.speedup_ok"] = any(
-        d["speedupOk"] for d in structure)
-
     corpus = run_bench(os.path.join(build_dir, "corpus_repro"), [], runs)
     metrics["corpus.solves_per_second"] = median_of(
         corpus, lambda d: d["corpusSolvesPerSecond"])
     metrics["corpus.parse_events_per_second"] = median_of(
         corpus, lambda d: d["parseEventsPerSecond"])
-    # Every instance optimal, every portfolio member / structure mode on
-    # the same optimum, BDD oracle and WCNF re-import identities, the
+    # Every instance optimal, every single-solver choice on the same
+    # optimum, BDD oracle and WCNF re-import identities, the
     # Galileo/Open-PSA twins agreeing, generator round-trips at up to
     # 10^5 events, and the paper's Fig. 1 anchor ({x1, x2}, P = 0.02).
     flags["corpus.all_optimal"] = all(d["allOptimal"] for d in corpus)

@@ -8,7 +8,8 @@
 //                     gates without search; each module that needs search
 //                     runs the session OLL alone, the portfolio race
 //                     joining only after 50 ms without an answer)
-//                     | portfolio (the paper's race from the start) | oll
+//                     | portfolio (the paper's race of oll, oll-strat,
+//                     fu-malik and lsu from the start) | oll
 //                     | fu-malik | lsu | brute | stratified (an alias of
 //                     auto)
 //     --top K         also report the K most probable MCSs
@@ -19,8 +20,6 @@
 //     --scale S       weight scaling factor (default 1e6)
 //     --card-lowering MODE  vote-gate encoding: expand | totalizer | auto
 //     --no-preprocess skip the Step 3.5 WCNF simplification
-//     --no-hedge      don't race the raw instance against the
-//                     preprocessed one in Step 5 races
 //     --timeout SEC   per-tree wall-clock cap
 //     --format F      input format: auto (default) | json | galileo | openpsa
 //     --mission-time T  horizon for Galileo `lambda=` basic events
@@ -97,7 +96,8 @@ int usage(const char* argv0) {
                "                             its warm session alone, the\n"
                "                             portfolio race joining after\n"
                "                             50 ms without an answer\n"
-               "                  portfolio  the paper's parallel race from\n"
+               "                  portfolio  the paper's race of oll,\n"
+               "                             oll-strat, fu-malik and lsu from\n"
                "                             the start, whole tree\n"
                "                  oll | lsu | fu-malik | brute  one solver,\n"
                "                             whole tree\n"
@@ -108,11 +108,8 @@ int usage(const char* argv0) {
                "  --scale S       weight scale (default 1e6)\n"
                "  --card-lowering MODE  vote-gate encoding: expand|totalizer|"
                "auto\n"
-               "  --sat-structure MODE  gate-map SAT hints: off|hints|full\n"
                "  --no-preprocess skip the Step 3.5 WCNF simplification\n"
                "  --no-incremental stateless solving (no SAT sessions)\n"
-               "  --no-hedge      don't race the raw instance against the\n"
-               "                  preprocessed one in Step 5 races\n"
                "  --timeout SEC   per-tree time limit\n"
                "  --format F      input format: auto (default) | json |\n"
                "                  galileo | openpsa\n"
@@ -329,7 +326,7 @@ int run_batch(const std::string& dir, std::size_t jobs,
               (r.memoized ? "true" : "false") + ", ";
       json += "\"seconds\": " + util::format_double(r.seconds) + ", ";
       // Solver-member attribution: which portfolio member produced the
-      // winning model and from which artefact lineage (raw / pre /
+      // winning model and from which instance (lineage pre / raw /
       // strata). Memoized repeats replay the stored solution, so the
       // attribution is stable across identical requests.
       const auto solution_json = [&](const core::MpmcsSolution& sol) {
@@ -341,8 +338,6 @@ int run_batch(const std::string& dir, std::size_t jobs,
                ", \"satPropagations\": " +
                std::to_string(sol.sat_propagations) +
                ", \"satConflicts\": " + std::to_string(sol.sat_conflicts) +
-               ", \"satBinaryPropagations\": " +
-               std::to_string(sol.sat_binary_propagations) +
                ", \"mpmcs\": " + cut_to_json_array(event_names[i], sol.cut) +
                "}";
       };
@@ -713,23 +708,10 @@ int main(int argc, char** argv) {
       } else {
         return usage(argv[0]);
       }
-    } else if (arg == "--sat-structure") {
-      const std::string mode = next();
-      if (mode == "off") {
-        opts.sat_structure = logic::StructureMode::Off;
-      } else if (mode == "hints") {
-        opts.sat_structure = logic::StructureMode::Hints;
-      } else if (mode == "full") {
-        opts.sat_structure = logic::StructureMode::Full;
-      } else {
-        return usage(argv[0]);
-      }
     } else if (arg == "--no-preprocess") {
       opts.preprocess = false;
     } else if (arg == "--no-incremental") {
       opts.incremental = false;
-    } else if (arg == "--no-hedge") {
-      opts.hedge_raw = false;
     } else if (arg == "--timeout") {
       opts.timeout_seconds = std::strtod(next(), nullptr);
     } else if (arg == "--batch") {

@@ -382,17 +382,7 @@ void AnalysisEngine::run_mpmcs(const AnalysisRequest& request,
     PreparedTreePtr prepared = prepared_for(pipeline, request, base, result);
     // Second tier: a solution memoized under the same structure and an
     // outcome-equivalent solver configuration skips Step 5 entirely.
-    // Hedging widens the race (a raw-lineage member may win a tie with a
-    // different-but-equal-cost cut), so it keys the memo too — but only
-    // where it is effective (the choices that may race: auto once it
-    // escalates, portfolio); keying the raw flag for single-solver
-    // choices would split identical outcomes. Auto keeps the bit even when
-    // its module pass composes the answer: frontier modules may escalate
-    // to hedged races too.
-    const std::string memo_key =
-        std::string(core::solver_choice_name(request.pipeline.solver)) +
-        (request.pipeline.shrink_to_minimal ? "|s" : "|-") +
-        (request.pipeline.hedging_effective() ? "|h" : "|-");
+    const std::string memo_key = outcome_key(request.pipeline);
     if (opts_.memoize_results) {
       std::lock_guard<std::mutex> lock(prepared->memo_mutex);
       const auto it = prepared->solutions.find(memo_key);
@@ -438,10 +428,7 @@ void AnalysisEngine::run_top_k(const AnalysisRequest& request,
     // part of the key — a k=5 sequence is not a valid k=10 answer, and
     // prefix reuse would return a possibly different tie-breaking order.
     const std::string memo_key =
-        std::string(core::solver_choice_name(request.pipeline.solver)) +
-        (request.pipeline.shrink_to_minimal ? "|s" : "|-") +
-        (request.pipeline.hedging_effective() ? "|h" : "|-") + "|k" +
-        std::to_string(request.top_k);
+        outcome_key(request.pipeline) + "|k" + std::to_string(request.top_k);
     if (opts_.memoize_results) {
       std::lock_guard<std::mutex> lock(prepared->memo_mutex);
       const auto it = prepared->topk_solutions.find(memo_key);
@@ -543,10 +530,7 @@ void AnalysisEngine::run_resource(const AnalysisRequest& request,
   result.tree_version = res->version;
   switch (request.kind) {
     case AnalysisKind::Mpmcs: {
-      const std::string memo_key =
-          std::string(core::solver_choice_name(res->pipeline.solver)) +
-          (res->pipeline.shrink_to_minimal ? "|s" : "|-") +
-          (res->pipeline.hedging_effective() ? "|h" : "|-");
+      const std::string memo_key = outcome_key(res->pipeline);
       if (opts_.memoize_results) {
         const auto it = res->solutions.find(memo_key);
         if (it != res->solutions.end()) {

@@ -30,7 +30,6 @@ std::string structural_key(const ft::FaultTree& tree,
   std::string key;
   key.reserve(tree.num_nodes() * 16 + 48);
   append_f64(key, opts.weight_scale);
-  key.push_back(opts.polarity_aware_tseitin ? 'P' : 'p');
   // Vote-gate lowering shapes the CNF and the cardinality metadata the
   // session engines rely on: a different mode is a different artefact.
   key.push_back(static_cast<char>('0' + static_cast<int>(opts.card_lowering)));
@@ -41,11 +40,6 @@ std::string structural_key(const ft::FaultTree& tree,
   // invalidate the entry (an incremental-off artefact has no session and
   // would silently pin the cached hot path to stateless solving).
   key.push_back(opts.incremental ? 'I' : 'i');
-  // Structure hints ride with the instance and are installed into the
-  // session engines at construction; artefacts built under different
-  // structure modes must not share an entry (an Off artefact carries no
-  // hints, a Full session has inprocessing clauses an Hints one lacks).
-  key.push_back(static_cast<char>('0' + static_cast<int>(opts.sat_structure)));
   // Auto's module pass may leave the whole-tree instance unbuilt and
   // attach per-module artefacts instead, while every other choice solves
   // the tree as one instance, so the two shapes must not share a cache
@@ -88,6 +82,11 @@ std::string structural_key(const ft::FaultTree& tree,
     }
   }
   return key;
+}
+
+std::string outcome_key(const core::PipelineOptions& opts) {
+  return std::string(core::solver_choice_name(opts.solver)) +
+         (opts.shrink_to_minimal ? "|s" : "|-");
 }
 
 PreparedTreePtr TreeCache::find(const std::string& key) {

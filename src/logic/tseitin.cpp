@@ -142,7 +142,7 @@ TseitinResult tseitin(FormulaStore& store, NodeId root, bool assert_root,
   // means its count bound is unconditional — the precondition for the
   // MaxSAT layer's pre-built-core reuse (CardinalityBlock::forced).
   std::unordered_set<NodeId> forced;
-  if (assert_root) {
+  if (assert_root && has_card) {
     std::vector<NodeId> stack{root};
     while (!stack.empty()) {
       const NodeId id = stack.back();
@@ -171,15 +171,6 @@ TseitinResult tseitin(FormulaStore& store, NodeId root, bool assert_root,
         res.node_lit.emplace(id, g);
         const Polarity p = needs(id);
         const bool is_and = n.kind == NodeKind::And;
-        GateDef gd;
-        gd.out = g.var();
-        gd.kind = is_and ? GateDef::Kind::And : GateDef::Kind::Or;
-        gd.pos_half = p.pos;
-        gd.neg_half = p.neg;
-        gd.forced = forced.count(id) != 0;
-        gd.fanin.reserve(n.children.size());
-        for (NodeId c : n.children) gd.fanin.push_back(res.node_lit.at(c));
-        res.gates.push_back(std::move(gd));
         // For AND: g -> c_i (pos side), (/\ c_i) -> g (neg side).
         // For OR:  g -> (\/ c_i) (pos side), c_i -> g (neg side).
         if (is_and ? p.pos : p.neg) {
@@ -233,15 +224,6 @@ TseitinResult tseitin(FormulaStore& store, NodeId root, bool assert_root,
           res.cnf.add_binary(g, ~tree.at_least(blk.k));
           blk.upward = true;
         }
-        GateDef gd;
-        gd.out = g.var();
-        gd.kind = GateDef::Kind::Card;
-        gd.pos_half = p.pos;
-        gd.neg_half = p.neg;
-        gd.forced = blk.forced;
-        gd.k = blk.k;
-        gd.fanin = blk.inputs;
-        res.gates.push_back(std::move(gd));
         blk.layout = tree.layout();
         res.cards.push_back(std::move(blk));
         break;

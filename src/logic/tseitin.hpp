@@ -27,7 +27,6 @@
 #include "logic/cardinality.hpp"
 #include "logic/cnf.hpp"
 #include "logic/formula.hpp"
-#include "logic/structure.hpp"
 
 namespace fta::logic {
 
@@ -77,10 +76,6 @@ struct TseitinResult {
   std::uint32_t num_input_vars = 0;
   /// One entry per totalizer-lowered AtLeast gate (empty under Expand).
   std::vector<CardinalityBlock> cards;
-  /// The gate fan-in DAG, children-first — one entry per auxiliary the
-  /// translation introduced. Package with make_structure_hints for the
-  /// SAT core's structure-aware layer.
-  std::vector<GateDef> gates;
 };
 
 /// Translates `root` to CNF. If `assert_root`, a unit clause forces the

@@ -18,12 +18,6 @@ IncrementalOll::IncrementalOll(std::shared_ptr<const WcnfInstance> instance,
     : inst_(std::move(instance)), opts_(opts), sat_(opts.sat) {
   sat_.ensure_vars(inst_->num_vars());
   for (logic::Var v = 0; v < inst_->num_vars(); ++v) sat_.set_frozen(v, true);
-  // Structure hints must land before any clause: the binary watch layer
-  // routes two-literal clauses at attach time.
-  if (inst_->structure() && opts_.structure != logic::StructureMode::Off) {
-    sat_.install_structure(*inst_->structure(), opts_.structure,
-                           inst_->structure_exact());
-  }
   for (const auto& c : inst_->hard()) {
     if (!sat_.add_clause(c)) {
       dead_ = true;
@@ -239,7 +233,6 @@ MaxSatResult IncrementalOll::solve(std::span<const Lit> context,
   res.decisions = now.decisions - snap.decisions;
   res.propagations = now.propagations - snap.propagations;
   res.conflicts = now.conflicts - snap.conflicts;
-  res.binary_propagations = now.binary_propagations - snap.binary_propagations;
   return res;
 }
 
@@ -374,10 +367,6 @@ IncrementalLsu::IncrementalLsu(std::shared_ptr<const WcnfInstance> instance,
     : inst_(std::move(instance)), opts_(opts), sat_(opts.sat) {
   sat_.ensure_vars(inst_->num_vars());
   for (logic::Var v = 0; v < inst_->num_vars(); ++v) sat_.set_frozen(v, true);
-  if (inst_->structure() && opts_.structure != logic::StructureMode::Off) {
-    sat_.install_structure(*inst_->structure(), opts_.structure,
-                           inst_->structure_exact());
-  }
   for (const auto& c : inst_->hard()) {
     if (!sat_.add_clause(c)) {
       dead_ = true;
@@ -407,7 +396,6 @@ MaxSatResult IncrementalLsu::solve(std::span<const Lit> context,
   res.decisions = now.decisions - snap.decisions;
   res.propagations = now.propagations - snap.propagations;
   res.conflicts = now.conflicts - snap.conflicts;
-  res.binary_propagations = now.binary_propagations - snap.binary_propagations;
   return res;
 }
 

@@ -9,13 +9,11 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "logic/cardinality.hpp"
 #include "logic/cnf.hpp"
-#include "logic/structure.hpp"
 
 namespace fta::maxsat {
 
@@ -77,30 +75,12 @@ class WcnfInstance {
     cards_ = std::move(cards);
   }
 
-  /// Gate-map structure hints from the Tseitin transformation, shared
-  /// across instance copies. Advisory like cards(): the heuristic uses
-  /// (activity seeding, phases, binary watch layer) are always sound;
-  /// clause-adding inprocessing additionally requires `structure_exact()`
-  /// — the hints still describe the clause set verbatim (false once the
-  /// instance went through preprocessing). Not serialised by the WCNF
-  /// writer.
-  const logic::StructureHintsPtr& structure() const noexcept {
-    return structure_;
-  }
-  bool structure_exact() const noexcept { return structure_exact_; }
-  void set_structure(logic::StructureHintsPtr hints, bool exact) {
-    structure_ = std::move(hints);
-    structure_exact_ = exact && structure_ != nullptr;
-  }
-
  private:
   std::uint32_t num_vars_ = 0;
   std::vector<logic::Clause> hard_;
   std::vector<SoftClause> soft_;
   Weight total_soft_weight_ = 0;
   std::vector<logic::CardinalityBlock> cards_;
-  logic::StructureHintsPtr structure_;
-  bool structure_exact_ = false;
 };
 
 /// Writes the classic WCNF format: `p wcnf <vars> <clauses> <top>`, hard

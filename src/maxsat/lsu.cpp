@@ -20,10 +20,6 @@ MaxSatResult LsuSolver::solve(const WcnfInstance& instance,
   res.solver_name = name();
 
   sat.set_cancel_token(cancel);
-  if (instance.structure() && opts_.structure != logic::StructureMode::Off) {
-    sat.install_structure(*instance.structure(), opts_.structure,
-                          instance.structure_exact());
-  }
   sat.ensure_vars(instance.num_vars());
   for (const auto& c : instance.hard()) {
     if (!sat.add_clause(c)) {
@@ -117,7 +113,6 @@ MaxSatResult LsuSolver::solve(const WcnfInstance& instance,
   out.decisions = st.decisions;
   out.propagations = st.propagations;
   out.conflicts = st.conflicts;
-  out.binary_propagations = st.binary_propagations;
   return out;
 }
 

@@ -20,8 +20,6 @@ struct LsuOptions {
   std::size_t max_encoding_outputs = 100'000;
   std::size_t max_encoding_clauses = 2'000'000;
   std::uint64_t max_iterations = 0;  ///< 0 = unlimited.
-  /// Structure-aware SAT layer (see OllOptions::structure).
-  logic::StructureMode structure = logic::StructureMode::Off;
 };
 
 class LsuSolver final : public MaxSatSolver {

@@ -33,11 +33,6 @@ struct OllOptions {
   /// portfolio race moves on and the session pipeline diverts the
   /// request to LSU (see MpmcsPipeline::solve_step5).
   std::uint64_t core_ceiling = 2000;
-  /// Structure-aware SAT layer: when the instance carries gate-map hints
-  /// (WcnfInstance::structure) and this is not Off, the engine installs
-  /// them into its SAT core before loading clauses. Off keeps the legacy
-  /// flat-CNF behaviour (the ablation baseline).
-  logic::StructureMode structure = logic::StructureMode::Off;
 };
 
 class OllSolver final : public MaxSatSolver {

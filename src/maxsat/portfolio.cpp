@@ -57,41 +57,26 @@ MaxSatResult PortfolioSolver::solve(const WcnfInstance& instance,
   std::condition_variable cv;
   std::optional<MaxSatResult> winner;
   std::optional<MaxSatResult> incumbent;  // best Unknown-with-model
-  // Best certified lower bound per model space (index: solved_alternate).
-  // Bounds only compose within one space — a raw member's costs include
-  // the UP-forced soft weights a simplified member's exclude.
-  Weight best_lb[2] = {0, 0};
+  Weight best_lb = 0;  // best certified lower bound of any member
   std::size_t finished = 0;
 
   std::vector<std::thread> threads;
   threads.reserve(members_.size());
   for (const auto& member : members_) {
-    threads.emplace_back([&, label = member.label, make = member.make,
-                          alternate = member.instance] {
+    threads.emplace_back([&, label = member.label, make = member.make] {
       MaxSatSolverPtr solver = make();
-      MaxSatResult r =
-          solver->solve(alternate ? *alternate : instance, shared_token);
+      MaxSatResult r = solver->solve(instance, shared_token);
       r.solver_name = label;
-      r.solved_alternate = alternate != nullptr;
       {
         std::lock_guard<std::mutex> lock(mutex);
         ++finished;
-        const int space = r.solved_alternate ? 1 : 0;
-        best_lb[space] = std::max(best_lb[space], r.lower_bound);
+        best_lb = std::max(best_lb, r.lower_bound);
         if (r.status != MaxSatStatus::Unknown && !winner) {
           winner = std::move(r);
           shared_token->cancel();
-        } else if (r.status == MaxSatStatus::Unknown && r.has_model()) {
-          // Costs are only comparable within one model space: a raw
-          // member's cost includes the UP-forced soft weights that a
-          // simplified-instance cost excludes (the caller re-adds them as
-          // an offset the portfolio does not know). Across spaces, first
-          // incumbent wins.
-          if (!incumbent ||
-              (r.solved_alternate == incumbent->solved_alternate &&
-               r.cost < incumbent->cost)) {
-            incumbent = std::move(r);
-          }
+        } else if (r.status == MaxSatStatus::Unknown && r.has_model() &&
+                   (!incumbent || r.cost < incumbent->cost)) {
+          incumbent = std::move(r);
         }
       }
       cv.notify_all();
@@ -117,16 +102,14 @@ MaxSatResult PortfolioSolver::solve(const WcnfInstance& instance,
     res = std::move(*winner);
   } else if (incumbent) {
     res = std::move(*incumbent);  // status stays Unknown: not proven optimal
-    // The incumbent's own bound may lag a core-guided sibling racing the
-    // same space; take the best bound certified for that space so the
-    // reported optimality gap is as tight as the race allows.
-    const int space = res.solved_alternate ? 1 : 0;
-    res.lower_bound = std::max(res.lower_bound, best_lb[space]);
+    // The incumbent's own bound may lag a core-guided sibling's; take the
+    // best bound any member certified so the reported optimality gap is
+    // as tight as the race allows.
+    res.lower_bound = std::max(res.lower_bound, best_lb);
   } else {
     res.solver_name = name();
-    // No model anywhere, but the bound certified on the handed-in
-    // (simplified) instance still stands.
-    res.lower_bound = best_lb[0];
+    // No model anywhere, but the certified bound still stands.
+    res.lower_bound = best_lb;
   }
   res.seconds = timer.seconds();
   return res;
@@ -138,10 +121,8 @@ std::vector<MaxSatResult> PortfolioSolver::solve_all_members(
   results.reserve(members_.size());
   for (const auto& member : members_) {
     MaxSatSolverPtr solver = member.make();
-    MaxSatResult r =
-        solver->solve(member.instance ? *member.instance : instance);
+    MaxSatResult r = solver->solve(instance);
     r.solver_name = member.label;
-    r.solved_alternate = member.instance != nullptr;
     results.push_back(std::move(r));
   }
   return results;

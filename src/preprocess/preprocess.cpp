@@ -653,11 +653,6 @@ class Simplifier {
       // every block variable, so no pass can eliminate or substitute
       // them and the layouts keep describing live variables.
       out.set_cards(instance_.cards());
-      // Structure hints survive as advisory-only: preprocessing may have
-      // rewritten the clauses the gate map describes, so the exact flag
-      // drops (heuristic uses stay sound, clause-adding inprocessing is
-      // disabled downstream).
-      out.set_structure(instance_.structure(), /*exact=*/false);
       for (const ClauseInfo& ci : clauses_) {
         if (ci.dead) continue;
         result.stats.simplified_literals += ci.lits.size();

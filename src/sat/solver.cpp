@@ -124,26 +124,16 @@ void Solver::bump_var(Var v) {
 void Solver::attach(ClauseRef cref) {
   ClauseView c = arena_.view(cref);
   assert(c.size() >= 2);
-  assert((cref & kBinRef) == 0 && "arena offset collides with the bin tag");
-  if (bin_enabled_ && c.size() == 2) {
-    // Inline binary form: the blocker IS the implied literal, so the
-    // tagged entry resolves without ever touching the arena.
-    watches_[(~c[0]).index()].push_back({cref | kBinRef, c[1]});
-    watches_[(~c[1]).index()].push_back({cref | kBinRef, c[0]});
-    return;
-  }
   watches_[(~c[0]).index()].push_back({cref, c[1]});
   watches_[(~c[1]).index()].push_back({cref, c[0]});
 }
 
 void Solver::detach(ClauseRef cref) {
   ClauseView c = arena_.view(cref);
-  const ClauseRef key =
-      bin_enabled_ && c.size() == 2 ? cref | kBinRef : cref;
   auto remove_from = [&](Lit watched) {
     auto& ws = watches_[(~watched).index()];
     for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i].cref == key) {
+      if (ws[i].cref == cref) {
         ws[i] = ws.back();
         ws.pop_back();
         return;
@@ -158,11 +148,7 @@ void Solver::detach(ClauseRef cref) {
 bool Solver::locked(ClauseRef cref) {
   ClauseView c = arena_.view(cref);
   const Lit first = c[0];
-  if (value(first) == LBool::True && reason_[first.var()] == cref) return true;
-  // Binary-layer reasons skip the c[0]-is-implied fix-up, so the implied
-  // literal of a size-2 reason may sit at slot 1.
-  return c.size() == 2 && value(c[1]) == LBool::True &&
-         reason_[c[1].var()] == cref;
+  return value(first) == LBool::True && reason_[first.var()] == cref;
 }
 
 bool Solver::add_clause(std::span<const Lit> lits) {
@@ -229,28 +215,8 @@ ClauseRef Solver::propagate() {
     std::size_t j = 0;
     while (i < ws.size()) {
       const Watcher w = ws[i];
-      const LBool bv = value(w.blocker);
-      if (bv == LBool::True) {
+      if (value(w.blocker) == LBool::True) {
         ws[j++] = ws[i++];
-        continue;
-      }
-      if (w.cref & kBinRef) {
-        // Inline binary watch: the blocker is the implied literal, so
-        // the entry resolves right here — no arena dereference, no
-        // watch migration. No arena fix-up either: the stored clause
-        // may keep the implied literal at either slot, because every
-        // reason traversal (analyze, lit_redundant, analyze_final,
-        // locked) resolves by variable rather than by position.
-        ws[j++] = ws[i++];
-        ++stats_.binary_propagations;
-        const ClauseRef reason = w.cref & ~kBinRef;
-        if (bv == LBool::False) {
-          conflict = reason;
-          qhead_ = trail_.size();
-          while (i < ws.size()) ws[j++] = ws[i++];
-          continue;
-        }
-        enqueue(w.blocker, reason);
         continue;
       }
       ClauseView c = arena_.view(w.cref);
@@ -349,12 +315,9 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
       }
       if (new_lbd != 0 && new_lbd < c.lbd()) c.set_lbd(new_lbd);
     }
-    // Resolve by variable, not position: a size-2 reason from the binary
-    // watch layer may keep the implied literal at either slot.
-    for (std::uint32_t j = 0; j < c.size(); ++j) {
+    for (std::uint32_t j = (p == logic::kNoLit ? 0u : 1u); j < c.size(); ++j) {
       const Lit q = c[j];
       const Var v = q.var();
-      if (p != logic::kNoLit && v == p.var()) continue;
       if (!seen_[v] && level(v) > 0) {
         bump_var(v);
         seen_[v] = 1;
@@ -415,10 +378,10 @@ bool Solver::lit_redundant(Lit p, std::uint32_t abstract_levels) {
     analyze_stack_.pop_back();
     assert(reason_[q.var()] != kNoClause);
     ClauseView c = arena_.view(reason_[q.var()]);
-    for (std::uint32_t i = 0; i < c.size(); ++i) {
+    for (std::uint32_t i = 1; i < c.size(); ++i) {
       const Lit l = c[i];
       const Var v = l.var();
-      if (v == q.var() || seen_[v] || level(v) == 0) continue;
+      if (seen_[v] || level(v) == 0) continue;
       if (reason_[v] != kNoClause &&
           ((1u << (level(v) & 31)) & abstract_levels) != 0) {
         seen_[v] = 1;
@@ -448,8 +411,8 @@ void Solver::analyze_final(Lit p) {
       core_.push_back(trail_[i]);
     } else {
       ClauseView c = arena_.view(reason_[v]);
-      for (std::uint32_t j = 0; j < c.size(); ++j) {
-        if (c[j].var() != v && level(c[j].var()) > 0) seen_[c[j].var()] = 1;
+      for (std::uint32_t j = 1; j < c.size(); ++j) {
+        if (level(c[j].var()) > 0) seen_[c[j].var()] = 1;
       }
     }
     seen_[v] = 0;
@@ -622,232 +585,11 @@ std::size_t Solver::memory_bytes() const noexcept {
   return bytes;
 }
 
-// ------------------------------------------------ structure-aware layer --
-
-void Solver::install_structure(const logic::StructureHints& hints,
-                               logic::StructureMode mode, bool exact) {
-  if (mode == logic::StructureMode::Off) return;
-  // The binary layer dispatches attach/detach on a flag that must not
-  // flip while clauses are attached; engines install hints right after
-  // variable allocation, before any clause loading.
-  assert(problem_clauses_.empty() && learnt_clauses_.empty() &&
-         "install structure hints before loading clauses");
-  ensure_vars(hints.num_vars);
-  bin_enabled_ = true;
-
-  // Root-biased depth-weighted activity seeding: the search decides the
-  // macro shape near the root first and lets propagation fill the deep
-  // subtrees. Seeds sit well above the portfolio's random perturbation
-  // (~1e-6) and below one conflict bump (var_inc_ = 1.0), so learned
-  // activity takes over as soon as conflicts start flowing. Only the
-  // shallowest band is seeded, with a hard count cap: gate variables are
-  // almost always implied by the MaxSAT layer's soft assumptions before
-  // any decision reaches them, and every seeded-but-assigned variable is
-  // an extra dead heap pop on every subsequent solve.
-  constexpr double kDepthDecay = 0.8;
-  constexpr double kSeedScale = 0.5;
-  constexpr std::size_t kSeedCountCap = 64;
-  const std::size_t limit =
-      std::min<std::size_t>(hints.depth.size(), num_vars());
-  std::vector<std::pair<std::uint32_t, Var>> band;
-  for (Var v = 0; v < limit; ++v) {
-    const std::uint32_t d = hints.depth[v];
-    if (d != logic::StructureHints::kNoDepth) band.emplace_back(d, v);
-  }
-  if (band.size() > kSeedCountCap) {
-    std::nth_element(band.begin(), band.begin() + kSeedCountCap, band.end());
-    band.resize(kSeedCountCap);
-  }
-  for (const auto& [d, v] : band) {
-    activity_[v] += kSeedScale * std::pow(kDepthDecay, static_cast<double>(d));
-    heap_update(v);
-  }
-
-  // Phase initialization from forced polarities: the asserted root and
-  // every gate on an AND-only path below it hold in all models, so the
-  // first descent should not waste conflicts discovering that.
-  if (hints.root != logic::kNoLit && hints.root.var() < num_vars()) {
-    polarity_[hints.root.var()] = !hints.root.negated();
-  }
-  for (const logic::GateDef& g : hints.gates) {
-    if (g.forced && g.out < num_vars()) polarity_[g.out] = true;
-  }
-
-  if (mode == logic::StructureMode::Full && exact) inprocess_structure(hints);
-}
-
-void Solver::inprocess_structure(const logic::StructureHints& hints) {
-  // Gate-structural inprocessing: strengthen the clause set from the gate
-  // map alone (no BIG recomputation) before the first conflict. The added
-  // clauses pin auxiliary gate variables to their semantic values and
-  // shortcut implication chains; they never touch event variables, so the
-  // projection onto the inputs — and with it every cut-set optimum — is
-  // unchanged.
-  FTA_FAILPOINT("sat.inprocess");
-  using logic::GateDef;
-  const auto& gates = hints.gates;
-  if (gates.empty() || !ok_) return;
-
-  // Definition completion: the polarity-aware encoding emits only the
-  // half of each gate definition its use polarity needs, which leaves
-  // the gate variable unconstrained in the other direction. Every model-
-  // completion pass then has to *decide* it — one heap pop per gate per
-  // SAT call — instead of deriving it by propagation. Emitting the
-  // absent half turns those decisions into (mostly binary) propagations.
-  std::vector<Lit> scratch;
-  for (const GateDef& g : gates) {
-    if (!ok_) break;
-    if (g.kind == GateDef::Kind::Card) continue;
-    if (g.pos_half == g.neg_half) continue;  // complete or empty already
-    const Lit out = Lit::pos(g.out);
-    const bool and_gate = g.kind == GateDef::Kind::And;
-    if (and_gate == g.pos_half) {
-      // Missing: fanin conjunction/disjunction implies out.
-      //   And: {out, ~f1, ..., ~fk}   Or: binaries {~fi, out}.
-      if (and_gate) {
-        scratch.assign(1, out);
-        for (const Lit f : g.fanin) scratch.push_back(~f);
-        add_clause(scratch);
-        ++stats_.inprocess_clauses;
-      } else {
-        for (const Lit f : g.fanin) {
-          if (!ok_) break;
-          const Lit clause[2] = {~f, out};
-          add_clause(clause);
-          ++stats_.inprocess_clauses;
-        }
-      }
-    } else {
-      // Missing: out implies its definition.
-      //   And: binaries {~out, fi}   Or: {~out, f1, ..., fk}.
-      if (and_gate) {
-        for (const Lit f : g.fanin) {
-          if (!ok_) break;
-          const Lit clause[2] = {~out, f};
-          add_clause(clause);
-          ++stats_.inprocess_clauses;
-        }
-      } else {
-        scratch.assign(1, ~out);
-        for (const Lit f : g.fanin) scratch.push_back(f);
-        add_clause(scratch);
-        ++stats_.inprocess_clauses;
-      }
-    }
-  }
-  if (!ok_) return;
-
-  constexpr std::uint32_t kNoGate = 0xffffffffu;
-  std::vector<std::uint32_t> def(num_vars(), kNoGate);
-  std::vector<std::uint32_t> fanout(num_vars(), 0);
-  for (std::uint32_t i = 0; i < gates.size(); ++i) {
-    if (gates[i].out < num_vars()) def[gates[i].out] = i;
-  }
-  for (const GateDef& g : gates) {
-    for (const Lit l : g.fanin) {
-      if (l.var() < num_vars()) ++fanout[l.var()];
-    }
-  }
-
-  const std::size_t cap = gates.size() * 2 + 64;
-  std::size_t added = 0;
-  auto emit = [&](Lit a, Lit b) {
-    if (added >= cap || !ok_) return;
-    const Lit clause[2] = {a, b};
-    add_clause(clause);
-    ++added;
-    ++stats_.inprocess_clauses;
-  };
-
-  // Equivalent-gate merging: two gates with the same kind, threshold and
-  // fanin define the same function; link their outputs in whichever
-  // directions the emitted halves justify (g1 -> def -> g2 needs
-  // g1.pos_half and g2.neg_half). A cheap order-independent signature
-  // filters first so unshared DAGs (the common case) never materialise
-  // sorted fanin keys — the exact comparison runs only on hash matches.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
-  buckets.reserve(gates.size());
-  for (std::uint32_t i = 0; i < gates.size(); ++i) {
-    const GateDef& g = gates[i];
-    std::uint64_t sig = 0x9e3779b97f4a7c15ull *
-                        (static_cast<std::uint64_t>(g.kind) * 131u + g.k + 1u);
-    for (const Lit l : g.fanin) {
-      // Commutative mix: fanin order must not affect the signature.
-      std::uint64_t h = l.index() + 0x9e3779b97f4a7c15ull;
-      h ^= h >> 33;
-      h *= 0xff51afd7ed558ccdull;
-      h ^= h >> 33;
-      sig += h;
-    }
-    buckets[sig].push_back(i);
-  }
-  std::vector<Lit> key_a, key_b;
-  for (const auto& [sig, members] : buckets) {
-    if (members.size() < 2) continue;
-    const GateDef& first = gates[members.front()];
-    key_a.assign(first.fanin.begin(), first.fanin.end());
-    std::sort(key_a.begin(), key_a.end());
-    for (std::size_t mi = 1; mi < members.size(); ++mi) {
-      const GateDef& g = gates[members[mi]];
-      if (g.kind != first.kind || g.k != first.k ||
-          g.fanin.size() != first.fanin.size()) {
-        continue;
-      }
-      key_b.assign(g.fanin.begin(), g.fanin.end());
-      std::sort(key_b.begin(), key_b.end());
-      if (key_a != key_b) continue;
-      if (first.pos_half && g.neg_half) {
-        emit(Lit::neg(first.out), Lit::pos(g.out));
-      }
-      if (g.pos_half && first.neg_half) {
-        emit(Lit::neg(g.out), Lit::pos(first.out));
-      }
-    }
-  }
-
-  // Single-fanout chain collapse: an intermediate AND/OR gate h used by
-  // exactly one parent contributes a two-step implication chain the
-  // search would otherwise rediscover one propagation at a time. The
-  // shortcut needs both steps to exist as emitted binaries:
-  //   And parent G (pos half):  G -> l, and l -> f per fanin f of h.
-  //   Or parent G (neg half):   l -> G, and f -> l per fanin f of h.
-  for (const GateDef& g : gates) {
-    if (g.kind == GateDef::Kind::Card) continue;
-    const bool and_parent = g.kind == GateDef::Kind::And;
-    if (and_parent ? !g.pos_half : !g.neg_half) continue;
-    for (const Lit l : g.fanin) {
-      const Var hv = l.var();
-      if (hv >= num_vars() || def[hv] == kNoGate || fanout[hv] != 1) continue;
-      const GateDef& h = gates[def[hv]];
-      if (h.kind == GateDef::Kind::Card) continue;
-      const Lit G = Lit::pos(g.out);
-      if (and_parent) {
-        if (!l.negated() && h.kind == GateDef::Kind::And && h.pos_half) {
-          // G -> h and h -> f: shortcut G -> f.
-          for (const Lit f : h.fanin) emit(~G, f);
-        } else if (l.negated() && h.kind == GateDef::Kind::Or && h.neg_half) {
-          // G -> ~h and f -> h (i.e. ~h -> ~f): shortcut G -> ~f.
-          for (const Lit f : h.fanin) emit(~G, ~f);
-        }
-      } else {
-        if (!l.negated() && h.kind == GateDef::Kind::Or && h.neg_half) {
-          // f -> h and h -> G: shortcut f -> G.
-          for (const Lit f : h.fanin) emit(~f, G);
-        } else if (l.negated() && h.kind == GateDef::Kind::And && h.pos_half) {
-          // h -> f (i.e. ~f -> ~h) and ~h -> G: shortcut ~f -> G.
-          for (const Lit f : h.fanin) emit(f, G);
-        }
-      }
-    }
-  }
-}
-
 namespace {
 std::atomic<std::uint64_t> g_solve_calls{0};
 std::atomic<std::uint64_t> g_decisions{0};
 std::atomic<std::uint64_t> g_propagations{0};
 std::atomic<std::uint64_t> g_conflicts{0};
-std::atomic<std::uint64_t> g_binary_propagations{0};
 }  // namespace
 
 std::uint64_t Solver::global_solve_calls() noexcept {
@@ -860,8 +602,6 @@ GlobalSatCounters Solver::global_counters() noexcept {
   c.decisions = g_decisions.load(std::memory_order_relaxed);
   c.propagations = g_propagations.load(std::memory_order_relaxed);
   c.conflicts = g_conflicts.load(std::memory_order_relaxed);
-  c.binary_propagations =
-      g_binary_propagations.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -880,9 +620,6 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
                                std::memory_order_relaxed);
       g_conflicts.fetch_add(now.conflicts - base.conflicts,
                             std::memory_order_relaxed);
-      g_binary_propagations.fetch_add(
-          now.binary_propagations - base.binary_propagations,
-          std::memory_order_relaxed);
     }
   } tally{this, stats_};
   // Wedge site for watchdog tests: sits BEFORE the liveness tick so an

@@ -5,7 +5,9 @@
 // analysis with recursive clause minimisation, LBD-aware learnt-clause
 // reduction, Luby restarts, incremental solving under assumptions with
 // final-conflict (unsat core) extraction, conflict budgets and cooperative
-// cancellation for portfolio use.
+// cancellation for portfolio use. It solves flat CNF: every clause,
+// binaries included, lives in the arena behind the same two watches, and
+// a reason clause keeps its implied literal in slot 0.
 //
 // The MaxSAT layer drives this solver both iteratively (solution-improving
 // search) and incrementally (core-guided search over assumption literals).
@@ -26,7 +28,6 @@
 
 #include "logic/cnf.hpp"
 #include "logic/lit.hpp"
-#include "logic/structure.hpp"
 #include "sat/clause_arena.hpp"
 #include "util/cancel.hpp"
 
@@ -50,23 +51,16 @@ struct SolverStats {
   std::uint64_t learnt_clauses = 0;
   std::uint64_t removed_clauses = 0;
   std::uint64_t minimized_literals = 0;
-  /// Implications/conflicts served by the dedicated binary watch layer
-  /// (only counts once structure hints enabled it).
-  std::uint64_t binary_propagations = 0;
-  /// Implied clauses added by gate-structural inprocessing.
-  std::uint64_t inprocess_clauses = 0;
 };
 
 /// Process-wide SAT effort across every Solver instance, accumulated at
 /// each solve() exit. The service's /v1/statsz "sat" block reports these
-/// so operators can see the structure layer working (binaryPropagations
-/// stays 0 when it never engages) without per-request plumbing.
+/// without per-request plumbing.
 struct GlobalSatCounters {
   std::uint64_t solves = 0;
   std::uint64_t decisions = 0;
   std::uint64_t propagations = 0;
   std::uint64_t conflicts = 0;
-  std::uint64_t binary_propagations = 0;
 };
 
 struct SolverOptions {
@@ -178,33 +172,11 @@ class Solver {
   /// Suggests a polarity to try first for `v` (overrides saved phase once).
   void set_polarity_hint(Var v, bool value) { polarity_[v] = value; }
 
-  // --- structure-aware layer --------------------------------------------
-  //
-  /// Installs gate-map structure hints (logic/structure) ahead of clause
-  /// loading: seeds activities root-first with depth decay, initialises
-  /// saved phases from forced gate polarities, and enables the dedicated
-  /// binary watch layer so the two-literal gate-definition halves
-  /// propagate without a full clause dereference. Under StructureMode::Full
-  /// with `exact` hints (the clause set is the untouched Tseitin output)
-  /// it additionally runs gate-structural inprocessing — equivalent-gate
-  /// merging and single-fanout chain collapse — adding the implied
-  /// binaries before the first conflict. Must be called while the clause
-  /// database is still empty; a no-op under StructureMode::Off.
-  void install_structure(const logic::StructureHints& hints,
-                         logic::StructureMode mode, bool exact);
-
  private:
   struct Watcher {
     ClauseRef cref;
     Lit blocker;
   };
-  /// Inline binary watches (the structure layer's compact binary form):
-  /// size-2 clauses are tagged with kBinRef in the shared watch lists and
-  /// carry the implied literal as the blocker, so the hot path resolves
-  /// them without an arena dereference, a watch migration, or a second
-  /// per-literal list. Clause refs are arena word offsets and stay well
-  /// below the tag bit.
-  static constexpr ClauseRef kBinRef = 0x80000000u;
 
   // Core search.
   ClauseRef propagate();
@@ -245,15 +217,10 @@ class Solver {
   SolverOptions opts_;
   bool ok_ = true;
 
-  void inprocess_structure(const logic::StructureHints& hints);
-
   ClauseArena arena_;
   std::vector<ClauseRef> problem_clauses_;
   std::vector<ClauseRef> learnt_clauses_;
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::index()
-  // Inline binary watch tagging, enabled by install_structure
-  // (off = byte-identical legacy behaviour).
-  bool bin_enabled_ = false;
 
   std::vector<LBool> assigns_;
   std::vector<bool> frozen_;         // session-pinned variables

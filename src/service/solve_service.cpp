@@ -76,8 +76,6 @@ std::string solution_json(const std::vector<std::string>& names,
                   ", \"satPropagations\": " +
                   std::to_string(sol.sat_propagations) +
                   ", \"satConflicts\": " + std::to_string(sol.sat_conflicts) +
-                  ", \"satBinaryPropagations\": " +
-                  std::to_string(sol.sat_binary_propagations) +
                   ", \"mpmcs\": " + cut + "]";
   if (sol.approximate) {
     j += ", \"approximate\": true";
@@ -422,9 +420,7 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
   key.push_back(kind == AnalysisKind::TopK ? 'K' : 'M');
   key += std::to_string(kind == AnalysisKind::TopK ? top_k : 0);
   key.push_back('|');
-  key += core::solver_choice_name(popts.solver);
-  key.push_back(popts.shrink_to_minimal ? 's' : '-');
-  key.push_back(popts.hedging_effective() ? 'h' : '-');
+  key += engine::outcome_key(popts);
 
   // Join-or-lead is decided and committed under one hold of the flights
   // lock — a window between "no flight found" and "flight published"
@@ -1152,16 +1148,13 @@ std::string SolveService::statsz_json() {
   j += "\"failpointsCompiled\": " +
        std::string(util::failpoints_compiled() ? "true" : "false");
   j += "},\n  \"sat\": {";
-  // Process-wide SAT effort: binaryPropagations > 0 proves the structure
-  // layer's dedicated binary watch layer is engaging in production;
-  // escalations counts the Step 5 solves that started race members.
+  // Process-wide SAT effort; escalations counts the Step 5 solves that
+  // started race members.
   const sat::GlobalSatCounters sc = sat::Solver::global_counters();
   j += "\"solves\": " + std::to_string(sc.solves) + ", ";
   j += "\"decisions\": " + std::to_string(sc.decisions) + ", ";
   j += "\"propagations\": " + std::to_string(sc.propagations) + ", ";
   j += "\"conflicts\": " + std::to_string(sc.conflicts) + ", ";
-  j += "\"binaryPropagations\": " + std::to_string(sc.binary_propagations) +
-       ", ";
   j += "\"escalations\": " +
        std::to_string(core::MpmcsPipeline::escalations());
   j += "},\n  \"tenants\": [";

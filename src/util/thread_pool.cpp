@@ -89,8 +89,10 @@ void ThreadPool::worker_loop(std::size_t index) {
         std::lock_guard<std::mutex> lock(wake_mutex_);
         if (pending_ > 0) --pending_;
       }
-      task();
+      // Counted before the task runs, so a submitter whose future the
+      // task fulfils already sees it counted.
       executed_.fetch_add(1, std::memory_order_relaxed);
+      task();
       continue;
     }
     std::unique_lock<std::mutex> lock(wake_mutex_);

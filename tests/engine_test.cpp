@@ -337,7 +337,7 @@ TEST(AnalysisEngine, RepeatedTopKReplaysWithZeroSatWork) {
 }
 
 TEST(AnalysisEngine, SolverAttributionStableUnderMemoization) {
-  // The batch CLI surfaces per-tree attribution (winning member + raw/pre
+  // The batch CLI surfaces per-tree attribution (winning member +
   // lineage); memoized repeats must replay the stored attribution instead
   // of re-racing and possibly re-rolling the winner.
   EngineOptions eopts;
@@ -349,38 +349,26 @@ TEST(AnalysisEngine, SolverAttributionStableUnderMemoization) {
     AnalysisRequest req;
     req.id = "attr";
     req.tree = generated_tree(21);
-    req.pipeline.solver = core::SolverChoice::Portfolio;  // hedged default
+    req.pipeline.solver = core::SolverChoice::Portfolio;
     return req;
   };
   const AnalysisResult first = engine.submit(make_request()).get();
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_FALSE(first.memoized);
   EXPECT_FALSE(first.mpmcs.solver_name.empty());
-  EXPECT_TRUE(first.mpmcs.lineage == "raw" || first.mpmcs.lineage == "pre")
-      << first.mpmcs.lineage;
+  EXPECT_EQ(first.mpmcs.lineage, "pre");
 
   const AnalysisResult repeat = engine.submit(make_request()).get();
   ASSERT_TRUE(repeat.ok) << repeat.error;
   EXPECT_TRUE(repeat.memoized);
   EXPECT_EQ(repeat.mpmcs.solver_name, first.mpmcs.solver_name);
   EXPECT_EQ(repeat.mpmcs.lineage, first.mpmcs.lineage);
-
-  // Hedging widens the race, so it keys the memo tier: flipping it off
-  // must re-solve (artefact tier still hits), not replay the hedged memo.
-  auto unhedged = make_request();
-  unhedged.pipeline.hedge_raw = false;
-  const AnalysisResult other = engine.submit(std::move(unhedged)).get();
-  ASSERT_TRUE(other.ok) << other.error;
-  EXPECT_FALSE(other.memoized);
-  EXPECT_TRUE(other.cache_hit);
-  EXPECT_DOUBLE_EQ(other.mpmcs.probability, first.mpmcs.probability);
 }
 
-TEST(AnalysisEngine, HedgedRaceReusesOnePreparedArtefact) {
-  // Raw-vs-pre hedging must not duplicate preparation work: the raw
-  // artefact raced by the hedge members is the PreparedInstance's own,
-  // so a structurally repeated request still hits the artefact cache
-  // exactly like an unhedged one.
+TEST(AnalysisEngine, RaceReusesOnePreparedArtefact) {
+  // A race must not duplicate preparation work: every member solves the
+  // PreparedInstance's own Step 3.5 instance, so a structurally repeated
+  // request hits the artefact cache.
   EngineOptions eopts;
   eopts.num_threads = 1;
   eopts.memoize_results = false;  // force both requests through Step 5
@@ -388,7 +376,7 @@ TEST(AnalysisEngine, HedgedRaceReusesOnePreparedArtefact) {
 
   const auto make_request = [] {
     AnalysisRequest req;
-    req.id = "hedge";
+    req.id = "race";
     req.tree = generated_tree(22);
     req.pipeline.solver = core::SolverChoice::Portfolio;
     return req;
@@ -402,7 +390,7 @@ TEST(AnalysisEngine, HedgedRaceReusesOnePreparedArtefact) {
   EXPECT_FALSE(warm.memoized);
   EXPECT_DOUBLE_EQ(warm.mpmcs.probability, cold.mpmcs.probability);
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.cache_misses, 1u);  // prepared once, hedged twice
+  EXPECT_EQ(stats.cache_misses, 1u);  // prepared once, raced twice
   EXPECT_GE(stats.cache_hits, 1u);
 }
 

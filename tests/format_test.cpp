@@ -421,17 +421,9 @@ TEST(GoldenConformance, CorpusMatchesGoldens) {
 // --- differential oracle ------------------------------------------------
 
 TEST(DifferentialOracle, SolversAgreeOnCorpus) {
-  struct Config {
-    core::SolverChoice solver;
-    logic::StructureMode structure;
-  };
-  const std::vector<Config> configs = {
-      {core::SolverChoice::Oll, logic::StructureMode::Off},
-      {core::SolverChoice::Oll, logic::StructureMode::Full},
-      {core::SolverChoice::Lsu, logic::StructureMode::Off},
-      {core::SolverChoice::Lsu, logic::StructureMode::Full},
-      {core::SolverChoice::Stratified, logic::StructureMode::Full},
-  };
+  const std::vector<core::SolverChoice> solvers = {
+      core::SolverChoice::Oll, core::SolverChoice::Lsu,
+      core::SolverChoice::Stratified};
   for (const fs::path& file : corpus_files()) {
     const std::string text = slurp(file);
     const ft::FaultTree tree =
@@ -441,16 +433,14 @@ TEST(DifferentialOracle, SolversAgreeOnCorpus) {
     const core::MpmcsSolution ref = reference.solve(tree);
     ASSERT_EQ(ref.status, maxsat::MaxSatStatus::Optimal) << file;
 
-    for (const Config& cfg : configs) {
+    for (const core::SolverChoice solver : solvers) {
       core::PipelineOptions opts;
-      opts.solver = cfg.solver;
-      opts.sat_structure = cfg.structure;
+      opts.solver = solver;
       const core::MpmcsPipeline pipeline{opts};
       const core::MpmcsSolution sol = pipeline.solve(tree);
       ASSERT_EQ(sol.status, maxsat::MaxSatStatus::Optimal) << file;
       EXPECT_EQ(sol.scaled_cost, ref.scaled_cost)
-          << file << " solver config " << static_cast<int>(cfg.solver) << "/"
-          << static_cast<int>(cfg.structure);
+          << file << " solver " << core::solver_choice_name(solver);
     }
 
     // Independent-semantics oracle for small instances.

@@ -247,6 +247,56 @@ TEST(IncrementalEngines, HardUnsatInstanceStaysDead) {
   EXPECT_EQ(inc.solve({}, nullptr).status, MaxSatStatus::Unsatisfiable);
 }
 
+std::shared_ptr<const WcnfInstance> pick_one_instance(maxsat::Weight w0,
+                                                      maxsat::Weight w1,
+                                                      maxsat::Weight w2) {
+  auto inst = std::make_shared<WcnfInstance>(3);
+  inst->add_hard({Lit::pos(0), Lit::pos(1), Lit::pos(2)});
+  inst->add_soft_unit(Lit::neg(0), w0);
+  inst->add_soft_unit(Lit::neg(1), w1);
+  inst->add_soft_unit(Lit::neg(2), w2);
+  return inst;
+}
+
+TEST(IncrementalEngines, RebasePatchKeepsChargeHistoryAndStaysOptimal) {
+  // "Pick at least one of three" with per-pick costs: the optimum is the
+  // cheapest pick. The first solve discovers the single core and charges
+  // its minimum weight; a feasible reweight must patch residuals in
+  // place (patched_rebases advances) and still land on the new optimum.
+  maxsat::IncrementalOll engine(pick_one_instance(3, 5, 7),
+                                maxsat::OllOptions{});
+  const auto first = engine.solve({}, nullptr);
+  ASSERT_EQ(first.status, MaxSatStatus::Optimal);
+  EXPECT_EQ(first.cost, 3u);
+  EXPECT_TRUE(engine.base_converged());
+
+  // Converged base: a context-free re-solve is one verification SAT call.
+  const std::uint64_t calls_before = sat::Solver::global_solve_calls();
+  const auto again = engine.solve({}, nullptr);
+  EXPECT_EQ(again.status, MaxSatStatus::Optimal);
+  EXPECT_EQ(again.cost, 3u);
+  EXPECT_EQ(sat::Solver::global_solve_calls() - calls_before, 1u);
+
+  // Every changed soft can absorb its delta: in-place patch.
+  EXPECT_EQ(engine.patched_rebases(), 0u);
+  ASSERT_TRUE(engine.rebase(pick_one_instance(10, 4, 7)));
+  EXPECT_EQ(engine.patched_rebases(), 1u);
+  const auto patched = engine.solve({}, nullptr);
+  ASSERT_EQ(patched.status, MaxSatStatus::Optimal);
+  EXPECT_EQ(patched.cost, 4u);
+  const auto fresh = maxsat::OllSolver().solve(*pick_one_instance(10, 4, 7));
+  ASSERT_EQ(fresh.status, MaxSatStatus::Optimal);
+  EXPECT_EQ(patched.cost, fresh.cost);
+
+  // Weights dropping below what the cores already charged cannot be
+  // patched; the fallback rebuild must still reach the new optimum.
+  ASSERT_TRUE(engine.rebase(pick_one_instance(1, 1, 1)));
+  EXPECT_EQ(engine.patched_rebases(), 1u);
+  const auto rebuilt = engine.solve({}, nullptr);
+  ASSERT_EQ(rebuilt.status, MaxSatStatus::Optimal);
+  EXPECT_EQ(rebuilt.cost, 1u);
+}
+
 // --- pipeline differentials ---------------------------------------------
 
 /// The artefact's incremental sessions: the whole tree's, or under the

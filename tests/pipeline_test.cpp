@@ -3,6 +3,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -235,21 +236,15 @@ TEST(Pipeline, JsonOutputContainsSolution) {
   EXPECT_NE(json.find("\"probability\": 0.02"), std::string::npos);
 }
 
-TEST(Pipeline, PolarityAwareTseitinGivesSameAnswer) {
+TEST(Pipeline, MonolithicSolveReportsItsSatEffort) {
+  // The per-solve effort counters are wired from the engine that answered
+  // through Step 5 into the solution.
   PipelineOptions opts;
-  opts.polarity_aware_tseitin = true;
-  const MpmcsPipeline pg(opts);
-  const MpmcsPipeline full;
-  for (std::uint64_t seed = 800; seed < 810; ++seed) {
-    gen::GeneratorOptions gopts;
-    gopts.num_events = 12;
-    const auto tree = gen::random_tree(gopts, seed);
-    const auto a = pg.solve(tree);
-    const auto b = full.solve(tree);
-    ASSERT_EQ(a.status, MaxSatStatus::Optimal);
-    ASSERT_EQ(b.status, MaxSatStatus::Optimal);
-    EXPECT_EQ(a.scaled_cost, b.scaled_cost) << "seed " << seed;
-  }
+  opts.solver = SolverChoice::Oll;
+  const auto tree = gen::ladder_tree(gen::LadderOptions{}, 42);
+  const MpmcsSolution sol = MpmcsPipeline(opts).solve(tree);
+  ASSERT_EQ(sol.status, MaxSatStatus::Optimal);
+  EXPECT_GT(sol.sat_decisions + sol.sat_propagations, 0u);
 }
 
 TEST(Pipeline, ChainAndLadderFamilies) {
@@ -377,6 +372,69 @@ TEST(Step5Escalation, DefaultLeadAnswersAloneAndMatchesPortfolio) {
                   a.solver_name == "stratified")
           << name << ": " << a.solver_name;
     }
+  }
+}
+
+TEST(Step5Escalation, MonolithicAnswersComeFromTheStep35Instance) {
+  // Step 5 solves one instance per artefact: the Step 3.5 one when
+  // preprocessing ran, else the raw one. Only the module pass's composed
+  // answers carry lineage "strata". A race answers with one of the
+  // paper's four members, a held session's engines standing in for oll
+  // and lsu.
+  const std::set<std::string> session_race = {"oll-inc", "lsu-inc",
+                                              "oll-strat", "fu-malik"};
+  const std::set<std::string> stateless_race = {"oll", "oll-strat",
+                                                "fu-malik", "lsu"};
+  const auto corpus = lead_corpus();
+  for (const auto choice :
+       {SolverChoice::Auto, SolverChoice::Portfolio, SolverChoice::Oll}) {
+    PipelineOptions opts;
+    opts.solver = choice;
+    for (const auto& [name, tree] : corpus) {
+      if (name == "dag3000") continue;
+      const MpmcsSolution sol = MpmcsPipeline(opts).solve(tree);
+      ASSERT_EQ(sol.status, MaxSatStatus::Optimal) << name;
+      if (sol.solver_name == "stratified") {
+        EXPECT_EQ(choice, SolverChoice::Auto) << name;
+        EXPECT_EQ(sol.lineage, "strata") << name;
+      } else {
+        EXPECT_EQ(sol.lineage, "pre")
+            << name << " under " << solver_choice_name(choice);
+      }
+      if (choice == SolverChoice::Portfolio) {
+        EXPECT_EQ(session_race.count(sol.solver_name), 1u)
+            << name << ": " << sol.solver_name;
+      }
+    }
+  }
+  PipelineOptions stateless;
+  stateless.solver = SolverChoice::Portfolio;
+  stateless.incremental = false;
+  for (const auto& [name, tree] : corpus) {
+    if (name == "dag3000") continue;
+    const MpmcsSolution sol = MpmcsPipeline(stateless).solve(tree);
+    EXPECT_EQ(sol.lineage, "pre") << name;
+    EXPECT_EQ(stateless_race.count(sol.solver_name), 1u)
+        << name << ": " << sol.solver_name;
+  }
+  // The ring races (and runs out of its time limit): its incumbent comes
+  // from the Step 3.5 instance too.
+  PipelineOptions race;
+  race.solver = SolverChoice::Portfolio;
+  race.timeout_seconds = 0.5;
+  const ft::FaultTree ring = ring_of_votes();
+  const std::uint64_t before = MpmcsPipeline::escalations();
+  const MpmcsSolution raced = MpmcsPipeline(race).solve(ring);
+  EXPECT_EQ(MpmcsPipeline::escalations(), before + 1);
+  EXPECT_EQ(raced.lineage, "pre");
+  race.preprocess = false;
+  EXPECT_EQ(MpmcsPipeline(race).solve(ring).lineage, "raw");
+  for (const auto& [name, tree] : corpus) {
+    if (name == "dag3000") continue;
+    PipelineOptions raw;
+    raw.solver = SolverChoice::Oll;
+    raw.preprocess = false;
+    EXPECT_EQ(MpmcsPipeline(raw).solve(tree).lineage, "raw") << name;
   }
 }
 

@@ -156,15 +156,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TreeSweep,
 // oracles on a ladder/repeated-subsystem + random-DAG corpus.
 //
 // Members: the monolithic single-solver choices (oll, lsu, fu-malik), the
-// portfolio without hedging (the unhedged lineup), the raw-vs-pre hedged
-// portfolio, the default choice (the module pass, with lead-then-hedge
-// Step 5 on frontier modules), and a preprocessing-off monolithic member
-// (pure raw lineage). Oracles: an exhaustive 2^n subset enumeration over
-// the tree formula (independent of the whole MaxSAT stack) and the BDD
-// engine. Optima must be identical across members and equal to the
-// brute-force oracle bit for bit; top-k probability (cost) sequences must
-// match the BDD family. Every seed runs fuzz_tree's shape and a
-// closed-form top over modules that need search (test::composed_tree).
+// portfolio (the paper's race), the default choice (the module pass, with
+// lead-then-hedge Step 5 on frontier modules), and a preprocessing-off
+// monolithic member (raw lineage). Oracles: an exhaustive 2^n subset
+// enumeration over the tree formula (independent of the whole MaxSAT
+// stack) and the BDD engine. Optima must be identical across members and
+// equal to the brute-force oracle bit for bit; top-k probability (cost)
+// sequences must match the BDD family. Every seed runs fuzz_tree's shape
+// and a closed-form top over modules that need search
+// (test::composed_tree).
 
 struct FuzzMember {
   const char* label;
@@ -173,39 +173,19 @@ struct FuzzMember {
 
 std::vector<FuzzMember> fuzz_members() {
   using core::SolverChoice;
-  const auto with = [](SolverChoice c, bool hedge, bool pre) {
+  const auto with = [](SolverChoice c, bool pre) {
     core::PipelineOptions o;
     o.solver = c;
-    o.hedge_raw = hedge;
     o.preprocess = pre;
     return o;
   };
-  const auto with_structure = [&with](SolverChoice c, bool pre,
-                                      logic::StructureMode m) {
-    core::PipelineOptions o = with(c, true, pre);
-    o.sat_structure = m;
-    return o;
-  };
   return {
-      {"oll", with(SolverChoice::Oll, false, true)},
-      {"lsu", with(SolverChoice::Lsu, false, true)},
-      {"fu-malik", with(SolverChoice::FuMalik, false, true)},
-      {"portfolio", with(SolverChoice::Portfolio, false, true)},
-      {"hedged", with(SolverChoice::Portfolio, true, true)},
-      {"auto", with(SolverChoice::Auto, true, true)},
-      {"oll-raw", with(SolverChoice::Oll, false, false)},
-      // The structure-ablation axis: the gate-map SAT layer at each level
-      // must leave every optimum bit-identical (it only reorders search).
-      {"structure-off",
-       with_structure(SolverChoice::Portfolio, true, logic::StructureMode::Off)},
-      {"structure-hints", with_structure(SolverChoice::Portfolio, true,
-                                         logic::StructureMode::Hints)},
-      {"structure-full", with_structure(SolverChoice::Portfolio, true,
-                                        logic::StructureMode::Full)},
-      // Raw monolithic OLL under Full: the hints are *exact* here, so the
-      // session engine runs gate-structural inprocessing too.
-      {"oll-full-raw",
-       with_structure(SolverChoice::Oll, false, logic::StructureMode::Full)},
+      {"oll", with(SolverChoice::Oll, true)},
+      {"lsu", with(SolverChoice::Lsu, true)},
+      {"fu-malik", with(SolverChoice::FuMalik, true)},
+      {"portfolio", with(SolverChoice::Portfolio, true)},
+      {"auto", with(SolverChoice::Auto, true)},
+      {"oll-raw", with(SolverChoice::Oll, false)},
   };
 }
 
@@ -383,50 +363,42 @@ TEST_P(DifferentialFuzz, VoteCombinedLaddersMatchLsuReference) {
   EXPECT_TRUE(ft::is_minimal_cut_set(tree, b.cut));
 }
 
-TEST_P(DifferentialFuzz, ReweightRebaseMatchesOracleAcrossStructureModes) {
+TEST_P(DifferentialFuzz, ReweightRebaseMatchesOracle) {
   // Warm-session reweighting: prepare once, then push a weight-only
   // TreeDelta through apply_delta so the incremental OLL session takes
-  // its in-place rebase patch path (satellite of the structure PR). The
-  // re-solved optimum must match the exhaustive oracle on the *new*
-  // tree bit for bit, with and without the structure layer.
-  const auto base_tree = fuzz_tree(GetParam());
-  for (const logic::StructureMode mode :
-       {logic::StructureMode::Off, logic::StructureMode::Full}) {
-    ft::FaultTree tree = base_tree;
-    core::PipelineOptions opts;
-    opts.solver = core::SolverChoice::Oll;
-    opts.sat_structure = mode;
-    core::MpmcsPipeline pipeline(opts);
-    core::PreparedInstance prepared = pipeline.prepare(tree);
+  // its in-place rebase patch path. The re-solved optimum must match the
+  // exhaustive oracle on the *new* tree bit for bit.
+  ft::FaultTree tree = fuzz_tree(GetParam());
+  core::PipelineOptions opts;
+  opts.solver = core::SolverChoice::Oll;
+  core::MpmcsPipeline pipeline(opts);
+  core::PreparedInstance prepared = pipeline.prepare(tree);
 
-    const auto cold = pipeline.solve_prepared(tree, prepared);
-    ASSERT_EQ(cold.status, maxsat::MaxSatStatus::Optimal);
-    EXPECT_DOUBLE_EQ(cold.probability, brute_mpmcs_probability(tree));
+  const auto cold = pipeline.solve_prepared(tree, prepared);
+  ASSERT_EQ(cold.status, maxsat::MaxSatStatus::Optimal);
+  EXPECT_DOUBLE_EQ(cold.probability, brute_mpmcs_probability(tree));
 
-    util::Rng rng(GetParam() * 271828 + 17);
-    for (int round = 0; round < 2; ++round) {
-      ft::TreeDelta delta;
-      for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
-        if (!rng.chance(0.5)) continue;
-        delta.ops.push_back(
-            ft::TreeDelta::weight(tree.event(e).name, rng.uniform(0.02, 0.98)));
-      }
-      if (delta.ops.empty()) {
-        delta.ops.push_back(ft::TreeDelta::weight(tree.event(0).name,
-                                                  rng.uniform(0.02, 0.98)));
-      }
-      ft::FaultTree next = ft::apply_delta(tree, delta);
-      pipeline.apply_delta(next, delta, prepared);
-      tree = std::move(next);
-
-      const auto warm = pipeline.solve_prepared(tree, prepared);
-      ASSERT_EQ(warm.status, maxsat::MaxSatStatus::Optimal)
-          << "mode " << static_cast<int>(mode) << " round " << round;
-      EXPECT_DOUBLE_EQ(warm.probability, brute_mpmcs_probability(tree))
-          << "mode " << static_cast<int>(mode) << " round " << round;
-      EXPECT_TRUE(ft::is_minimal_cut_set(tree, warm.cut))
-          << "mode " << static_cast<int>(mode) << " round " << round;
+  util::Rng rng(GetParam() * 271828 + 17);
+  for (int round = 0; round < 2; ++round) {
+    ft::TreeDelta delta;
+    for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
+      if (!rng.chance(0.5)) continue;
+      delta.ops.push_back(
+          ft::TreeDelta::weight(tree.event(e).name, rng.uniform(0.02, 0.98)));
     }
+    if (delta.ops.empty()) {
+      delta.ops.push_back(ft::TreeDelta::weight(tree.event(0).name,
+                                                rng.uniform(0.02, 0.98)));
+    }
+    ft::FaultTree next = ft::apply_delta(tree, delta);
+    pipeline.apply_delta(next, delta, prepared);
+    tree = std::move(next);
+
+    const auto warm = pipeline.solve_prepared(tree, prepared);
+    ASSERT_EQ(warm.status, maxsat::MaxSatStatus::Optimal) << "round " << round;
+    EXPECT_DOUBLE_EQ(warm.probability, brute_mpmcs_probability(tree))
+        << "round " << round;
+    EXPECT_TRUE(ft::is_minimal_cut_set(tree, warm.cut)) << "round " << round;
   }
 }
 
