@@ -73,7 +73,6 @@
 #include "format/format.hpp"
 #include "format/wcnf_export.hpp"
 #include "ft/dot_writer.hpp"
-#include "ft/openpsa.hpp"
 #include "ft/parser.hpp"
 #include "ft/tree_delta.hpp"
 #include "service/http_server.hpp"

@@ -1,16 +1,11 @@
 #include "format/format.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "format/galileo.hpp"
-#include "ft/openpsa.hpp"
-#include "ft/parser.hpp"
-#include "ft/xml.hpp"
+#include "format/openpsa.hpp"
+#include "format/tree_builder.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 
@@ -18,187 +13,218 @@ namespace fta::format {
 
 namespace {
 
-/// Maps a byte offset into 1-based (line, column) for JSON diagnostics.
-std::pair<std::size_t, std::size_t> offset_position(const std::string& text,
-                                                    std::size_t offset) {
-  std::size_t line = 1, column = 1;
-  const std::size_t end = offset < text.size() ? offset : text.size();
-  for (std::size_t i = 0; i < end; ++i) {
-    if (text[i] == '\n') {
-      ++line;
-      column = 1;
-    } else {
-      ++column;
-    }
-  }
-  return {line, column};
-}
-
 std::string lower_ext(const std::string& filename) {
   const std::size_t dot = filename.find_last_of('.');
   if (dot == std::string::npos) return "";
   return util::to_lower(filename.substr(dot));
 }
 
-[[noreturn]] void fail_json(std::size_t line, std::size_t column,
-                            const std::string& detail) {
-  throw ParseError(TreeFormat::Json, line, column, detail);
-}
+/// Reads the ft::to_json tree document in one pass over util::JsonReader:
+/// {"top": ..., "nodes": [{"id", "type", "prob", "k", "children"}]}.
+/// Members it does not know are skipped; of a repeated member the first
+/// counts. Schema defects are positioned at the offending node, or at the
+/// member or child that is wrong.
+class JsonTreeReader {
+ public:
+  explicit JsonTreeReader(std::string_view text)
+      : r_(text), b_(TreeFormat::Json, text) {}
 
-/// Parses the ft::to_json tree document shape.
-ft::FaultTree parse_json_tree_impl(const std::string& text) {
-  util::JsonValue doc = util::JsonValue::make_null();
-  try {
-    doc = util::JsonValue::parse(text);
-  } catch (const util::JsonError& e) {
-    const auto [line, column] = offset_position(text, e.offset());
-    fail_json(line, column, e.what());
-  }
-  if (!doc.is_object()) {
-    fail_json(1, 1, "tree document must be a JSON object");
-  }
-  const std::string top_name = doc.get_string("top", "");
-  if (top_name.empty()) {
-    fail_json(1, 1, "missing required member \"top\"");
-  }
-  const util::JsonValue* nodes = doc.find("nodes");
-  if (nodes == nullptr || !nodes->is_array()) {
-    fail_json(1, 1, "missing required array \"nodes\"");
+  ft::FaultTree run() {
+    try {
+      return read();
+    } catch (const util::JsonError& e) {
+      b_.fail(e.offset(), e.what());
+    }
   }
 
-  struct GateDecl {
-    ft::NodeType type = ft::NodeType::Or;
-    std::uint32_t k = 0;
-    std::vector<std::string> children;
+ private:
+  /// A member value (or child) as the schema sees it: absent, null, a
+  /// string, a number, or of another type.
+  struct Member {
+    enum class Kind : std::uint8_t { Absent, Null, String, Number, Other };
+    Kind kind = Kind::Absent;
+    std::size_t at = 0;
+    std::string_view text;
+    double number = 0.0;
   };
-  // Events inserted in nodes-array order => deterministic EventIndex.
-  std::vector<std::pair<std::string, double>> events;
-  std::vector<std::string> gate_order;
-  std::unordered_map<std::string, GateDecl> gates;
-  std::unordered_set<std::string> names;
 
-  for (const util::JsonValue& node : nodes->items()) {
-    if (!node.is_object()) {
-      fail_json(1, 1, "every entry of \"nodes\" must be an object");
+  /// A string that outlives the reader's scratch buffer.
+  std::string_view stable(std::string_view s) {
+    return s.data() == scratch_.data() ? b_.keep(s) : s;
+  }
+
+  /// Reads one member value into `m`, unless an earlier member of the
+  /// same name already did.
+  void member(Member& m, std::size_t depth) {
+    if (m.kind != Member::Kind::Absent) {
+      r_.skip(depth);
+      return;
     }
-    const std::string id = node.get_string("id", "");
-    if (id.empty()) fail_json(1, 1, "node without an \"id\"");
-    if (!names.insert(id).second) {
-      fail_json(1, 1, "duplicate node id '" + id + "'");
-    }
-    const std::string type = node.get_string("type", "");
-    if (type == "event" || type == "basic-event" || type == "basic") {
-      events.emplace_back(id, node.get_number("prob", 0.0));
-      continue;
-    }
-    GateDecl g;
-    if (type == "and") {
-      g.type = ft::NodeType::And;
-    } else if (type == "or") {
-      g.type = ft::NodeType::Or;
-    } else if (type == "vote" || type == "atleast") {
-      g.type = ft::NodeType::Vote;
-      const double k = node.get_number("k", 0.0);
-      if (!(k >= 1.0) || k != static_cast<double>(
-                                  static_cast<std::uint32_t>(k))) {
-        fail_json(1, 1, "gate '" + id + "': bad vote threshold \"k\"");
-      }
-      g.k = static_cast<std::uint32_t>(k);
+    const char c = r_.value(depth);
+    m.at = r_.offset();
+    if (c == '"') {
+      m.kind = Member::Kind::String;
+      m.text = stable(r_.string(scratch_));
+    } else if (c == 'n') {
+      r_.literal("null");
+      m.kind = Member::Kind::Null;
+    } else if (c == '-' || (c >= '0' && c <= '9')) {
+      m.kind = Member::Kind::Number;
+      m.number = r_.number();
     } else {
-      fail_json(1, 1, "node '" + id + "': unknown type '" + type + "'");
+      m.kind = Member::Kind::Other;
+      r_.skip(depth);
     }
-    const util::JsonValue* children = node.find("children");
-    if (children == nullptr || !children->is_array()) {
-      fail_json(1, 1, "gate '" + id + "' needs a \"children\" array");
-    }
-    for (const util::JsonValue& c : children->items()) {
-      if (!c.is_string()) {
-        fail_json(1, 1, "gate '" + id + "': children must be node ids");
-      }
-      g.children.push_back(c.as_string());
-    }
-    gate_order.push_back(id);
-    gates.emplace(id, std::move(g));
   }
 
-  ft::FaultTree tree;
-  std::unordered_map<std::string, ft::NodeIndex> index;
-  try {
-    for (const auto& [name, p] : events) {
-      index.emplace(name, tree.add_basic_event(name, p));
+  std::string_view string_member(const Member& m, const char* key) const {
+    if (m.kind == Member::Kind::Other || m.kind == Member::Kind::Number) {
+      b_.fail(m.at, "member \"" + std::string(key) + "\" must be a string");
     }
-    // Gates children-first with cycle detection.
-    std::unordered_set<std::string> inserting;
-    std::vector<std::pair<std::string, bool>> stack;
-    for (auto it = gate_order.rbegin(); it != gate_order.rend(); ++it) {
-      stack.push_back({*it, false});
+    return m.kind == Member::Kind::String ? m.text : std::string_view();
+  }
+
+  double number_member(const Member& m, const char* key,
+                       double fallback) const {
+    if (m.kind == Member::Kind::Other || m.kind == Member::Kind::String) {
+      b_.fail(m.at, "member \"" + std::string(key) + "\" must be a number");
     }
-    while (!stack.empty()) {
-      auto [name, expanded] = stack.back();
-      stack.pop_back();
-      if (index.count(name)) continue;
-      const GateDecl& g = gates.at(name);
-      if (expanded) {
-        inserting.erase(name);
-        std::vector<ft::NodeIndex> children;
-        children.reserve(g.children.size());
-        for (const auto& c : g.children) children.push_back(index.at(c));
-        index.emplace(name,
-                      g.type == ft::NodeType::Vote
-                          ? tree.add_vote_gate(name, g.k, std::move(children))
-                          : tree.add_gate(name, g.type, std::move(children)));
-        continue;
-      }
-      if (!inserting.insert(name).second) {
-        fail_json(1, 1, "cycle through gate '" + name + "'");
-      }
-      stack.push_back({name, true});
-      for (const auto& c : g.children) {
-        if (index.count(c)) continue;
-        if (!gates.count(c)) {
-          fail_json(1, 1,
-                    "gate '" + name + "': undefined child '" + c + "'");
+    return m.kind == Member::Kind::Number ? m.number : fallback;
+  }
+
+  ft::FaultTree read() {
+    const char first = r_.value(0);
+    const std::size_t root_at = r_.offset();
+    if (first != '{') b_.fail(root_at, "tree document must be a JSON object");
+    Member top;
+    bool seen_nodes = false, have_nodes = false;
+    std::size_t nodes_at = root_at;
+    if (r_.open()) {
+      do {
+        const std::string_view key = r_.key(key_scratch_);
+        if (key == "top") {
+          member(top, 1);
+        } else if (key == "nodes" && !seen_nodes) {
+          seen_nodes = true;
+          have_nodes = r_.value(1) == '[';
+          if (have_nodes) {
+            nodes();
+          } else {
+            nodes_at = r_.offset();
+            r_.skip(1);
+          }
+        } else {
+          r_.skip(1);
         }
-        stack.push_back({c, false});
+      } while (r_.next('}'));
+    }
+    r_.finish();
+
+    const std::string_view top_name = string_member(top, "top");
+    if (top_name.empty()) {
+      b_.fail(root_at, "missing required member \"top\"");
+    }
+    if (!have_nodes) b_.fail(nodes_at, "missing required array \"nodes\"");
+    const TreeBuilder::Id top_id = b_.intern(top_name, top.at);
+    if (!b_.is_event(top_id) && !b_.is_gate(top_id)) {
+      b_.fail(top.at,
+              "top '" + std::string(top_name) + "' is not a defined node");
+    }
+    return b_.build(top_id, TreeBuilder::EventOrder::DeclaredOnly);
+  }
+
+  void nodes() {
+    if (!r_.open()) return;
+    do {
+      const char c = r_.value(2);
+      const std::size_t at = r_.offset();
+      if (c != '{') b_.fail(at, "every entry of \"nodes\" must be an object");
+      node(at);
+    } while (r_.next(']'));
+  }
+
+  void node(std::size_t at) {
+    Member id, type, prob, k;
+    bool have_children = false, children_array = false;
+    children_.clear();
+    if (r_.open()) {
+      do {
+        const std::string_view key = r_.key(key_scratch_);
+        if (key == "id") {
+          member(id, 3);
+        } else if (key == "type") {
+          member(type, 3);
+        } else if (key == "prob") {
+          member(prob, 3);
+        } else if (key == "k") {
+          member(k, 3);
+        } else if (key == "children" && !have_children) {
+          have_children = true;
+          children_array = r_.value(3) == '[';
+          if (!children_array) {
+            r_.skip(3);
+          } else if (r_.open()) {
+            do {
+              member(children_.emplace_back(), 4);
+            } while (r_.next(']'));
+          }
+        } else {
+          r_.skip(3);
+        }
+      } while (r_.next('}'));
+    }
+
+    const std::string_view name = string_member(id, "id");
+    if (name.empty()) b_.fail(at, "node without an \"id\"");
+    const TreeBuilder::Id node = b_.intern(name, at);
+    if (b_.is_event(node) || b_.is_gate(node)) {
+      b_.fail(at, "duplicate node id '" + std::string(name) + "'");
+    }
+    const std::string_view kind = string_member(type, "type");
+    if (kind == "event" || kind == "basic-event" || kind == "basic") {
+      b_.event(node, number_member(prob, "prob", 0.0), at);
+      return;
+    }
+    ft::NodeType gate = ft::NodeType::Or;
+    std::uint32_t threshold = 0;
+    if (kind == "and") {
+      gate = ft::NodeType::And;
+    } else if (kind == "or") {
+      gate = ft::NodeType::Or;
+    } else if (kind == "vote" || kind == "atleast") {
+      gate = ft::NodeType::Vote;
+      const double v = number_member(k, "k", 0.0);
+      if (!(v >= 1.0 && v <= 4294967295.0) ||
+          v != static_cast<double>(static_cast<std::uint32_t>(v))) {
+        b_.fail(at, "gate '" + std::string(name) +
+                        "': bad vote threshold \"k\"");
       }
+      threshold = static_cast<std::uint32_t>(v);
+    } else {
+      b_.fail(at, "node '" + std::string(name) + "': unknown type '" +
+                      std::string(kind) + "'");
     }
-    const auto top = index.find(top_name);
-    if (top == index.end()) {
-      fail_json(1, 1, "top '" + top_name + "' is not a defined node");
+    if (!children_array) {
+      b_.fail(at, "gate '" + std::string(name) +
+                      "' needs a \"children\" array");
     }
-    tree.set_top(top->second);
-    tree.validate();
-  } catch (const ParseError&) {
-    throw;
-  } catch (const std::exception& e) {
-    fail_json(1, 1, e.what());
+    ids_.clear();
+    for (const Member& c : children_) {
+      if (c.kind != Member::Kind::String) {
+        b_.fail(c.at, "gate '" + std::string(name) +
+                          "': children must be node ids");
+      }
+      ids_.push_back(b_.intern(c.text, c.at));
+    }
+    b_.gate(node, gate, threshold, ids_, at);
   }
-  return tree;
-}
 
-/// The typed JsonValue getters throw util::JsonError on wrong-typed
-/// members; every such schema defect must still surface as ParseError.
-ft::FaultTree parse_json_tree(const std::string& text) {
-  try {
-    return parse_json_tree_impl(text);
-  } catch (const ParseError&) {
-    throw;
-  } catch (const util::JsonError& e) {
-    fail_json(1, 1, e.what());
-  }
-}
-
-ft::FaultTree parse_open_psa_checked(const std::string& text) {
-  try {
-    return ft::parse_open_psa(text);
-  } catch (const ft::xml::XmlError& e) {
-    throw ParseError(TreeFormat::OpenPsa, e.line(), e.column(), e.what());
-  } catch (const ft::ParseError& e) {
-    throw ParseError(TreeFormat::OpenPsa, e.line(), 0, e.what());
-  } catch (const std::exception& e) {
-    throw ParseError(TreeFormat::OpenPsa, 0, 0, e.what());
-  }
-}
+  util::JsonReader r_;
+  TreeBuilder b_;
+  std::string scratch_, key_scratch_;
+  std::vector<Member> children_;
+  std::vector<TreeBuilder::Id> ids_;
+};
 
 }  // namespace
 
@@ -256,9 +282,9 @@ ft::FaultTree parse_tree(const std::string& text, const ParseOptions& opts,
   if (format == TreeFormat::Auto) format = detect_format(filename, text);
   switch (format) {
     case TreeFormat::Json:
-      return parse_json_tree(text);
+      return JsonTreeReader(text).run();
     case TreeFormat::OpenPsa:
-      return parse_open_psa_checked(text);
+      return parse_open_psa(text);
     case TreeFormat::Galileo: {
       GalileoOptions gopts;
       gopts.mission_time = opts.mission_time;
@@ -272,62 +298,6 @@ ft::FaultTree parse_tree(const std::string& text, const ParseOptions& opts,
 
 std::string to_galileo(const ft::FaultTree& tree) {
   return write_galileo(tree);
-}
-
-std::string to_open_psa(const ft::FaultTree& tree,
-                        const std::string& tree_name) {
-  tree.validate();
-  std::ostringstream os;
-  os << "<?xml version=\"1.0\"?>\n<opsa-mef>\n";
-  os << "  <define-fault-tree name=\"" << ft::xml::escape(tree_name)
-     << "\">\n";
-  // Top gate first (reader convention), then the rest in DFS order —
-  // the ft::to_open_psa layout with round-trip float precision.
-  std::vector<ft::NodeIndex> order;
-  std::unordered_set<ft::NodeIndex> seen;
-  std::vector<ft::NodeIndex> stack{tree.top()};
-  while (!stack.empty()) {
-    const ft::NodeIndex id = stack.back();
-    stack.pop_back();
-    if (!seen.insert(id).second) continue;
-    const ft::Node& n = tree.node(id);
-    if (n.type == ft::NodeType::BasicEvent) continue;
-    order.push_back(id);
-    for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
-      stack.push_back(*it);
-    }
-  }
-  for (const ft::NodeIndex id : order) {
-    const ft::Node& n = tree.node(id);
-    os << "    <define-gate name=\"" << ft::xml::escape(n.name) << "\">\n";
-    if (n.type == ft::NodeType::Vote) {
-      os << "      <atleast min=\"" << n.k << "\">\n";
-    } else {
-      os << "      <" << ft::node_type_name(n.type) << ">\n";
-    }
-    for (const ft::NodeIndex c : n.children) {
-      const ft::Node& child = tree.node(c);
-      const char* tag =
-          child.type == ft::NodeType::BasicEvent ? "basic-event" : "gate";
-      os << "        <" << tag << " name=\"" << ft::xml::escape(child.name)
-         << "\"/>\n";
-    }
-    os << (n.type == ft::NodeType::Vote
-               ? "      </atleast>\n"
-               : std::string("      </") + ft::node_type_name(n.type) +
-                     ">\n");
-    os << "    </define-gate>\n";
-  }
-  os << "  </define-fault-tree>\n";
-  os << "  <model-data>\n";
-  for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
-    const ft::Node& n = tree.event(e);
-    os << "    <define-basic-event name=\"" << ft::xml::escape(n.name)
-       << "\">\n      <float value=\"" << format_probability(n.probability)
-       << "\"/>\n    </define-basic-event>\n";
-  }
-  os << "  </model-data>\n</opsa-mef>\n";
-  return os.str();
 }
 
 std::string to_json(const ft::FaultTree& tree) {

@@ -10,7 +10,7 @@
 //     are *rejected* with a structured diagnostic naming the gate — this
 //     library analyses static fault trees.
 //   * Open-PSA MEF XML (`.xml`, `.opsa`, `.mef`) — the interchange subset
-//     in ft/openpsa (`define-fault-tree`, `define-gate` with
+//     in format/openpsa (`define-fault-tree`, `define-gate` with
 //     and/or/atleast, `define-basic-event` floats).
 //   * JSON (`.json`) — the tree document of ft::to_json (Fig. 2 of the
 //     paper): `{"top": ..., "nodes": [{"id", "type", "prob", "k",
@@ -92,8 +92,8 @@ ft::FaultTree parse_tree(const std::string& text,
 /// structurally identical to t including probabilities.
 std::string to_galileo(const ft::FaultTree& tree);
 
-/// Open-PSA MEF with round-trip float precision (the ft::to_open_psa
-/// layout, exact probabilities).
+/// Open-PSA MEF with round-trip float precision: the top gate first, the
+/// other gates in depth-first order, then model-data in EventIndex order.
 std::string to_open_psa(const ft::FaultTree& tree,
                         const std::string& tree_name = "fault-tree");
 

@@ -2,150 +2,53 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <optional>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "format/format.hpp"
+#include "format/tree_builder.hpp"
 #include "util/strings.hpp"
 
 namespace fta::format {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t line, std::size_t column,
-                       const std::string& detail) {
-  throw ParseError(TreeFormat::Galileo, line, column, detail);
-}
-
 struct Token {
-  std::string text;
-  std::size_t line = 0;
-  std::size_t column = 0;  // 1-based column of the first character
+  std::string_view text;
+  std::size_t at = 0;  ///< Byte offset of the first character.
   bool quoted = false;
 };
 
-struct Statement {
-  std::vector<Token> tokens;
-};
+/// std::isspace in the C locale, without the call.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
-/// Splits the document into ';'-terminated statements. Tracks line and
-/// column per token; supports '//', '#' and '/* */' comments and
-/// double-quoted names.
-std::vector<Statement> tokenize(const std::string& text) {
-  std::vector<Statement> statements;
-  Statement current;
-  std::size_t line = 1, column = 1;
-  std::size_t i = 0;
-  const std::size_t n = text.size();
-  auto advance = [&](std::size_t count = 1) {
-    for (std::size_t j = 0; j < count && i < n; ++j, ++i) {
-      if (text[i] == '\n') {
-        ++line;
-        column = 1;
-      } else {
-        ++column;
-      }
-    }
-  };
-  while (i < n) {
-    const char c = text[i];
-    if (c == '\n' || std::isspace(static_cast<unsigned char>(c))) {
-      advance();
-      continue;
-    }
-    if (c == '#' || (c == '/' && i + 1 < n && text[i + 1] == '/')) {
-      while (i < n && text[i] != '\n') advance();
-      continue;
-    }
-    if (c == '/' && i + 1 < n && text[i + 1] == '*') {
-      const std::size_t start_line = line, start_col = column;
-      advance(2);
-      while (i + 1 < n && !(text[i] == '*' && text[i + 1] == '/')) advance();
-      if (i + 1 >= n) fail(start_line, start_col, "unterminated /* comment");
-      advance(2);
-      continue;
-    }
-    if (c == ';') {
-      if (!current.tokens.empty()) {
-        statements.push_back(std::move(current));
-        current = {};
-      }
-      advance();
-      continue;
-    }
-    if (c == '"') {
-      Token t;
-      t.line = line;
-      t.column = column;
-      t.quoted = true;
-      advance();  // opening quote
-      while (i < n && text[i] != '"' && text[i] != '\n') {
-        t.text += text[i];
-        advance();
-      }
-      if (i >= n || text[i] != '"') {
-        fail(t.line, t.column, "unterminated quoted name");
-      }
-      advance();  // closing quote
-      current.tokens.push_back(std::move(t));
-      continue;
-    }
-    Token t;
-    t.line = line;
-    t.column = column;
-    while (i < n) {
-      const char d = text[i];
-      if (std::isspace(static_cast<unsigned char>(d)) || d == ';' ||
-          d == '"') {
-        break;
-      }
-      if (d == '/' && i + 1 < n && (text[i + 1] == '/' || text[i + 1] == '*'))
-        break;
-      t.text += d;
-      advance();
-    }
-    current.tokens.push_back(std::move(t));
-  }
-  if (!current.tokens.empty()) {
-    const Token& first = current.tokens.front();
-    fail(first.line, first.column, "statement not terminated by ';'");
-  }
-  return statements;
-}
-
-/// "KofN" / "K/N" vote operators; returns (k, n).
+/// "KofN" / "K/N" vote operators (lower case); returns (k, n).
 std::optional<std::pair<std::uint32_t, std::uint32_t>> parse_kofn(
-    const std::string& token) {
+    std::string_view token) {
   std::size_t pos = token.find("of");
   std::size_t skip = 2;
-  if (pos == std::string::npos) {
+  if (pos == std::string_view::npos) {
     pos = token.find('/');
     skip = 1;
   }
-  if (pos == std::string::npos || pos == 0 || pos + skip >= token.size()) {
+  if (pos == std::string_view::npos || pos == 0 ||
+      pos + skip >= token.size()) {
     return std::nullopt;
   }
-  std::uint64_t k = 0, n = 0;
-  for (std::size_t i = 0; i < pos; ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(token[i]))) {
-      return std::nullopt;
+  const auto digits = [](std::string_view s) -> std::optional<std::uint32_t> {
+    std::uint64_t v = 0;
+    for (const char c : s) {
+      if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
+      v = v * 10 + static_cast<std::uint64_t>(c - '0');
+      if (v > 0xffffffffull) return std::nullopt;
     }
-    k = k * 10 + static_cast<std::uint64_t>(token[i] - '0');
-    if (k > 0xffffffffull) return std::nullopt;
-  }
-  for (std::size_t i = pos + skip; i < token.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(token[i]))) {
-      return std::nullopt;
-    }
-    n = n * 10 + static_cast<std::uint64_t>(token[i] - '0');
-    if (n > 0xffffffffull) return std::nullopt;
-  }
-  return std::make_pair(static_cast<std::uint32_t>(k),
-                        static_cast<std::uint32_t>(n));
+    return static_cast<std::uint32_t>(v);
+  };
+  const auto k = digits(token.substr(0, pos));
+  const auto n = digits(token.substr(pos + skip));
+  if (!k || !n) return std::nullopt;
+  return std::make_pair(*k, *n);
 }
 
 /// The dynamic-gate vocabulary of full Galileo; each is rejected with a
@@ -157,253 +60,216 @@ bool is_dynamic_gate(const std::string& op) {
   return kDynamic.count(op) > 0;
 }
 
-struct GateDecl {
-  std::size_t line = 0;
-  std::size_t column = 0;
-  ft::NodeType type = ft::NodeType::Or;
-  std::uint32_t k = 0;
-  std::vector<std::string> children;
-};
+class GalileoReader {
+ public:
+  GalileoReader(std::string_view text, const GalileoOptions& opts)
+      : text_(text), opts_(opts), b_(TreeFormat::Galileo, text) {}
 
-struct EventDecl {
-  std::size_t line = 0;
-  std::size_t column = 0;
-  double probability = 0.0;
-};
-
-double parse_number(const Token& where, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    fail(where.line, where.column, "bad numeric value '" + value + "'");
+  ft::FaultTree run() {
+    // One pass: each ';'-terminated statement is scanned into views of
+    // the document and resolved at once.
+    const std::size_t n = text_.size();
+    std::size_t i = 0;
+    while (i < n) {
+      const char c = text_[i];
+      if (is_space(c)) {
+        ++i;
+      } else if (c == '#' || (c == '/' && i + 1 < n && text_[i + 1] == '/')) {
+        while (i < n && text_[i] != '\n') ++i;
+      } else if (c == '/' && i + 1 < n && text_[i + 1] == '*') {
+        const std::size_t close = text_.find("*/", i + 2);
+        if (close == std::string_view::npos) {
+          b_.fail(i, "unterminated /* comment");
+        }
+        i = close + 2;
+      } else if (c == ';') {
+        if (!tokens_.empty()) statement();
+        tokens_.clear();
+        ++i;
+      } else if (c == '"') {
+        std::size_t j = i + 1;
+        while (j < n && text_[j] != '"' && text_[j] != '\n') ++j;
+        if (j >= n || text_[j] != '"') b_.fail(i, "unterminated quoted name");
+        tokens_.push_back({text_.substr(i + 1, j - i - 1), i, true});
+        i = j + 1;
+      } else {
+        std::size_t j = i;
+        while (j < n) {
+          const char d = text_[j];
+          if (is_space(d) || d == ';' || d == '"') break;
+          if (d == '/' && j + 1 < n &&
+              (text_[j + 1] == '/' || text_[j + 1] == '*')) {
+            break;
+          }
+          ++j;
+        }
+        tokens_.push_back({text_.substr(i, j - i), i, false});
+        i = j;
+      }
+    }
+    if (!tokens_.empty()) {
+      b_.fail(tokens_.front().at, "statement not terminated by ';'");
+    }
+    if (!top_) b_.fail(0, "missing toplevel statement");
+    if (!b_.is_gate(*top_) && !b_.is_event(*top_)) {
+      b_.fail(top_at_, "toplevel '" + std::string(b_.name(*top_)) +
+                           "' is never defined");
+    }
+    return b_.build(*top_, TreeBuilder::EventOrder::FirstMention);
   }
-}
+
+ private:
+  double number(const Token& where, std::string_view value) const {
+    const auto v = parse_number(value);
+    if (!v) b_.fail(where.at, "bad numeric value '" + std::string(value) + "'");
+    return *v;
+  }
+
+  void statement() {
+    const auto& t = tokens_;
+    const Token& head = t.front();
+    if (!head.quoted && head.text == "toplevel") {
+      if (t.size() != 2) b_.fail(head.at, "toplevel expects exactly one name");
+      if (top_) b_.fail(head.at, "duplicate toplevel statement");
+      top_ = b_.intern(t[1].text, t[1].at);
+      top_at_ = head.at;
+      return;
+    }
+    if (head.text.empty()) b_.fail(head.at, "empty name");
+    // Basic-event statement: every remaining token is key=value.
+    if (t.size() >= 2 && !t[1].quoted &&
+        t[1].text.find('=') != std::string_view::npos) {
+      event_statement();
+      return;
+    }
+    // Gate statement: NAME OP child child ...
+    if (t.size() >= 3) {
+      gate_statement();
+      return;
+    }
+    if (!head.quoted && is_dynamic_gate(util::to_lower(head.text))) {
+      b_.fail(head.at, "dynamic gate statement '" + std::string(head.text) +
+                           "' is not supported");
+    }
+    b_.fail(head.at, "unrecognised statement starting with '" +
+                         std::string(head.text) + "'");
+  }
+
+  void event_statement() {
+    const Token& head = tokens_.front();
+    double probability = 0.0;
+    bool have_value = false;
+    for (std::size_t a = 1; a < tokens_.size(); ++a) {
+      const Token& attr = tokens_[a];
+      const std::size_t eq = attr.text.find('=');
+      if (attr.quoted || eq == std::string_view::npos) {
+        b_.fail(attr.at, "expected key=value attribute, got '" +
+                             std::string(attr.text) + "'");
+      }
+      const std::string key = util::to_lower(attr.text.substr(0, eq));
+      const std::string_view value = attr.text.substr(eq + 1);
+      if (key == "prob") {
+        probability = number(attr, value);
+        have_value = true;
+      } else if (key == "lambda") {
+        const double rate = number(attr, value);
+        if (rate < 0.0) b_.fail(attr.at, "lambda must be >= 0");
+        probability = 1.0 - std::exp(-rate * opts_.mission_time);
+        have_value = true;
+      } else if (key == "dorm" || key == "cov" || key == "res" ||
+                 key == "mean" || key == "stddev" || key == "shape" ||
+                 key == "rate" || key == "scale") {
+        // Distribution shape parameters of the full Galileo grammar;
+        // meaningless for a static point-probability analysis.
+        (void)number(attr, value);
+      } else if (key == "repl") {
+        if (number(attr, value) != 1.0) {
+          b_.fail(attr.at, "replicated basic events (repl=" +
+                               std::string(value) +
+                               ") are not supported; expand replicas "
+                               "explicitly");
+        }
+      } else {
+        b_.fail(attr.at, "unknown basic-event attribute '" + key + "'");
+      }
+    }
+    if (!have_value) {
+      b_.fail(head.at, "basic event '" + std::string(head.text) +
+                           "' needs prob= or lambda=");
+    }
+    const TreeBuilder::Id id = b_.intern(head.text, head.at);
+    if (b_.is_event(id)) {
+      b_.fail(head.at, "duplicate definition of basic event '" +
+                           std::string(head.text) + "'");
+    }
+    if (b_.is_gate(id)) {
+      b_.fail(head.at, "'" + std::string(head.text) +
+                           "' is declared both as a gate and a basic event");
+    }
+    b_.event(id, probability, head.at);
+  }
+
+  void gate_statement() {
+    const Token& head = tokens_[0];
+    const Token& op_tok = tokens_[1];
+    ft::NodeType type = ft::NodeType::Or;
+    std::uint32_t k = 0;
+    const std::string op = util::to_lower(op_tok.text);
+    if (!op_tok.quoted && op == "and") {
+      type = ft::NodeType::And;
+    } else if (!op_tok.quoted && op == "or") {
+      type = ft::NodeType::Or;
+    } else if (!op_tok.quoted && is_dynamic_gate(op)) {
+      b_.fail(op_tok.at,
+              "dynamic gate '" + op +
+                  "' is not supported: this analysis covers static fault "
+                  "trees (and/or/k-of-n); model the static envelope or drop "
+                  "the temporal ordering");
+    } else if (auto kofn = !op_tok.quoted ? parse_kofn(op) : std::nullopt) {
+      type = ft::NodeType::Vote;
+      k = kofn->first;
+      if (kofn->second != tokens_.size() - 2) {
+        b_.fail(op_tok.at, "gate '" + std::string(head.text) + "': " +
+                               std::string(op_tok.text) + " declares " +
+                               std::to_string(kofn->second) + " inputs but " +
+                               std::to_string(tokens_.size() - 2) +
+                               " children follow");
+      }
+    } else {
+      b_.fail(op_tok.at,
+              "unknown gate operator '" + std::string(op_tok.text) + "'");
+    }
+    const TreeBuilder::Id id = b_.intern(head.text, head.at);
+    children_.clear();
+    for (std::size_t c = 2; c < tokens_.size(); ++c) {
+      children_.push_back(b_.intern(tokens_[c].text, tokens_[c].at));
+    }
+    if (b_.is_gate(id)) {
+      b_.fail(head.at,
+              "duplicate gate definition '" + std::string(head.text) + "'");
+    }
+    if (b_.is_event(id)) {
+      b_.fail(b_.declared_at(id),
+              "'" + std::string(head.text) +
+                  "' is declared both as a gate and a basic event");
+    }
+    b_.gate(id, type, k, children_, head.at);
+  }
+
+  std::string_view text_;
+  const GalileoOptions& opts_;
+  TreeBuilder b_;
+  std::vector<Token> tokens_;
+  std::vector<TreeBuilder::Id> children_;
+  std::optional<TreeBuilder::Id> top_;
+  std::size_t top_at_ = 0;
+};
 
 }  // namespace
 
 ft::FaultTree parse_galileo(const std::string& text,
                             const GalileoOptions& opts) {
-  const auto statements = tokenize(text);
-
-  std::string top_name;
-  std::size_t top_line = 0, top_column = 0;
-  // Insertion (and thus EventIndex) order follows first appearance.
-  std::vector<std::string> appearance;
-  std::unordered_set<std::string> seen;
-  auto note = [&](const std::string& name) {
-    if (seen.insert(name).second) appearance.push_back(name);
-  };
-
-  std::unordered_map<std::string, GateDecl> gates;
-  std::unordered_map<std::string, EventDecl> events;
-
-  for (const auto& st : statements) {
-    const auto& t = st.tokens;
-    const Token& head = t.front();
-    if (!head.quoted && head.text == "toplevel") {
-      if (t.size() != 2) {
-        fail(head.line, head.column, "toplevel expects exactly one name");
-      }
-      if (!top_name.empty()) {
-        fail(head.line, head.column, "duplicate toplevel statement");
-      }
-      top_name = t[1].text;
-      top_line = head.line;
-      top_column = head.column;
-      note(top_name);
-      continue;
-    }
-    if (head.text.empty()) {
-      fail(head.line, head.column, "empty name");
-    }
-    // Basic-event statement: every remaining token is key=value.
-    if (t.size() >= 2 && !t[1].quoted &&
-        t[1].text.find('=') != std::string::npos) {
-      EventDecl decl;
-      decl.line = head.line;
-      decl.column = head.column;
-      bool have_value = false;
-      for (std::size_t a = 1; a < t.size(); ++a) {
-        const Token& attr = t[a];
-        const std::size_t eq = attr.text.find('=');
-        if (attr.quoted || eq == std::string::npos) {
-          fail(attr.line, attr.column,
-               "expected key=value attribute, got '" + attr.text + "'");
-        }
-        const std::string key = util::to_lower(attr.text.substr(0, eq));
-        const std::string value = attr.text.substr(eq + 1);
-        if (key == "prob") {
-          decl.probability = parse_number(attr, value);
-          have_value = true;
-        } else if (key == "lambda") {
-          const double rate = parse_number(attr, value);
-          if (rate < 0.0) {
-            fail(attr.line, attr.column, "lambda must be >= 0");
-          }
-          decl.probability = 1.0 - std::exp(-rate * opts.mission_time);
-          have_value = true;
-        } else if (key == "dorm" || key == "cov" || key == "res" ||
-                   key == "mean" || key == "stddev" || key == "shape" ||
-                   key == "rate" || key == "scale") {
-          // Distribution shape parameters of the full Galileo grammar;
-          // meaningless for a static point-probability analysis.
-          (void)parse_number(attr, value);
-        } else if (key == "repl") {
-          const double repl = parse_number(attr, value);
-          if (repl != 1.0) {
-            fail(attr.line, attr.column,
-                 "replicated basic events (repl=" + value +
-                     ") are not supported; expand replicas explicitly");
-          }
-        } else {
-          fail(attr.line, attr.column,
-               "unknown basic-event attribute '" + key + "'");
-        }
-      }
-      if (!have_value) {
-        fail(head.line, head.column,
-             "basic event '" + head.text +
-                 "' needs prob= or lambda=");
-      }
-      if (!events.emplace(head.text, decl).second) {
-        fail(head.line, head.column,
-             "duplicate definition of basic event '" + head.text + "'");
-      }
-      note(head.text);
-      continue;
-    }
-    // Gate statement: NAME OP child child ...
-    if (t.size() >= 3) {
-      const Token& op_tok = t[1];
-      const std::string op = util::to_lower(op_tok.text);
-      GateDecl g;
-      g.line = head.line;
-      g.column = head.column;
-      if (!op_tok.quoted && op == "and") {
-        g.type = ft::NodeType::And;
-      } else if (!op_tok.quoted && op == "or") {
-        g.type = ft::NodeType::Or;
-      } else if (!op_tok.quoted && is_dynamic_gate(op)) {
-        fail(op_tok.line, op_tok.column,
-             "dynamic gate '" + op +
-                 "' is not supported: this analysis covers static fault "
-                 "trees (and/or/k-of-n); model the static envelope or drop "
-                 "the temporal ordering");
-      } else if (auto kofn = !op_tok.quoted ? parse_kofn(op) : std::nullopt) {
-        g.type = ft::NodeType::Vote;
-        g.k = kofn->first;
-        if (kofn->second != t.size() - 2) {
-          fail(op_tok.line, op_tok.column,
-               "gate '" + head.text + "': " + op_tok.text + " declares " +
-                   std::to_string(kofn->second) + " inputs but " +
-                   std::to_string(t.size() - 2) + " children follow");
-        }
-      } else {
-        fail(op_tok.line, op_tok.column,
-             "unknown gate operator '" + op_tok.text + "'");
-      }
-      for (std::size_t c = 2; c < t.size(); ++c) {
-        g.children.push_back(t[c].text);
-      }
-      note(head.text);
-      for (const auto& c : g.children) note(c);
-      if (!gates.emplace(head.text, std::move(g)).second) {
-        fail(head.line, head.column,
-             "duplicate gate definition '" + head.text + "'");
-      }
-      continue;
-    }
-    if (!head.quoted && is_dynamic_gate(util::to_lower(head.text))) {
-      fail(head.line, head.column,
-           "dynamic gate statement '" + head.text + "' is not supported");
-    }
-    fail(head.line, head.column,
-         "unrecognised statement starting with '" + head.text + "'");
-  }
-
-  if (top_name.empty()) fail(1, 1, "missing toplevel statement");
-  if (!gates.count(top_name) && !events.count(top_name)) {
-    fail(top_line, top_column,
-         "toplevel '" + top_name + "' is never defined");
-  }
-  for (const auto& [name, decl] : events) {
-    if (gates.count(name)) {
-      fail(decl.line, decl.column,
-           "'" + name + "' is declared both as a gate and a basic event");
-    }
-  }
-
-  // Names that are referenced but never defined as gates become basic
-  // events (probability 0 unless declared).
-  ft::FaultTree tree;
-  std::unordered_map<std::string, ft::NodeIndex> index;
-  for (const auto& name : appearance) {
-    if (gates.count(name)) continue;
-    const auto decl = events.find(name);
-    const double p = decl == events.end() ? 0.0 : decl->second.probability;
-    try {
-      index.emplace(name, tree.add_basic_event(name, p));
-    } catch (const ft::ValidationError& e) {
-      const auto pos = decl == events.end()
-                           ? std::make_pair<std::size_t, std::size_t>(1, 1)
-                           : std::make_pair(decl->second.line,
-                                            decl->second.column);
-      fail(pos.first, pos.second, e.what());
-    }
-  }
-
-  // Insert gates children-first (iterative DFS with cycle detection).
-  std::unordered_set<std::string> inserting;
-  std::vector<std::pair<std::string, bool>> stack{{top_name, false}};
-  for (const auto& [name, g] : gates) {
-    (void)g;
-    stack.push_back({name, false});
-  }
-  while (!stack.empty()) {
-    auto [name, expanded] = stack.back();
-    stack.pop_back();
-    if (index.count(name)) continue;
-    const auto git = gates.find(name);
-    if (git == gates.end()) continue;
-    const GateDecl& g = git->second;
-    if (expanded) {
-      inserting.erase(name);
-      std::vector<ft::NodeIndex> children;
-      children.reserve(g.children.size());
-      for (const auto& c : g.children) children.push_back(index.at(c));
-      try {
-        if (g.type == ft::NodeType::Vote) {
-          index.emplace(name,
-                        tree.add_vote_gate(name, g.k, std::move(children)));
-        } else {
-          index.emplace(name, tree.add_gate(name, g.type,
-                                            std::move(children)));
-        }
-      } catch (const ft::ValidationError& e) {
-        fail(g.line, g.column, e.what());
-      }
-      continue;
-    }
-    if (!inserting.insert(name).second) {
-      fail(g.line, g.column, "cycle through gate '" + name + "'");
-    }
-    stack.push_back({name, true});
-    for (const auto& c : g.children) {
-      if (!index.count(c)) stack.push_back({c, false});
-    }
-  }
-
-  tree.set_top(index.at(top_name));
-  try {
-    tree.validate();
-  } catch (const ft::ValidationError& e) {
-    fail(top_line == 0 ? 1 : top_line, top_column == 0 ? 1 : top_column,
-         e.what());
-  }
-  return tree;
+  return GalileoReader(text, opts).run();
 }
 
 std::string write_galileo(const ft::FaultTree& tree) {
@@ -418,22 +284,7 @@ std::string write_galileo(const ft::FaultTree& tree) {
     os << quoted(n.name) << " prob=" << format_probability(n.probability)
        << ";\n";
   }
-  // Gates from the top downwards (stable DFS order).
-  std::vector<ft::NodeIndex> stack{tree.top()};
-  std::unordered_set<ft::NodeIndex> visited;
-  std::vector<ft::NodeIndex> gate_order;
-  while (!stack.empty()) {
-    const ft::NodeIndex id = stack.back();
-    stack.pop_back();
-    if (!visited.insert(id).second) continue;
-    const ft::Node& n = tree.node(id);
-    if (n.type == ft::NodeType::BasicEvent) continue;
-    gate_order.push_back(id);
-    for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
-      stack.push_back(*it);
-    }
-  }
-  for (const ft::NodeIndex id : gate_order) {
+  for (const ft::NodeIndex id : tree.gates_top_down()) {
     const ft::Node& n = tree.node(id);
     os << quoted(n.name) << ' ';
     if (n.type == ft::NodeType::Vote) {

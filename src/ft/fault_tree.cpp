@@ -1,8 +1,10 @@
 #include "ft/fault_tree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <unordered_set>
+#include <functional>
+#include <string_view>
 
 namespace fta::ft {
 
@@ -16,15 +18,34 @@ const char* node_type_name(NodeType t) noexcept {
   return "?";
 }
 
-void FaultTree::check_name(const std::string& name) const {
+std::size_t FaultTree::name_slot(const std::string& name) {
   if (name.empty()) throw ValidationError("node name must not be empty");
-  if (by_name_.count(name)) {
-    throw ValidationError("duplicate node name: " + name);
+  if (2 * (nodes_.size() + 1) > name_index_.size()) {
+    rehash_names(std::max<std::size_t>(16, 2 * name_index_.size()));
+  }
+  const std::size_t mask = name_index_.size() - 1;
+  for (std::size_t s = std::hash<std::string_view>{}(name) & mask;;
+       s = (s + 1) & mask) {
+    const NodeIndex i = name_index_[s];
+    if (i == kNoIndex) return s;
+    if (nodes_[i].name == name) {
+      throw ValidationError("duplicate node name: " + name);
+    }
+  }
+}
+
+void FaultTree::rehash_names(std::size_t slots) {
+  name_index_.assign(slots, kNoIndex);
+  const std::size_t mask = slots - 1;
+  for (NodeIndex i = 0; i < nodes_.size(); ++i) {
+    std::size_t s = std::hash<std::string_view>{}(nodes_[i].name) & mask;
+    while (name_index_[s] != kNoIndex) s = (s + 1) & mask;
+    name_index_[s] = i;
   }
 }
 
 NodeIndex FaultTree::add_basic_event(std::string name, double probability) {
-  check_name(name);
+  const std::size_t slot = name_slot(name);
   if (!(probability >= 0.0 && probability <= 1.0)) {
     throw ValidationError("probability of '" + name +
                           "' out of [0,1]: " + std::to_string(probability));
@@ -37,7 +58,7 @@ NodeIndex FaultTree::add_basic_event(std::string name, double probability) {
   nodes_.push_back(std::move(n));
   const auto idx = static_cast<NodeIndex>(nodes_.size() - 1);
   event_nodes_.push_back(idx);
-  by_name_.emplace(nodes_.back().name, idx);
+  name_index_[slot] = idx;
   return idx;
 }
 
@@ -46,7 +67,7 @@ NodeIndex FaultTree::add_gate(std::string name, NodeType type,
   if (type != NodeType::And && type != NodeType::Or) {
     throw ValidationError("add_gate accepts And/Or only");
   }
-  check_name(name);
+  const std::size_t slot = name_slot(name);
   for (NodeIndex c : children) {
     if (c >= nodes_.size()) {
       throw ValidationError("gate '" + name + "' references unknown child");
@@ -58,13 +79,13 @@ NodeIndex FaultTree::add_gate(std::string name, NodeType type,
   n.children = std::move(children);
   nodes_.push_back(std::move(n));
   const auto idx = static_cast<NodeIndex>(nodes_.size() - 1);
-  by_name_.emplace(nodes_.back().name, idx);
+  name_index_[slot] = idx;
   return idx;
 }
 
 NodeIndex FaultTree::add_vote_gate(std::string name, std::uint32_t k,
                                    std::vector<NodeIndex> children) {
-  check_name(name);
+  const std::size_t slot = name_slot(name);
   for (NodeIndex c : children) {
     if (c >= nodes_.size()) {
       throw ValidationError("gate '" + name + "' references unknown child");
@@ -82,8 +103,14 @@ NodeIndex FaultTree::add_vote_gate(std::string name, std::uint32_t k,
   n.children = std::move(children);
   nodes_.push_back(std::move(n));
   const auto idx = static_cast<NodeIndex>(nodes_.size() - 1);
-  by_name_.emplace(nodes_.back().name, idx);
+  name_index_[slot] = idx;
   return idx;
+}
+
+void FaultTree::reserve(std::size_t nodes, std::size_t events) {
+  nodes_.reserve(nodes);
+  event_nodes_.reserve(events);
+  if (2 * nodes > name_index_.size()) rehash_names(std::bit_ceil(2 * nodes));
 }
 
 void FaultTree::validate() const {
@@ -145,8 +172,13 @@ std::vector<double> FaultTree::event_probabilities() const {
 }
 
 NodeIndex FaultTree::find(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? kNoIndex : it->second;
+  if (name_index_.empty()) return kNoIndex;
+  const std::size_t mask = name_index_.size() - 1;
+  for (std::size_t s = std::hash<std::string_view>{}(name) & mask;;
+       s = (s + 1) & mask) {
+    const NodeIndex i = name_index_[s];
+    if (i == kNoIndex || nodes_[i].name == name) return i;
+  }
 }
 
 void FaultTree::set_event_probability(EventIndex e, double probability) {
@@ -215,6 +247,23 @@ TreeStats FaultTree::stats() const {
   }
   s.max_depth = has_top() ? depth[top_] : 0;
   return s;
+}
+
+std::vector<NodeIndex> FaultTree::gates_top_down() const {
+  std::vector<NodeIndex> order;
+  if (!has_top()) return order;
+  std::vector<char> seen(nodes_.size(), 0);
+  std::vector<NodeIndex> stack{top_};
+  while (!stack.empty()) {
+    const NodeIndex id = stack.back();
+    stack.pop_back();
+    const Node& n = nodes_[id];
+    if (seen[id] || n.type == NodeType::BasicEvent) continue;
+    seen[id] = 1;
+    order.push_back(id);
+    stack.insert(stack.end(), n.children.rbegin(), n.children.rend());
+  }
+  return order;
 }
 
 logic::NodeId FaultTree::to_formula(logic::FormulaStore& store,

@@ -17,7 +17,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "logic/formula.hpp"
@@ -76,6 +75,9 @@ class FaultTree {
 
   void set_top(NodeIndex top) { top_ = top; }
 
+  /// Makes room for `nodes` nodes, `events` of them basic events.
+  void reserve(std::size_t nodes, std::size_t events);
+
   /// Checks structural well-formedness: a top is set, the graph is acyclic,
   /// every gate has children, vote thresholds satisfy 1 <= k <= n, names
   /// are unique (enforced at insertion) and probabilities are in range.
@@ -131,6 +133,10 @@ class FaultTree {
 
   TreeStats stats() const;
 
+  /// The gates reachable from the top, in depth-first preorder with each
+  /// gate's inputs left to right: the order the writers list gates in.
+  std::vector<NodeIndex> gates_top_down() const;
+
   // --- conversion ---------------------------------------------------------
 
   /// Builds f(t): the Boolean function of the top event over variables
@@ -144,11 +150,16 @@ class FaultTree {
   logic::NodeId to_formula(logic::FormulaStore& store, NodeIndex root) const;
 
  private:
-  void check_name(const std::string& name) const;
+  /// The free slot of name_index_ for a new node called `name`; throws
+  /// ValidationError when the name is empty or taken.
+  std::size_t name_slot(const std::string& name);
+  void rehash_names(std::size_t slots);
 
   std::vector<Node> nodes_;
   std::vector<NodeIndex> event_nodes_;  // EventIndex -> NodeIndex
-  std::unordered_map<std::string, NodeIndex> by_name_;
+  /// Open addressing from name hash to NodeIndex (kNoIndex = free); at
+  /// most half full. Indices, not views, so copies stay valid.
+  std::vector<NodeIndex> name_index_;
   NodeIndex top_ = kNoIndex;
 };
 

@@ -1,61 +1,110 @@
 #include "ft/json_writer.hpp"
 
-#include <sstream>
-#include <unordered_set>
-
-#include "util/strings.hpp"
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <vector>
 
 namespace fta::ft {
 
 namespace {
 
+/// Appends the Fig. 2 document into one string: no stream, no temporary
+/// per value. Numbers print as printf's %.12g (null when not finite),
+/// which std::to_chars's general format with precision 12 is defined to
+/// match.
 class JsonPrinter {
  public:
-  JsonPrinter(std::ostream& os, int indent) : os_(os), indent_(indent) {}
+  JsonPrinter(std::string& out, int indent)
+      : out_(out), indent_(indent > 0 ? static_cast<std::size_t>(indent) : 0) {}
 
   void open(char bracket) {
-    os_ << bracket;
+    out_ += bracket;
     ++depth_;
     first_ = true;
   }
   void close(char bracket) {
     --depth_;
     newline();
-    os_ << bracket;
+    out_ += bracket;
     first_ = false;
   }
-  void key(const std::string& k) {
+  void key(std::string_view k) {
     comma();
     newline();
-    os_ << '"' << util::json_escape(k) << "\": ";
+    out_ += '"';
+    out_ += k;  // keys are literals without characters to escape
+    out_ += "\": ";
     first_ = true;  // value follows without a comma
   }
   void item() {
     comma();
     newline();
   }
-  void raw(const std::string& v) {
-    os_ << v;
+  void raw(std::string_view v) {
+    out_ += v;
     first_ = false;
   }
-  void str(const std::string& v) { raw('"' + util::json_escape(v) + '"'); }
-  void num(double v) { raw(util::json_number(v)); }
-  void num(std::uint64_t v) { raw(std::to_string(v)); }
+  void str(std::string_view v) {
+    out_ += '"';
+    escape(v);
+    out_ += '"';
+    first_ = false;
+  }
+  void num(double v) {
+    if (!std::isfinite(v)) {
+      raw("null");
+      return;
+    }
+    char buf[32];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, 12);
+    raw(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+  }
+  void num(std::uint64_t v) {
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    raw(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+  }
   void boolean(bool v) { raw(v ? "true" : "false"); }
 
  private:
   void comma() {
-    if (!first_) os_ << ',';
+    if (!first_) out_ += ',';
     first_ = false;
   }
   void newline() {
-    if (indent_ <= 0) return;
-    os_ << '\n' << std::string(static_cast<std::size_t>(depth_ * indent_), ' ');
+    if (indent_ == 0) return;
+    out_ += '\n';
+    out_.append(depth_ * indent_, ' ');
+  }
+  /// util::json_escape, appended in place.
+  void escape(std::string_view s) {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const auto c = static_cast<unsigned char>(s[i]);
+      if (c >= 0x20 && c != '"' && c != '\\') continue;
+      out_.append(s.data() + run, i - run);
+      run = i + 1;
+      switch (c) {
+        case '"': out_ += "\\\""; break;
+        case '\\': out_ += "\\\\"; break;
+        case '\n': out_ += "\\n"; break;
+        case '\r': out_ += "\\r"; break;
+        case '\t': out_ += "\\t"; break;
+        default: {
+          static constexpr char kHex[] = "0123456789abcdef";
+          const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+          out_.append(u, sizeof u);
+        }
+      }
+    }
+    out_.append(s.data() + run, s.size() - run);
   }
 
-  std::ostream& os_;
-  int indent_;
-  int depth_ = 0;
+  std::string& out_;
+  std::size_t indent_;
+  std::size_t depth_ = 0;
   bool first_ = true;
 };
 
@@ -63,13 +112,16 @@ class JsonPrinter {
 
 std::string to_json(const FaultTree& tree,
                     const std::optional<JsonSolution>& solution, int indent) {
-  std::ostringstream os;
-  JsonPrinter p(os, indent);
+  std::string out;
+  // About 60 bytes per node plus its names, with room for indentation.
+  out.reserve(tree.num_nodes() *
+              (72 + 6 * static_cast<std::size_t>(std::max(indent, 0))));
+  JsonPrinter p(out, indent);
 
-  std::unordered_set<EventIndex> in_mpmcs;
+  std::vector<bool> in_mpmcs;
   if (solution) {
-    in_mpmcs.insert(solution->mpmcs.events().begin(),
-                    solution->mpmcs.events().end());
+    in_mpmcs.assign(tree.num_events(), false);
+    for (const EventIndex e : solution->mpmcs.events()) in_mpmcs.at(e) = true;
   }
 
   p.open('{');
@@ -93,7 +145,7 @@ std::string to_json(const FaultTree& tree,
       p.num(n.probability);
       if (solution) {
         p.key("inMpmcs");
-        p.boolean(in_mpmcs.count(n.event_index) > 0);
+        p.boolean(in_mpmcs[n.event_index]);
       }
     }
     if (n.type == NodeType::Vote) {
@@ -135,8 +187,8 @@ std::string to_json(const FaultTree& tree,
   }
 
   p.close('}');
-  os << '\n';
-  return os.str();
+  out += '\n';
+  return out;
 }
 
 }  // namespace fta::ft

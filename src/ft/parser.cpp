@@ -1,299 +1,18 @@
 #include "ft/parser.hpp"
 
-#include <cctype>
-#include <istream>
-#include <map>
-#include <optional>
-#include <sstream>
-#include <unordered_map>
-#include <unordered_set>
-
-#include "util/strings.hpp"
+#include "format/format.hpp"
+#include "format/galileo.hpp"
 
 namespace fta::ft {
 
-namespace {
-
-struct Statement {
-  std::size_t line;
-  std::vector<std::string> tokens;
-};
-
-/// Splits the document into ';'-terminated statements with comments
-/// stripped; tokens may be double-quoted.
-std::vector<Statement> tokenize(std::istream& is) {
-  std::vector<Statement> statements;
-  Statement current;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    // Strip comments.
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      if (line[i] == '#' ||
-          (line[i] == '/' && i + 1 < line.size() && line[i + 1] == '/')) {
-        line.resize(i);
-        break;
-      }
-    }
-    std::size_t i = 0;
-    while (i < line.size()) {
-      const char c = line[i];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++i;
-        continue;
-      }
-      if (c == ';') {
-        if (!current.tokens.empty()) {
-          statements.push_back(std::move(current));
-          current = {};
-        }
-        ++i;
-        continue;
-      }
-      if (current.tokens.empty()) current.line = lineno;
-      if (c == '"') {
-        const std::size_t end = line.find('"', i + 1);
-        if (end == std::string::npos) {
-          throw ParseError(lineno, "unterminated quoted name");
-        }
-        current.tokens.push_back(line.substr(i + 1, end - i - 1));
-        i = end + 1;
-      } else {
-        std::size_t j = i;
-        while (j < line.size() && line[j] != ';' && line[j] != '"' &&
-               !std::isspace(static_cast<unsigned char>(line[j]))) {
-          ++j;
-        }
-        current.tokens.push_back(line.substr(i, j - i));
-        i = j;
-      }
-    }
-  }
-  if (!current.tokens.empty()) {
-    throw ParseError(current.line, "statement not terminated by ';'");
-  }
-  return statements;
-}
-
-/// Parses "KofN" tokens such as "2of3"; returns (k, n).
-std::optional<std::pair<std::uint32_t, std::uint32_t>> parse_kofn(
-    const std::string& token) {
-  const std::size_t pos = token.find("of");
-  if (pos == std::string::npos || pos == 0 || pos + 2 >= token.size()) {
-    return std::nullopt;
-  }
-  std::uint32_t k = 0;
-  std::uint32_t n = 0;
-  for (std::size_t i = 0; i < pos; ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(token[i]))) return std::nullopt;
-    k = k * 10 + static_cast<std::uint32_t>(token[i] - '0');
-  }
-  for (std::size_t i = pos + 2; i < token.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(token[i]))) return std::nullopt;
-    n = n * 10 + static_cast<std::uint32_t>(token[i] - '0');
-  }
-  return std::make_pair(k, n);
-}
-
-struct GateDecl {
-  std::size_t line;
-  NodeType type;
-  std::uint32_t k = 0;
-  std::vector<std::string> children;
-};
-
-}  // namespace
-
-FaultTree parse_fault_tree(std::istream& is) {
-  const auto statements = tokenize(is);
-
-  std::string top_name;
-  std::size_t top_line = 0;
-  // Ordered so that node creation (and thus EventIndex assignment) is
-  // deterministic and matches first appearance in the document.
-  std::vector<std::string> appearance;
-  std::unordered_set<std::string> seen;
-  auto note = [&](const std::string& name) {
-    if (seen.insert(name).second) appearance.push_back(name);
-  };
-
-  std::unordered_map<std::string, GateDecl> gates;
-  std::unordered_map<std::string, double> probs;
-
-  for (const auto& st : statements) {
-    const auto& t = st.tokens;
-    if (t[0] == "toplevel") {
-      if (t.size() != 2) throw ParseError(st.line, "toplevel expects one name");
-      if (!top_name.empty()) throw ParseError(st.line, "duplicate toplevel");
-      top_name = t[1];
-      top_line = st.line;
-      note(top_name);
-      continue;
-    }
-    if (t.size() >= 2 && util::starts_with(t[1], "prob=")) {
-      if (t.size() != 2) throw ParseError(st.line, "malformed prob statement");
-      const std::string value = t[1].substr(5);
-      try {
-        std::size_t used = 0;
-        const double p = std::stod(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        if (!probs.emplace(t[0], p).second) {
-          throw ParseError(st.line, "duplicate probability for '" + t[0] + "'");
-        }
-      } catch (const ParseError&) {
-        throw;
-      } catch (const std::exception&) {
-        throw ParseError(st.line, "bad probability value '" + value + "'");
-      }
-      note(t[0]);
-      continue;
-    }
-    if (t.size() >= 3) {
-      GateDecl g;
-      g.line = st.line;
-      const std::string op = util::to_lower(t[1]);
-      if (op == "and") {
-        g.type = NodeType::And;
-      } else if (op == "or") {
-        g.type = NodeType::Or;
-      } else if (auto kofn = parse_kofn(op)) {
-        g.type = NodeType::Vote;
-        g.k = kofn->first;
-        if (kofn->second != t.size() - 2) {
-          throw ParseError(st.line, "gate '" + t[0] + "': " + t[1] +
-                                        " does not match child count");
-        }
-      } else {
-        throw ParseError(st.line, "unknown gate operator '" + t[1] + "'");
-      }
-      g.children.assign(t.begin() + 2, t.end());
-      note(t[0]);
-      for (const auto& c : g.children) note(c);
-      if (!gates.emplace(t[0], std::move(g)).second) {
-        throw ParseError(st.line, "duplicate gate definition '" + t[0] + "'");
-      }
-      continue;
-    }
-    throw ParseError(st.line, "unrecognised statement starting with '" +
-                                  t[0] + "'");
-  }
-
-  if (top_name.empty()) throw ParseError(1, "missing toplevel statement");
-  if (!gates.count(top_name) && !probs.count(top_name)) {
-    throw ParseError(top_line, "toplevel '" + top_name + "' is never defined");
-  }
-
-  // Every name that is not a gate is a basic event.
-  FaultTree tree;
-  std::unordered_map<std::string, NodeIndex> index;
-  for (const auto& name : appearance) {
-    if (gates.count(name)) continue;
-    const double p = probs.count(name) ? probs.at(name) : 0.0;
-    try {
-      index.emplace(name, tree.add_basic_event(name, p));
-    } catch (const ValidationError& e) {
-      throw ParseError(1, e.what());
-    }
-  }
-  for (const auto& [name, p] : probs) {
-    if (gates.count(name)) {
-      throw ParseError(gates.at(name).line,
-                       "'" + name + "' is a gate but has a probability");
-    }
-    (void)p;
-  }
-
-  // Insert gates children-first (iterative DFS with cycle detection; real
-  // cycles are re-checked by validate(), this guards the insertion order).
-  std::unordered_set<std::string> inserting;
-  std::vector<std::pair<std::string, bool>> stack{{top_name, false}};
-  // Gates unreachable from the top still need inserting for completeness.
-  for (const auto& [name, g] : gates) {
-    (void)g;
-    stack.push_back({name, false});
-  }
-  while (!stack.empty()) {
-    auto [name, expanded] = stack.back();
-    stack.pop_back();
-    if (index.count(name)) continue;
-    const auto git = gates.find(name);
-    if (git == gates.end()) continue;  // events already inserted
-    const GateDecl& g = git->second;
-    if (expanded) {
-      inserting.erase(name);
-      std::vector<NodeIndex> children;
-      children.reserve(g.children.size());
-      for (const auto& c : g.children) children.push_back(index.at(c));
-      try {
-        if (g.type == NodeType::Vote) {
-          index.emplace(name, tree.add_vote_gate(name, g.k, std::move(children)));
-        } else {
-          index.emplace(name, tree.add_gate(name, g.type, std::move(children)));
-        }
-      } catch (const ValidationError& e) {
-        throw ParseError(g.line, e.what());
-      }
-      continue;
-    }
-    if (!inserting.insert(name).second) {
-      throw ParseError(g.line, "cycle through gate '" + name + "'");
-    }
-    stack.push_back({name, true});
-    for (const auto& c : g.children) {
-      if (!index.count(c)) stack.push_back({c, false});
-    }
-  }
-
-  tree.set_top(index.at(top_name));
-  tree.validate();
-  return tree;
-}
-
 FaultTree parse_fault_tree(const std::string& text) {
-  std::istringstream is(text);
-  return parse_fault_tree(is);
+  try {
+    return format::parse_galileo(text);
+  } catch (const format::ParseError& e) {
+    throw ParseError(e.line(), e.detail());
+  }
 }
 
-std::string to_text(const FaultTree& tree) {
-  std::ostringstream os;
-  auto quoted = [](const std::string& name) {
-    return name.find_first_of(" \t;\"") == std::string::npos ? name
-                                                             : '"' + name + '"';
-  };
-  os << "toplevel " << quoted(tree.node(tree.top()).name) << ";\n";
-  // Gates from the top downwards (stable DFS order).
-  std::vector<NodeIndex> stack{tree.top()};
-  std::unordered_set<NodeIndex> visited;
-  std::vector<NodeIndex> gate_order;
-  while (!stack.empty()) {
-    const NodeIndex id = stack.back();
-    stack.pop_back();
-    if (!visited.insert(id).second) continue;
-    const Node& n = tree.node(id);
-    if (n.type == NodeType::BasicEvent) continue;
-    gate_order.push_back(id);
-    for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
-      stack.push_back(*it);
-    }
-  }
-  for (NodeIndex id : gate_order) {
-    const Node& n = tree.node(id);
-    os << quoted(n.name) << ' ';
-    if (n.type == NodeType::Vote) {
-      os << n.k << "of" << n.children.size();
-    } else {
-      os << node_type_name(n.type);
-    }
-    for (NodeIndex c : n.children) os << ' ' << quoted(tree.node(c).name);
-    os << ";\n";
-  }
-  for (EventIndex e = 0; e < tree.num_events(); ++e) {
-    const Node& n = tree.event(e);
-    os << quoted(n.name) << " prob=" << util::format_double(n.probability)
-       << ";\n";
-  }
-  return os.str();
-}
+std::string to_text(const FaultTree& tree) { return format::to_galileo(tree); }
 
 }  // namespace fta::ft

@@ -10,10 +10,10 @@
 // Statements end with ';'. '//' and '#' start comments. Gates may be
 // declared before or after their children; events default to probability 0
 // unless a `prob=` statement provides one. Names may be quoted with double
-// quotes to include spaces.
+// quotes to include spaces. The grammar is a subset of Galileo's, and the
+// Galileo reader (format/galileo) reads it.
 #pragma once
 
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 
@@ -32,12 +32,14 @@ class ParseError : public std::runtime_error {
   std::size_t line_;
 };
 
-/// Parses a fault-tree document; the result is validated.
-FaultTree parse_fault_tree(std::istream& is);
+/// Parses a fault-tree document with the Galileo reader; the result is
+/// validated. Every defect throws ParseError with its line.
 FaultTree parse_fault_tree(const std::string& text);
 
-/// Serialises a tree back to the text format (stable output; gates in
-/// topological order from the top, then events with probabilities).
+/// Serialises a tree back to the text format: format::to_galileo, whose
+/// events come first in EventIndex order with round-trip probabilities, so
+/// parsing the text restores the tree's EventIndex order and every
+/// probability bit for bit.
 std::string to_text(const FaultTree& tree);
 
 }  // namespace fta::ft

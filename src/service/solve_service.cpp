@@ -7,7 +7,6 @@
 
 #include "format/format.hpp"
 #include "ft/parser.hpp"
-#include "ft/openpsa.hpp"
 #include "ft/tree_delta.hpp"
 #include "sat/solver.hpp"
 #include "util/failpoint.hpp"

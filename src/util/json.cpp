@@ -1,261 +1,289 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cstdlib>
-#include <cstring>
 
 namespace fta::util {
 
-class JsonParser {
- public:
-  JsonParser(std::string_view text, std::size_t max_depth)
-      : text_(text), max_depth_(max_depth) {}
+namespace {
 
-  JsonValue run() {
-    JsonValue v = parse_value(0);
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
+void append_utf8(std::string& out, std::uint32_t cp) {
+  if (cp < 0x80) {
+    out.push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
   }
+}
 
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw JsonError(pos_, message);
+}  // namespace
+
+void JsonReader::skip_ws() {
+  while (!eof()) {
+    const char c = peek();
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos_;
   }
+}
 
-  bool eof() const noexcept { return pos_ >= text_.size(); }
-  char peek() const { return text_[pos_]; }
+char JsonReader::value(std::size_t depth) {
+  if (depth > max_depth_) fail("nesting too deep");
+  skip_ws();
+  if (eof()) fail("unexpected end of document");
+  return peek();
+}
 
-  void skip_ws() {
-    while (!eof()) {
-      const char c = peek();
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
+bool JsonReader::open() {
+  const char close = peek() == '{' ? '}' : ']';
+  ++pos_;
+  skip_ws();
+  if (!eof() && peek() == close) {
+    ++pos_;
+    return false;
   }
+  return true;
+}
 
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
+std::string_view JsonReader::key(std::string& scratch) {
+  skip_ws();
+  if (eof() || peek() != '"') fail("expected object key");
+  const std::string_view k = string(scratch);
+  skip_ws();
+  if (eof() || peek() != ':') fail("expected ':' after key");
+  ++pos_;
+  return k;
+}
+
+bool JsonReader::next(char close) {
+  const char* kind = close == '}' ? "object" : "array";
+  skip_ws();
+  if (eof()) fail(std::string("unterminated ") + kind);
+  if (peek() == ',') {
+    ++pos_;
     return true;
   }
-
-  JsonValue parse_value(std::size_t depth) {
-    if (depth > max_depth_) fail("nesting too deep");
-    skip_ws();
-    if (eof()) fail("unexpected end of document");
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': {
-        JsonValue v;
-        v.type_ = JsonValue::Type::String;
-        v.str_ = parse_string();
-        return v;
-      }
-      case 't':
-        if (!consume_literal("true")) fail("invalid literal");
-        {
-          JsonValue v;
-          v.type_ = JsonValue::Type::Bool;
-          v.bool_ = true;
-          return v;
-        }
-      case 'f':
-        if (!consume_literal("false")) fail("invalid literal");
-        {
-          JsonValue v;
-          v.type_ = JsonValue::Type::Bool;
-          return v;
-        }
-      case 'n':
-        if (!consume_literal("null")) fail("invalid literal");
-        return JsonValue();
-      default: return parse_number();
-    }
+  if (peek() == close) {
+    ++pos_;
+    return false;
   }
+  fail(std::string("expected ',' or '") + close + "' in " + kind);
+}
 
-  JsonValue parse_object(std::size_t depth) {
-    JsonValue v;
-    v.type_ = JsonValue::Type::Object;
-    ++pos_;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      if (eof() || peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      skip_ws();
-      if (eof() || peek() != ':') fail("expected ':' after key");
-      ++pos_;
-      v.obj_.emplace_back(std::move(key), parse_value(depth + 1));
-      skip_ws();
-      if (eof()) fail("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
+void JsonReader::literal(std::string_view word) {
+  if (text_.substr(pos_, word.size()) != word) fail("invalid literal");
+  pos_ += word.size();
+}
+
+void JsonReader::finish() {
+  skip_ws();
+  if (!eof()) fail("trailing characters after document");
+}
+
+void JsonReader::skip(std::size_t depth) {
+  switch (value(depth)) {
+    case '{':
+      if (open()) {
+        do {
+          key(scratch_);
+          skip(depth + 1);
+        } while (next('}'));
       }
-      if (peek() == '}') {
-        ++pos_;
-        return v;
+      return;
+    case '[':
+      if (open()) {
+        do {
+          skip(depth + 1);
+        } while (next(']'));
       }
-      fail("expected ',' or '}' in object");
-    }
+      return;
+    case '"': string(scratch_); return;
+    case 't': literal("true"); return;
+    case 'f': literal("false"); return;
+    case 'n': literal("null"); return;
+    default: number_text(); return;
   }
+}
 
-  JsonValue parse_array(std::size_t depth) {
-    JsonValue v;
-    v.type_ = JsonValue::Type::Array;
-    ++pos_;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.arr_.push_back(parse_value(depth + 1));
-      skip_ws();
-      if (eof()) fail("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      fail("expected ',' or ']' in array");
-    }
+std::uint32_t JsonReader::hex4() {
+  if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+  std::uint32_t value = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = text_[pos_++];
+    value <<= 4;
+    if (c >= '0' && c <= '9') value |= static_cast<std::uint32_t>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      value |= static_cast<std::uint32_t>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F')
+      value |= static_cast<std::uint32_t>(c - 'A' + 10);
+    else fail("invalid \\u escape");
   }
+  return value;
+}
 
-  void append_utf8(std::string& out, std::uint32_t cp) {
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+std::string_view JsonReader::string(std::string& scratch) {
+  ++pos_;  // '"'
+  // Most strings have no escape: hand out a view of the document.
+  const std::size_t start = pos_;
+  std::size_t i = pos_;
+  while (i < text_.size()) {
+    const char c = text_[i];
+    if (c == '"') {
+      pos_ = i + 1;
+      return text_.substr(start, i - start);
     }
+    if (c == '\\' || static_cast<unsigned char>(c) < 0x20) break;
+    ++i;
   }
-
-  std::uint32_t parse_hex4() {
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_++];
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<std::uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f')
-        value |= static_cast<std::uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F')
-        value |= static_cast<std::uint32_t>(c - 'A' + 10);
-      else fail("invalid \\u escape");
+  scratch.assign(text_.data() + start, i - start);
+  pos_ = i;
+  while (true) {
+    if (eof()) fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return scratch;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      fail("unescaped control character in string");
     }
-    return value;
-  }
-
-  std::string parse_string() {
-    ++pos_;  // '"'
-    std::string out;
-    while (true) {
-      if (eof()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (eof()) fail("truncated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          std::uint32_t cp = parse_hex4();
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // High surrogate: a low surrogate must follow.
-            if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
-                text_[pos_ + 1] != 'u') {
-              fail("unpaired surrogate");
-            }
-            pos_ += 2;
-            const std::uint32_t low = parse_hex4();
-            if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+    if (c != '\\') {
+      scratch.push_back(c);
+      continue;
+    }
+    if (eof()) fail("truncated escape");
+    const char e = text_[pos_++];
+    switch (e) {
+      case '"': scratch.push_back('"'); break;
+      case '\\': scratch.push_back('\\'); break;
+      case '/': scratch.push_back('/'); break;
+      case 'b': scratch.push_back('\b'); break;
+      case 'f': scratch.push_back('\f'); break;
+      case 'n': scratch.push_back('\n'); break;
+      case 'r': scratch.push_back('\r'); break;
+      case 't': scratch.push_back('\t'); break;
+      case 'u': {
+        std::uint32_t cp = hex4();
+        if (cp >= 0xD800 && cp <= 0xDBFF) {
+          // High surrogate: a low surrogate must follow.
+          if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
+              text_[pos_ + 1] != 'u') {
             fail("unpaired surrogate");
           }
-          append_utf8(out, cp);
-          break;
+          pos_ += 2;
+          const std::uint32_t low = hex4();
+          if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
+          cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+        } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+          fail("unpaired surrogate");
         }
-        default: fail("invalid escape");
+        append_utf8(scratch, cp);
+        break;
       }
+      default: fail("invalid escape");
     }
   }
+}
 
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    bool digits = false;
+std::string_view JsonReader::number_text() {
+  const std::size_t start = pos_;
+  if (!eof() && peek() == '-') ++pos_;
+  bool digits = false;
+  while (!eof() && peek() >= '0' && peek() <= '9') {
+    ++pos_;
+    digits = true;
+  }
+  if (!digits) fail("invalid number");
+  if (!eof() && peek() == '.') {
+    ++pos_;
+    bool frac = false;
     while (!eof() && peek() >= '0' && peek() <= '9') {
       ++pos_;
-      digits = true;
+      frac = true;
     }
-    if (!digits) fail("invalid number");
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      bool frac = false;
-      while (!eof() && peek() >= '0' && peek() <= '9') {
-        ++pos_;
-        frac = true;
-      }
-      if (!frac) fail("invalid number: bare decimal point");
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      bool exp = false;
-      while (!eof() && peek() >= '0' && peek() <= '9') {
-        ++pos_;
-        exp = true;
-      }
-      if (!exp) fail("invalid number: empty exponent");
-    }
-    // The slice is a validated JSON number: strtod cannot overrun it.
-    const std::string slice(text_.substr(start, pos_ - start));
-    JsonValue v;
-    v.type_ = JsonValue::Type::Number;
-    v.number_ = std::strtod(slice.c_str(), nullptr);
-    return v;
+    if (!frac) fail("invalid number: bare decimal point");
   }
+  if (!eof() && (peek() == 'e' || peek() == 'E')) {
+    ++pos_;
+    if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
+    bool exp = false;
+    while (!eof() && peek() >= '0' && peek() <= '9') {
+      ++pos_;
+      exp = true;
+    }
+    if (!exp) fail("invalid number: empty exponent");
+  }
+  return text_.substr(start, pos_ - start);
+}
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t max_depth_;
-};
+double JsonReader::number() {
+  // The slice is a validated JSON number: from_chars reads it as strtod
+  // would (both round correctly) unless it is out of range, and strtod
+  // then gives the same zero or infinity it always gave.
+  const std::string_view slice = number_text();
+  double v = 0.0;
+  const auto [stop, ec] =
+      std::from_chars(slice.data(), slice.data() + slice.size(), v);
+  if (ec == std::errc() && stop == slice.data() + slice.size()) return v;
+  return std::strtod(std::string(slice).c_str(), nullptr);
+}
+
+JsonValue JsonValue::parse_value(JsonReader& reader, std::size_t depth,
+                                 std::string& scratch) {
+  JsonValue v;
+  switch (reader.value(depth)) {
+    case '{':
+      v.type_ = Type::Object;
+      if (reader.open()) {
+        do {
+          std::string key(reader.key(scratch));
+          v.obj_.emplace_back(std::move(key),
+                              parse_value(reader, depth + 1, scratch));
+        } while (reader.next('}'));
+      }
+      return v;
+    case '[':
+      v.type_ = Type::Array;
+      if (reader.open()) {
+        do {
+          v.arr_.push_back(parse_value(reader, depth + 1, scratch));
+        } while (reader.next(']'));
+      }
+      return v;
+    case '"':
+      v.type_ = Type::String;
+      v.str_ = reader.string(scratch);
+      return v;
+    case 't':
+      reader.literal("true");
+      v.type_ = Type::Bool;
+      v.bool_ = true;
+      return v;
+    case 'f':
+      reader.literal("false");
+      v.type_ = Type::Bool;
+      return v;
+    case 'n':
+      reader.literal("null");
+      return v;
+    default:
+      v.type_ = Type::Number;
+      v.number_ = reader.number();
+      return v;
+  }
+}
 
 JsonValue JsonValue::parse(std::string_view text, std::size_t max_depth) {
-  return JsonParser(text, max_depth).run();
+  JsonReader reader(text, max_depth);
+  std::string scratch;
+  JsonValue v = parse_value(reader, 0, scratch);
+  reader.finish();
+  return v;
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const noexcept {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -27,6 +28,60 @@ class JsonError : public std::runtime_error {
 
  private:
   std::size_t offset_;
+};
+
+/// The JSON tokenizer under JsonValue::parse, for readers that walk a
+/// document without a JsonValue per node. A value starts with value(),
+/// whose first character says what follows: '{' and '[' open a container
+/// (open, then key for objects and next after each member), '"' a string,
+/// 't', 'f' and 'n' a literal, anything else a number. Every method
+/// throws JsonError at the offending byte.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text, std::size_t max_depth = 64)
+      : text_(text), max_depth_(max_depth) {}
+
+  /// Starts a value nested `depth` containers deep: checks the depth,
+  /// skips whitespace and returns the value's first character.
+  char value(std::size_t depth);
+
+  /// Consumes the '{' or '[' at hand; false when the container is empty.
+  bool open();
+  /// After a member or item: true when another follows, false after the
+  /// container's closing '}' or ']' (`close`).
+  bool next(char close);
+  /// A member's key, with its ':' consumed. The view is into the document,
+  /// or into `scratch` when the key had escapes.
+  std::string_view key(std::string& scratch);
+
+  /// A string value; the view is as for key().
+  std::string_view string(std::string& scratch);
+  /// A number value, read as strtod reads it.
+  double number();
+  /// Consumes `word` ("true", "false" or "null").
+  void literal(std::string_view word);
+  /// Skips one value of any kind nested `depth` containers deep.
+  void skip(std::size_t depth);
+  /// Fails unless only whitespace remains.
+  void finish();
+
+  /// Byte offset of the next unread character.
+  std::size_t offset() const noexcept { return pos_; }
+  [[noreturn]] void fail(const std::string& message) const {
+    throw JsonError(pos_, message);
+  }
+
+ private:
+  bool eof() const noexcept { return pos_ >= text_.size(); }
+  char peek() const { return text_[pos_]; }
+  void skip_ws();
+  std::uint32_t hex4();
+  std::string_view number_text();
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::size_t max_depth_;
+  std::string scratch_;  ///< skip()'s strings.
 };
 
 class JsonValue {
@@ -68,7 +123,9 @@ class JsonValue {
   static JsonValue make_null() { return JsonValue(); }
 
  private:
-  friend class JsonParser;
+  /// One value of `reader`, nested `depth` containers deep.
+  static JsonValue parse_value(JsonReader& reader, std::size_t depth,
+                               std::string& scratch);
 
   void expect(Type t) const {
     if (type_ != t) throw JsonError(0, "unexpected value type");

@@ -7,7 +7,7 @@
 //   * the line (and column, where one is given) each reader reports for a
 //     table of malformed documents.
 // A mismatch prints the value the current code produces, and a Fig. 2
-// mismatch writes the current document next to the test's temp dir.
+// mismatch writes the current document into the test's temp dir.
 
 #include <algorithm>
 #include <bit>
@@ -550,14 +550,17 @@ std::vector<Malformed> malformed_table() {
       // Which of the two gates the cycle names is not pinned.
       {"galileo", "toplevel A;\nA or B x; B or A y;\n", 2, 0},
 
-      // Open-PSA: XML syntax, then the MEF mapping.
+      // Open-PSA: XML syntax, then the MEF mapping. The DOM reader gave
+      // no column for mapping defects, and no position at all for an
+      // out-of-range probability or an empty connective; those columns
+      // and the last two rows' lines are the pull reader's.
       {"openpsa", "", 1, 1},
       {"openpsa", "<opsa-mef>", 1, 11},
       {"openpsa", fault_tree + "</opsa-mef>\n", 3, 11},
       {"openpsa", "<opsa-mef\n x=1/>", 2, 5},
       {"openpsa", "<opsa-mef x=\"1\" x=\"2\"/>", 1, 22},
       {"openpsa", "<opsa-mef x=\"1/>", 1, 17},
-      {"openpsa", "<opsa-mef/>\n<b/>", 2, 0},
+      {"openpsa", "<opsa-mef/>\n<b/>", 2, 1},
       {"openpsa", "<opsa-mef><!-- x </opsa-mef>", 1, 15},
       {"openpsa", "<?xml version=\"1.0\"\n<opsa-mef/>", 1, 1},
       {"openpsa", fault_tree + gate_g + end_tree + "</opsa-mef\n", 6, 1},
@@ -568,61 +571,61 @@ std::vector<Malformed> malformed_table() {
                   "<basic-event name=\"a\"/></or></define-gate>\n" + end_tree +
                   "</opsa-mef>\n<!-- trailing", 7, 5},
       {"openpsa", "<!DOCTYPE x>\n<opsa-mef/>", 1, 2},
-      {"openpsa", "\n<foo/>", 2, 0},
-      {"openpsa", "<opsa-mef>\n</opsa-mef>", 1, 0},
+      {"openpsa", "\n<foo/>", 2, 1},
+      {"openpsa", "<opsa-mef>\n</opsa-mef>", 1, 1},
       {"openpsa", fault_tree + "<define-gate>\n<or/></define-gate>\n" +
-                  end_tree + "</opsa-mef>", 3, 0},
+                  end_tree + "</opsa-mef>", 3, 1},
       {"openpsa", fault_tree + "<define-gate name=\"g\">\n<or/><and/>"
-                  "</define-gate>\n" + end_tree + "</opsa-mef>", 3, 0},
+                  "</define-gate>\n" + end_tree + "</opsa-mef>", 3, 1},
       {"openpsa", fault_tree + "<define-gate name=\"g\">\n<xor>"
                   "<basic-event name=\"a\"/></xor></define-gate>\n" +
-                  end_tree + "</opsa-mef>", 4, 0},
+                  end_tree + "</opsa-mef>", 4, 1},
       {"openpsa", fault_tree + "<define-gate name=\"g\">\n<atleast>"
                   "<basic-event name=\"a\"/></atleast></define-gate>\n" +
-                  end_tree + "</opsa-mef>", 4, 0},
+                  end_tree + "</opsa-mef>", 4, 1},
       {"openpsa", fault_tree + "<define-gate name=\"g\">\n<atleast min=\"x\">"
                   "<basic-event name=\"a\"/></atleast></define-gate>\n" +
-                  end_tree + "</opsa-mef>", 4, 0},
+                  end_tree + "</opsa-mef>", 4, 1},
       {"openpsa", fault_tree + "<define-gate name=\"g\"><or>\n<foo/>"
-                  "</or></define-gate>\n" + end_tree + "</opsa-mef>", 4, 0},
+                  "</or></define-gate>\n" + end_tree + "</opsa-mef>", 4, 1},
       {"openpsa", fault_tree + "<define-gate name=\"g\"><or>\n<gate/>"
-                  "</or></define-gate>\n" + end_tree + "</opsa-mef>", 4, 0},
+                  "</or></define-gate>\n" + end_tree + "</opsa-mef>", 4, 1},
       {"openpsa", fault_tree + gate_g + "\n" + gate_g + end_tree +
-                  "</opsa-mef>", 5, 0},
+                  "</opsa-mef>", 5, 23},
       {"openpsa", "<opsa-mef>\n\n<define-fault-tree name=\"t\"/></opsa-mef>",
-       3, 0},
+       3, 1},
       {"openpsa", fault_tree + gate_g + end_tree +
                   "<model-data>\n<define-basic-event name=\"a\"/>\n"
-                  "</model-data></opsa-mef>", 6, 0},
+                  "</model-data></opsa-mef>", 6, 1},
       {"openpsa", fault_tree + gate_g + end_tree +
                   "<model-data>\n<define-basic-event name=\"a\">\n<float/>"
-                  "</define-basic-event></model-data></opsa-mef>", 7, 0},
+                  "</define-basic-event></model-data></opsa-mef>", 7, 1},
       {"openpsa", fault_tree + gate_g + end_tree +
                   "<model-data>\n<define-basic-event name=\"a\">\n"
                   "<float value=\"abc\"/></define-basic-event></model-data>"
-                  "</opsa-mef>", 7, 0},
+                  "</opsa-mef>", 7, 1},
       {"openpsa", fault_tree + gate_g + end_tree +
                   "<model-data>\n<define-basic-event name=\"a\"><float "
                   "value=\"0.1\"/></define-basic-event>\n<define-basic-event "
                   "name=\"a\"><float value=\"0.2\"/></define-basic-event>"
-                  "</model-data></opsa-mef>", 7, 0},
+                  "</model-data></opsa-mef>", 7, 1},
       {"openpsa", fault_tree + "<define-gate name=\"a\"><or><gate name=\"b\"/>"
                   "</or></define-gate>\n<define-gate name=\"b\">\n<or><gate "
                   "name=\"a\"/></or></define-gate>\n" + end_tree +
-                  "</opsa-mef>", 3, 0},
+                  "</opsa-mef>", 3, 23},
       {"openpsa", fault_tree + "<define-gate name=\"g\">\n<atleast min=\"3\">"
                   "<basic-event name=\"a\"/><basic-event name=\"b\"/>"
                   "</atleast></define-gate>\n" + end_tree + "</opsa-mef>",
-       4, 0},
+       4, 1},
       {"openpsa", fault_tree + "<define-gate name=\"g\">\n<atleast min=\"0\">"
                   "<basic-event name=\"a\"/></atleast></define-gate>\n" +
-                  end_tree + "</opsa-mef>", 4, 0},
+                  end_tree + "</opsa-mef>", 4, 1},
       {"openpsa", fault_tree + gate_g + end_tree +
                   "<model-data>\n<define-basic-event name=\"a\"><float "
                   "value=\"1.5\"/></define-basic-event>\n</model-data>"
-                  "</opsa-mef>", 0, 0},
+                  "</opsa-mef>", 6, 30},
       {"openpsa", fault_tree + "<define-gate name=\"g\">\n<or></or>"
-                  "</define-gate>\n" + end_tree + "</opsa-mef>", 0, 0},
+                  "</define-gate>\n" + end_tree + "</opsa-mef>", 4, 1},
 
       // JSON: syntax errors carry the tokenizer's position.
       {"json", "{\"top\": \"T\",\n \"nodes\": [\n", 3, 1},
@@ -630,7 +633,8 @@ std::vector<Malformed> malformed_table() {
       {"json", "{\"top\": \"T\"\n \"nodes\": []}", 2, 2},
       {"json", "{\"top\": \"T\",\n \"nodes\": [{\"id\": \"a\\q\"}]}", 2, 23},
       {"json", "{\"top\": tru}", 1, 9},
-      {"json", "{\"top\": \"T\", \"nodes\": [01]}", 1, 1},
+      // The tokenizer reads 01 as a number: a schema error, at the entry.
+      {"json", "{\"top\": \"T\", \"nodes\": [01]}", 1, 24},
       {"json", "{\"top\": \"T\", \"nodes\": []}\n x", 2, 2},
       {"json", "{\"top\": \"T\", \"nodes\": [{\"id\": \"a\", \"prob\": -}]}",
        1, 45},
@@ -639,38 +643,42 @@ std::vector<Malformed> malformed_table() {
       {"json", "[]", 1, 1},
       {"json", "{\"nodes\": []}", 1, 1},
       {"json", "{\"top\": \"T\"}", 1, 1},
-      {"json", "{\"top\": 3, \"nodes\": []}", 1, 1},
-      // JSON schema errors.
-      {"json", "{\"top\": \"T\", \"nodes\": [\n  3\n]}", 1, 1},
-      {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"type\": \"or\"}\n]}", 1, 1},
+      {"json", "{\"top\": 3, \"nodes\": []}", 1, 9},
+      // JSON schema errors sit at the offending node, member or child (the
+      // DOM reader put every one at line 1, column 1).
+      {"json", "{\"top\": \"T\", \"nodes\": [\n  3\n]}", 2, 3},
+      {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"type\": \"or\"}\n]}", 2, 3},
       {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
-               "\"event\"},\n  {\"id\": \"a\", \"type\": \"event\"}\n]}", 1, 1},
+               "\"event\"},\n  {\"id\": \"a\", \"type\": \"event\"}\n]}", 3, 3},
       {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"id\": \"T\", \"type\": "
-               "\"xor\"}\n]}", 1, 1},
+               "\"xor\"}\n]}", 2, 3},
       {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
                "\"event\"},\n  {\"id\": \"T\", \"type\": \"vote\", \"k\": 1.5, "
-               "\"children\": [\"a\"]}\n]}", 1, 1},
+               "\"children\": [\"a\"]}\n]}", 3, 3},
       {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"id\": \"T\", \"type\": "
-               "\"or\"}\n]}", 1, 1},
+               "\"or\"}\n]}", 2, 3},
       {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"id\": \"T\", \"type\": "
-               "\"or\",\n   \"children\": [3]}\n]}", 1, 1},
+               "\"or\",\n   \"children\": [3]}\n]}", 3, 17},
       {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"id\": \"T\", \"type\": "
                "\"or\", \"children\": [\"U\"]},\n  {\"id\": \"U\", \"type\": "
-               "\"or\", \"children\": [\"T\"]}\n]}", 1, 1},
+               "\"or\", \"children\": [\"T\"]}\n]}", 2, 3},
       {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
                "\"event\"},\n  {\"id\": \"T\", \"type\": \"or\",\n   "
-               "\"children\": [\"a\", \"zz\"]}\n]}", 1, 1},
+               "\"children\": [\"a\", \"zz\"]}\n]}", 4, 22},
       {"json", "{\"top\": \"X\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
-               "\"event\"}\n]}", 1, 1},
+               "\"event\"}\n]}", 1, 9},
       {"json", "{\"top\": \"a\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
-               "\"event\", \"prob\": 1.5}\n]}", 1, 1},
+               "\"event\", \"prob\": 1.5}\n]}", 2, 3},
       {"json", "{\"top\": \"a\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
-               "\"event\", \"prob\": \"x\"}\n]}", 1, 1},
+               "\"event\", \"prob\": \"x\"}\n]}", 2, 40},
       {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
                "\"event\"},\n  {\"id\": \"T\", \"type\": \"vote\", \"k\": 2, "
-               "\"children\": [\"a\"]}\n]}", 1, 1},
+               "\"children\": [\"a\"]}\n]}", 3, 3},
 
-      // The native reader reports lines only.
+      // The native reader reports lines only. It is the Galileo reader, so
+      // an out-of-range probability, a probability on a gate and an empty
+      // name are on the line of the offending statement (the old reader
+      // said line 1, the gate's line, and line 1).
       {"native", "toplevel T;\nT or a b\n", 2, 0},
       {"native", "toplevel \"T;\n", 1, 0},
       {"native", "toplevel T;\nT nonsense a b;\n", 2, 0},
@@ -684,12 +692,12 @@ std::vector<Malformed> malformed_table() {
       {"native", "toplevel T;\nweird;\n", 2, 0},
       {"native", "T or a b;\n", 1, 0},
       {"native", "\ntoplevel NOPE;\nT or a b;\n", 2, 0},
-      {"native", ok_gates + "a prob=1.5;\n", 1, 0},
-      {"native", ok_gates + "T prob=0.5;\n", 2, 0},
+      {"native", ok_gates + "a prob=1.5;\n", 3, 0},
+      {"native", ok_gates + "T prob=0.5;\n", 3, 0},
       {"native", "toplevel T;\nT 0of2 a b;\n", 2, 0},
       {"native", "toplevel A;\nA or B x; B or A y;\n", 2, 0},
       {"native", ok_gates + "a x=1;\n", 3, 0},
-      {"native", ok_gates + "\"\" prob=0.1;\n", 1, 0},
+      {"native", ok_gates + "\"\" prob=0.1;\n", 3, 0},
   };
 }
 

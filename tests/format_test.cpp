@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include "format/format.hpp"
 #include "format/galileo.hpp"
 #include "format/wcnf_export.hpp"
-#include "ft/openpsa.hpp"
 #include "ft/tree_delta.hpp"
 #include "gen/generator.hpp"
 #include "maxsat/instance.hpp"
@@ -210,7 +210,8 @@ TEST(OpenPsaParse, AnonymousNestedConnectives) {
   </model-data>
 </opsa-mef>
 )";
-  const ft::FaultTree tree = ft::parse_open_psa(text);
+  const ft::FaultTree tree =
+      format::parse_tree(text, {format::TreeFormat::OpenPsa});
   EXPECT_EQ(tree.num_events(), 3u);
   EXPECT_EQ(tree.node(tree.top()).name, "top");
   // The synthesized AND subgate must be reachable under the top OR.
@@ -236,6 +237,93 @@ TEST(OpenPsaParse, ErrorsCarryLineAndColumn) {
   }
 }
 
+/// `depth` nested <and> connectives under one define-gate, one element
+/// per line; the innermost holds a basic event.
+std::string nested_open_psa(std::size_t depth) {
+  std::string text =
+      "<opsa-mef>\n<define-fault-tree name=\"t\">\n"
+      "<define-gate name=\"top\">\n";
+  for (std::size_t i = 0; i < depth; ++i) text += "<and>\n";
+  text += "<basic-event name=\"x\"/>\n";
+  for (std::size_t i = 0; i < depth; ++i) text += "</and>\n";
+  return text + "</define-gate>\n</define-fault-tree>\n</opsa-mef>\n";
+}
+
+TEST(OpenPsaParse, ElementNestingIsCappedAt64Levels) {
+  const format::ParseOptions opts{format::TreeFormat::OpenPsa};
+  // <opsa-mef>, <define-fault-tree> and <define-gate> are three levels:
+  // 60 connectives put the basic event at level 64.
+  const ft::FaultTree tree = format::parse_tree(nested_open_psa(60), opts);
+  EXPECT_EQ(tree.num_events(), 1u);
+  EXPECT_EQ(tree.num_nodes(), 61u);
+  try {
+    format::parse_tree(nested_open_psa(61), opts);
+    FAIL() << "a 65th level was accepted";
+  } catch (const format::ParseError& e) {
+    // Line 4 + 61 holds the basic event, the 65th level.
+    EXPECT_EQ(e.line(), 65u) << e.what();
+    EXPECT_EQ(e.column(), 1u) << e.what();
+    EXPECT_NE(e.detail().find("64"), std::string::npos) << e.what();
+  }
+  // Deep enough to overflow a recursive reader's stack: a positioned
+  // error, not a crash.
+  EXPECT_THROW(format::parse_tree(nested_open_psa(50'000), opts),
+               format::ParseError);
+}
+
+TEST(OpenPsaParse, NumbersMustBeAllNumber) {
+  const auto doc = [](const std::string& min, const std::string& value) {
+    return "<opsa-mef><define-fault-tree name=\"t\"><define-gate "
+           "name=\"g\">\n<atleast min=\"" + min + "\"><basic-event "
+           "name=\"a\"/><basic-event name=\"b\"/></atleast></define-gate>"
+           "</define-fault-tree><model-data>\n<define-basic-event name=\"a\">"
+           "\n  <float value=\"" + value + "\"/></define-basic-event>"
+           "</model-data></opsa-mef>";
+  };
+  const format::ParseOptions opts{format::TreeFormat::OpenPsa};
+  for (const auto& [min, value, line, column] :
+       {std::make_tuple("2x", "0.1", 2u, 1u),
+        std::make_tuple("2", "0.1abc", 4u, 3u),
+        std::make_tuple("-1", "0.1", 2u, 1u),
+        std::make_tuple("4294967298", "0.1", 2u, 1u)}) {
+    try {
+      format::parse_tree(doc(min, value), opts);
+      ADD_FAILURE() << "accepted min=" << min << " value=" << value;
+    } catch (const format::ParseError& e) {
+      EXPECT_EQ(e.line(), line) << e.what();
+      EXPECT_EQ(e.column(), column) << e.what();
+    }
+  }
+  // Every spelling std::stoul and std::stod read in full stays accepted.
+  for (const auto& [min, value, p] :
+       {std::make_tuple(" +2 ", "+5E-1", 0.5),
+        std::make_tuple("2", " .25 ", 0.25),
+        std::make_tuple("02", "0x1p-3", 0.125),
+        std::make_tuple("2", "1e-3", 1e-3)}) {
+    const ft::FaultTree tree = format::parse_tree(doc(min, value), opts);
+    EXPECT_EQ(tree.node(tree.top()).k, 2u) << min;
+    EXPECT_EQ(prob_of(tree, "a"), p) << value;
+  }
+}
+
+TEST(GalileoParse, NumberSpellingsStodReads) {
+  for (const auto& [text, p] :
+       {std::make_pair("+0.5", 0.5), std::make_pair("5e-1", 0.5),
+        std::make_pair("0x1p-1", 0.5), std::make_pair(".5", 0.5),
+        std::make_pair("1E-300", 1e-300)}) {
+    const ft::FaultTree tree = format::parse_galileo(
+        std::string("toplevel T;\nT or a b;\na prob=") + text + ";\n");
+    EXPECT_EQ(prob_of(tree, "a"), p) << text;
+  }
+  for (const char* bad : {"0.1abc", "", "1e-400", "0x", "--1"}) {
+    EXPECT_THROW(format::parse_galileo(std::string("toplevel T;\nT or a b;\n"
+                                                   "a prob=") +
+                                       bad + ";\n"),
+                 format::ParseError)
+        << bad;
+  }
+}
+
 // --- JSON ---------------------------------------------------------------
 
 TEST(JsonParse, RoundTripsTreeDocument) {
@@ -247,6 +335,34 @@ TEST(JsonParse, RoundTripsTreeDocument) {
   const ft::FaultTree back = format::parse_tree(
       format::to_json(tree), {}, "tree.json");
   EXPECT_TRUE(ft::structural_equal(tree, back, true));
+}
+
+TEST(JsonParse, SchemaErrorsArePositionedAtTheOffendingNode) {
+  const format::ParseOptions opts{format::TreeFormat::Json};
+  const std::string text =
+      "{\"top\": \"T\", \"nodes\": [\n"
+      "  {\"id\": \"a\", \"type\": \"event\", \"prob\": 0.5},\n"
+      "  {\"id\": \"T\", \"type\": \"or\",\n"
+      "   \"children\": [\"a\", \"zz\"]}\n"
+      "]}\n";
+  try {
+    format::parse_tree(text, opts);
+    FAIL();
+  } catch (const format::ParseError& e) {
+    EXPECT_EQ(e.line(), 4u) << e.what();
+    EXPECT_EQ(e.column(), 22u) << e.what();
+    EXPECT_NE(e.detail().find("undefined child 'zz'"), std::string::npos);
+  }
+  try {
+    format::parse_tree("{\"top\": \"T\", \"nodes\": [\n  {\"id\": \"T\", "
+                       "\"type\": \"or\", \"children\": [\"a\"]},\n  "
+                       "{\"id\": \"a\", \"type\": \"xor\"}\n]}",
+                       opts);
+    FAIL();
+  } catch (const format::ParseError& e) {
+    EXPECT_EQ(e.line(), 3u) << e.what();
+    EXPECT_EQ(e.column(), 3u) << e.what();
+  }
 }
 
 TEST(JsonParse, MalformedDocumentsAreStructuredErrors) {

@@ -14,9 +14,9 @@
 #include "core/pipeline.hpp"
 #include "engine/analysis_engine.hpp"
 #include "engine/tree_cache.hpp"
+#include "format/format.hpp"
 #include "ft/builder.hpp"
 #include "ft/cut_set.hpp"
-#include "ft/openpsa.hpp"
 #include "ft/parser.hpp"
 #include "gen/generator.hpp"
 #include "logic/eval.hpp"
@@ -432,7 +432,7 @@ TEST(IncrementalDifferential, ExampleTreeCorpus) {
     const auto first = text.find_first_not_of(" \t\r\n");
     const ft::FaultTree tree =
         (first != std::string::npos && text[first] == '<')
-            ? ft::parse_open_psa(text)
+            ? format::parse_tree(text, {format::TreeFormat::OpenPsa})
             : ft::parse_fault_tree(text);
     expect_same_optimum(tree, core::SolverChoice::Oll,
                         entry.path().filename().string());

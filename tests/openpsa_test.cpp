@@ -1,11 +1,10 @@
-// Tests for the minimal XML DOM and the Open-PSA MEF reader/writer.
+// Tests for the Open-PSA MEF reader (its XML subset and the MEF mapping)
+// and writer.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "format/format.hpp"
 #include "ft/builder.hpp"
-#include "ft/openpsa.hpp"
-#include "ft/parser.hpp"
-#include "ft/xml.hpp"
 #include "gen/generator.hpp"
 #include "logic/eval.hpp"
 #include "util/rng.hpp"
@@ -13,55 +12,68 @@
 namespace fta::ft {
 namespace {
 
+FaultTree parse_open_psa(const std::string& text) {
+  return format::parse_tree(text, {format::TreeFormat::OpenPsa});
+}
+
 // ------------------------------------------------------------------ xml --
 
 TEST(Xml, ParsesElementsAttributesAndNesting) {
-  const auto root = xml::parse(
+  const FaultTree tree = parse_open_psa(
       "<?xml version=\"1.0\"?>\n"
       "<!-- a comment -->\n"
-      "<a x=\"1\" y='two'>\n"
-      "  <b/>\n"
-      "  <c z=\"3\"><d/></c>\n"
-      "</a>\n");
-  EXPECT_EQ(root->name, "a");
-  EXPECT_EQ(root->attr("x"), "1");
-  EXPECT_EQ(root->attr("y"), "two");
-  ASSERT_EQ(root->children.size(), 2u);
-  EXPECT_EQ(root->children[0]->name, "b");
-  ASSERT_NE(root->child("c"), nullptr);
-  EXPECT_EQ(root->child("c")->attr("z"), "3");
-  EXPECT_NE(root->child("c")->child("d"), nullptr);
-  EXPECT_EQ(root->child("nope"), nullptr);
+      "<opsa-mef x=\"1\" y='two'>\n"
+      "  <label/>\n"
+      "  <define-fault-tree name='t'><define-gate name=\"g\">"
+      "<or><basic-event name='a'/><and><basic-event name=\"b\"/>"
+      "<basic-event name=\"c\"/></and></or></define-gate>"
+      "</define-fault-tree>\n"
+      "</opsa-mef>\n");
+  EXPECT_EQ(tree.node(tree.top()).name, "g");
+  EXPECT_EQ(tree.num_events(), 3u);
+  ASSERT_NE(tree.find("g#1"), kNoIndex);
+  EXPECT_EQ(tree.node(tree.find("g#1")).type, NodeType::And);
 }
 
 TEST(Xml, EntityUnescaping) {
-  const auto root = xml::parse("<a v=\"&lt;&amp;&gt;&quot;\"/>");
-  EXPECT_EQ(root->attr("v"), "<&>\"");
-  EXPECT_EQ(xml::escape("<&>\""), "&lt;&amp;&gt;&quot;");
+  const FaultTree tree = parse_open_psa(
+      "<opsa-mef><define-fault-tree name=\"t\"><define-gate name=\"g\"><or>"
+      "<basic-event name=\"&lt;&amp;&gt;&quot;&apos;\"/>"
+      "<basic-event name=\"&unknown; &amp\"/></or></define-gate>"
+      "</define-fault-tree></opsa-mef>");
+  EXPECT_NE(tree.find("<&>\"'"), kNoIndex);
+  // Unknown and unterminated entities are kept as written.
+  EXPECT_NE(tree.find("&unknown; &amp"), kNoIndex);
+  // The writer escapes what the reader unescapes.
+  const FaultTree back = parse_open_psa(format::to_open_psa(tree));
+  EXPECT_NE(back.find("<&>\"'"), kNoIndex);
 }
 
 TEST(Xml, TextContent) {
-  const auto root = xml::parse("<a>hello <b/> world</a>");
-  EXPECT_NE(root->text.find("hello"), std::string::npos);
-  EXPECT_NE(root->text.find("world"), std::string::npos);
+  // Character data is skipped wherever it appears.
+  const FaultTree tree = parse_open_psa(
+      "<opsa-mef>hello <define-fault-tree name=\"t\"> world <define-gate "
+      "name=\"g\"><or> x &amp; > y <basic-event name=\"a\"/> z </or>"
+      "</define-gate></define-fault-tree> tail </opsa-mef>");
+  EXPECT_EQ(tree.num_events(), 1u);
 }
 
 TEST(Xml, RejectsMalformedDocuments) {
-  EXPECT_THROW(xml::parse(""), xml::XmlError);
-  EXPECT_THROW(xml::parse("<a>"), xml::XmlError);
-  EXPECT_THROW(xml::parse("<a></b>"), xml::XmlError);
-  EXPECT_THROW(xml::parse("<a x=1/>"), xml::XmlError);
-  EXPECT_THROW(xml::parse("<a x=\"1\" x=\"2\"/>"), xml::XmlError);
-  EXPECT_THROW(xml::parse("<a/><b/>"), xml::XmlError);
-  EXPECT_THROW(xml::parse("<a><!-- unterminated </a>"), xml::XmlError);
+  for (const char* doc :
+       {"", "<opsa-mef>", "<opsa-mef></b>", "<opsa-mef x=1/>",
+        "<opsa-mef x=\"1\" x=\"2\"/>", "<opsa-mef/><b/>",
+        "<opsa-mef><!-- unterminated </opsa-mef>"}) {
+    EXPECT_THROW(parse_open_psa(doc), format::ParseError) << doc;
+  }
 }
 
 TEST(Xml, ErrorsCarryLineNumbers) {
   try {
-    xml::parse("<a>\n<b>\n</c>\n</a>");
+    parse_open_psa("<opsa-mef>\n<b>\n</c>\n</opsa-mef>");
     FAIL();
-  } catch (const xml::XmlError& e) {
+  } catch (const format::ParseError& e) {
     EXPECT_EQ(e.line(), 3u);
+    EXPECT_EQ(e.column(), 4u);
   }
 }
 
@@ -167,37 +179,37 @@ TEST(OpenPsa, RejectsSemanticsErrors) {
                               "<define-gate name=\"g\"><xor>"
                               "<basic-event name=\"a\"/></xor></define-gate>"
                               "</define-fault-tree></opsa-mef>"),
-               ParseError);
+               format::ParseError);
   // No gates at all.
   EXPECT_THROW(parse_open_psa(
                    "<opsa-mef><define-fault-tree name=\"t\"/></opsa-mef>"),
-               ParseError);
+               format::ParseError);
   // Cycle.
   EXPECT_THROW(parse_open_psa(R"(
 <opsa-mef><define-fault-tree name="t">
   <define-gate name="a"><or><gate name="b"/></or></define-gate>
   <define-gate name="b"><or><gate name="a"/></or></define-gate>
 </define-fault-tree></opsa-mef>)"),
-               ParseError);
+               format::ParseError);
   // Duplicate gate.
   EXPECT_THROW(parse_open_psa(R"(
 <opsa-mef><define-fault-tree name="t">
   <define-gate name="a"><or><basic-event name="x"/></or></define-gate>
   <define-gate name="a"><or><basic-event name="y"/></or></define-gate>
 </define-fault-tree></opsa-mef>)"),
-               ParseError);
+               format::ParseError);
   // Bad probability payload.
   EXPECT_THROW(parse_open_psa(R"(
 <opsa-mef><define-fault-tree name="t">
   <define-gate name="a"><or><basic-event name="x"/></or></define-gate>
 </define-fault-tree>
 <model-data><define-basic-event name="x"/></model-data></opsa-mef>)"),
-               ParseError);
+               format::ParseError);
 }
 
 TEST(OpenPsa, RoundTrip) {
   const FaultTree original = fire_protection_system();
-  const FaultTree back = parse_open_psa(to_open_psa(original, "FPS"));
+  const FaultTree back = parse_open_psa(format::to_open_psa(original, "FPS"));
   EXPECT_EQ(back.num_events(), original.num_events());
   EXPECT_EQ(back.stats().gates, original.stats().gates);
   for (EventIndex e = 0; e < original.num_events(); ++e) {
@@ -219,7 +231,7 @@ TEST(OpenPsa, RoundTripGeneratedTreesWithVotes) {
     opts.vote_fraction = 0.3;
     opts.min_children = 3;
     const auto original = gen::random_tree(opts, seed);
-    const auto back = parse_open_psa(to_open_psa(original));
+    const auto back = parse_open_psa(format::to_open_psa(original));
     logic::FormulaStore sa, sb;
     const auto fa = original.to_formula(sa);
     const auto fb = back.to_formula(sb);

@@ -5,9 +5,9 @@
 #include <sstream>
 
 #include "core/pipeline.hpp"
+#include "format/format.hpp"
 #include "ft/builder.hpp"
 #include "ft/cut_set.hpp"
-#include "ft/openpsa.hpp"
 #include "ft/parser.hpp"
 #include "gen/generator.hpp"
 #include "maxsat/brute_force.hpp"
@@ -382,10 +382,10 @@ TEST(PreprocessDifferential, ExampleTreeCorpus) {
     buffer << in.rdbuf();
     const std::string text = buffer.str();
     const auto first = text.find_first_not_of(" \t\r\n");
-    const ft::FaultTree tree = (first != std::string::npos &&
-                                text[first] == '<')
-                                   ? ft::parse_open_psa(text)
-                                   : ft::parse_fault_tree(text);
+    const ft::FaultTree tree =
+        (first != std::string::npos && text[first] == '<')
+            ? format::parse_tree(text, {format::TreeFormat::OpenPsa})
+            : ft::parse_fault_tree(text);
     expect_equivalent(tree, entry.path().filename().string());
     ++checked;
   }

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -21,6 +22,7 @@
 
 #include "core/pipeline.hpp"
 #include "engine/analysis_engine.hpp"
+#include "format/format.hpp"
 #include "ft/parser.hpp"
 #include "ft/tree_delta.hpp"
 #include "gen/generator.hpp"
@@ -376,6 +378,34 @@ TEST(ServiceJournal, RestartRestoresAcknowledgedResourcesByteIdentically) {
           "\"probability\": 0.25}]}"));
   ASSERT_EQ(again.status, 200) << again.body;
   EXPECT_EQ(view_resource(svc, id_patched).version, 3.0);
+}
+
+TEST(ServiceJournal, ReplayRestoresEveryProbabilityBitForBit) {
+  // The journal stores a tree as ft::to_text. Its probabilities must
+  // survive a restart exactly as the service acknowledged them.
+  const std::string dir = fresh_dir("svc-replay-bits");
+  gen::GeneratorOptions g;
+  g.num_events = 2000;
+  const ft::FaultTree tree = gen::random_tree(g, 2000);
+  std::string id;
+  {
+    SolveService svc(journaled_options(dir));
+    const HttpResponse created = svc.handle(
+        req("POST", "/v1/trees", create_body(format::to_galileo(tree), "")));
+    ASSERT_EQ(created.status, 201) << created.body;
+    id = util::JsonValue::parse(created.body).get_string("id", "");
+  }
+  SolveService svc(journaled_options(dir));
+  const ft::FaultTree back = ft::parse_fault_tree(view_resource(svc, id).tree);
+  ASSERT_EQ(back.num_events(), tree.num_events());
+  std::size_t exact = 0;
+  for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
+    const ft::NodeIndex i = back.find(tree.event(e).name);
+    ASSERT_NE(i, ft::kNoIndex) << tree.event(e).name;
+    exact += std::bit_cast<std::uint64_t>(back.node(i).probability) ==
+             std::bit_cast<std::uint64_t>(tree.event_probability(e));
+  }
+  EXPECT_EQ(exact, tree.num_events());
 }
 
 TEST(ServiceJournal, ReadyzReflectsDrainAndHealthzStaysServing) {

@@ -586,6 +586,24 @@ TEST(TreeResources, LifecycleCreatePatchDeleteRoundTrips) {
 
 // Disabling an event of the only cut leaves a probability-0 answer; its
 // log cost is infinite, which JSON cannot carry, so it answers null.
+TEST(TreeResources, DeeplyNestedOpenPsaIsA400NotACrash) {
+  // 200 000 nested connectives, a 2.2 MB body: deep enough to overflow a
+  // recursive reader's stack. The reader's nesting cap answers 400.
+  SolveService svc(test_options());
+  std::string doc =
+      "<opsa-mef><define-fault-tree name=\"t\"><define-gate name=\"top\">";
+  for (int i = 0; i < 200'000; ++i) doc += "<and>";
+  doc += "<basic-event name=\"x\"/>";
+  for (int i = 0; i < 200'000; ++i) doc += "</and>";
+  doc += "</define-gate></define-fault-tree></opsa-mef>";
+  const HttpResponse r = svc.handle(req(
+      "POST", "/v1/trees",
+      "{\"tenant\": \"deep\", \"format\": \"openpsa\", \"tree\": \"" +
+          util::json_escape(doc) + "\"}"));
+  EXPECT_EQ(r.status, 400) << r.body;
+  EXPECT_NE(r.body.find("deeper than 64"), std::string::npos) << r.body;
+}
+
 TEST(TreeResources, ProbabilityZeroAnswerIsValidJson) {
   SolveService svc(test_options());
   const HttpResponse created = svc.handle(

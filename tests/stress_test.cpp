@@ -2,11 +2,16 @@
 // parser inputs, cancellation races, and budget exhaustion paths.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <thread>
 
 #include "bdd/fta_bdd.hpp"
 #include "core/pipeline.hpp"
+#include "format/format.hpp"
+#include "ft/json_writer.hpp"
 #include "ft/parser.hpp"
 #include "gen/generator.hpp"
 #include "logic/tseitin.hpp"
@@ -55,6 +60,124 @@ TEST(Stress, MillionEventChainComposesWithoutRecursion) {
   }
   EXPECT_NEAR(sol.log_cost, best, 1e-6 * (1.0 + best) * sol.cut.size());
   EXPECT_TRUE(ft::is_minimal_cut_set(tree, sol.cut));
+}
+
+/// A 10^6-event chain as one compact document; the gates come top first,
+/// so every reference is to a gate not yet declared.
+std::string chain_document(const ft::FaultTree& t, format::TreeFormat fmt) {
+  std::string out;
+  out.reserve(t.num_nodes() * 64);
+  char prob[32];
+  const auto p = [&](const ft::Node& n) {
+    std::snprintf(prob, sizeof prob, "%.17g", n.probability);
+    return prob;
+  };
+  const auto gate = [&](const ft::Node& n) {
+    return n.type == ft::NodeType::And ? "and" : "or";
+  };
+  const std::string& top = t.node(t.top()).name;
+  if (fmt == format::TreeFormat::Galileo) {
+    out += "toplevel " + top + ";\n";
+    for (ft::NodeIndex i = t.num_nodes(); i-- > 0;) {
+      const ft::Node& n = t.node(i);
+      out += n.name;
+      if (n.type == ft::NodeType::BasicEvent) {
+        (out += " prob=") += p(n);
+      } else {
+        (out += ' ') += gate(n);
+        for (const ft::NodeIndex c : n.children) (out += ' ') += t.node(c).name;
+      }
+      out += ";\n";
+    }
+  } else if (fmt == format::TreeFormat::OpenPsa) {
+    out += "<opsa-mef><define-fault-tree name=\"chain\">\n";
+    for (ft::NodeIndex i = t.num_nodes(); i-- > 0;) {
+      const ft::Node& n = t.node(i);
+      if (n.type == ft::NodeType::BasicEvent) continue;
+      ((out += "<define-gate name=\"") += n.name) += "\"><";
+      (out += gate(n)) += '>';
+      for (const ft::NodeIndex c : n.children) {
+        const ft::Node& child = t.node(c);
+        out += child.type == ft::NodeType::BasicEvent ? "<basic-event name=\""
+                                                      : "<gate name=\"";
+        (out += child.name) += "\"/>";
+      }
+      ((out += "</") += gate(n)) += "></define-gate>\n";
+    }
+    out += "</define-fault-tree><model-data>\n";
+    for (ft::EventIndex e = 0; e < t.num_events(); ++e) {
+      ((out += "<define-basic-event name=\"") += t.event(e).name) +=
+          "\"><float value=\"";
+      (out += p(t.event(e))) += "\"/></define-basic-event>\n";
+    }
+    out += "</model-data></opsa-mef>\n";
+  } else {
+    ((out += "{\"top\": \"") += top) += "\", \"nodes\": [\n";
+    for (ft::NodeIndex i = t.num_nodes(); i-- > 0;) {
+      const ft::Node& n = t.node(i);
+      ((out += "{\"id\": \"") += n.name) += "\", ";
+      if (n.type == ft::NodeType::BasicEvent) {
+        (out += "\"type\": \"event\", \"prob\": ") += p(n);
+      } else {
+        ((out += "\"type\": \"") += gate(n)) += "\", \"children\": [";
+        for (std::size_t c = 0; c < n.children.size(); ++c) {
+          ((out += c ? ", \"" : "\"") += t.node(n.children[c]).name) += '"';
+        }
+        out += ']';
+      }
+      out += i ? "},\n" : "}\n";
+    }
+    out += "]}\n";
+  }
+  return out;
+}
+
+TEST(Stress, MillionEventChainReadsAndWritesInEveryFormat) {
+  // Each reader resolves a 10^6-deep chain with explicit stacks, and the
+  // Fig. 2 writer writes it. The source tree is rebuilt per format so
+  // that only one document and one parsed tree are alive at a time.
+  constexpr std::uint32_t kEvents = 1'000'000;
+  std::size_t nodes = 0;
+  std::uint64_t first_bits = 0, last_bits = 0;
+  ft::FaultTree back;
+  for (const auto fmt :
+       {format::TreeFormat::Galileo, format::TreeFormat::OpenPsa,
+        format::TreeFormat::Json}) {
+    back = ft::FaultTree();
+    std::string doc;
+    {
+      const ft::FaultTree tree = gen::chain_tree(kEvents, 13);
+      nodes = tree.num_nodes();
+      first_bits = std::bit_cast<std::uint64_t>(tree.event_probability(0));
+      last_bits =
+          std::bit_cast<std::uint64_t>(tree.event_probability(kEvents - 1));
+      doc = chain_document(tree, fmt);
+    }
+    back = format::parse_tree(doc, {fmt});
+    doc = std::string();
+    const char* name = format::format_name(fmt);
+    ASSERT_EQ(back.num_nodes(), nodes) << name;
+    ASSERT_EQ(back.num_events(), kEvents) << name;
+    EXPECT_EQ(back.stats().max_depth, kEvents - 1) << name;
+    EXPECT_EQ(back.node(back.top()).name, "g999999") << name;
+    const auto bits = [&](const char* event) {
+      const ft::Node& n = back.node(back.find(event));
+      return std::bit_cast<std::uint64_t>(n.probability);
+    };
+    EXPECT_EQ(bits("e0"), first_bits) << name;
+    EXPECT_EQ(bits("e999999"), last_bits) << name;
+  }
+  ft::JsonSolution sol;
+  sol.mpmcs = ft::CutSet({0, 1});
+  sol.probability = 0.25;
+  const std::string fig2 = ft::to_json(back, sol);
+  EXPECT_EQ(fig2.back(), '\n');
+  std::size_t marked = 0;
+  for (std::size_t at = 0;
+       (at = fig2.find("\"inMpmcs\": true", at)) != std::string::npos; ++at) {
+    ++marked;
+  }
+  EXPECT_EQ(marked, 2u);
 }
 
 TEST(Stress, VeryWideGate) {
