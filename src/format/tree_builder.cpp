@@ -4,14 +4,11 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <utility>
 
 namespace fta::format {
 
 namespace {
-
-constexpr TreeBuilder::Id kEmpty = 0xffffffffu;
 
 /// 1-based (line, column) of a byte offset; columns count bytes.
 std::pair<std::size_t, std::size_t> offset_position(std::string_view text,
@@ -32,7 +29,7 @@ std::pair<std::size_t, std::size_t> offset_position(std::string_view text,
 std::optional<double> parse_number(std::string_view text) {
   // from_chars and strtod both round correctly, so they agree wherever
   // from_chars reads all of the text as a normal number; the rest of
-  // std::stod's grammar and its range check go through strtod.
+  // std::stod's grammar and the range check go through strtod.
   double v = 0.0;
   const char* end = text.data() + text.size();
   const auto [stop, ec] = std::from_chars(text.data(), end, v);
@@ -41,43 +38,22 @@ std::optional<double> parse_number(std::string_view text) {
   char* parsed = nullptr;
   errno = 0;
   v = std::strtod(copy.c_str(), &parsed);
-  if (parsed == copy.c_str() || parsed != copy.c_str() + copy.size() ||
-      errno == ERANGE) {
+  if (parsed == copy.c_str() || parsed != copy.c_str() + copy.size()) {
     return std::nullopt;
   }
+  // ERANGE means overflow (an infinity) or underflow; a nonzero result of
+  // an underflow is the subnormal nearest the text, and is kept.
+  if (errno == ERANGE && (v == 0.0 || std::isinf(v))) return std::nullopt;
   return v;
 }
 
 TreeBuilder::TreeBuilder(TreeFormat format, std::string_view text)
-    : format_(format), text_(text) {
-  // 1 024 slots to start; the table doubles whenever it is half full.
-  table_.assign(std::size_t{1} << 10, kEmpty);
-}
-
-void TreeBuilder::grow_table() {
-  table_.assign(table_.size() * 2, kEmpty);
-  const std::size_t mask = table_.size() - 1;
-  for (Id id = 0; id < entries_.size(); ++id) {
-    std::size_t slot = entries_[id].hash & mask;
-    while (table_[slot] != kEmpty) slot = (slot + 1) & mask;
-    table_[slot] = id;
-  }
-}
+    : format_(format), text_(text) {}
 
 TreeBuilder::Id TreeBuilder::intern(std::string_view name, std::size_t at) {
-  const std::size_t hash = std::hash<std::string_view>{}(name);
-  const std::size_t mask = table_.size() - 1;
-  std::size_t slot = hash & mask;
-  for (Id id; (id = table_[slot]) != kEmpty; slot = (slot + 1) & mask) {
-    if (entries_[id].hash == hash && entries_[id].name == name) return id;
-  }
-  const auto id = static_cast<Id>(entries_.size());
-  Entry& e = entries_.emplace_back();
-  e.name = name;
-  e.hash = hash;
-  e.at = at;
-  table_[slot] = id;
-  if (2 * entries_.size() > table_.size()) grow_table();
+  const Id id =
+      names_.insert(name, [this](Id i) { return entries_[i].name; });
+  if (id == entries_.size()) entries_.push_back({.name = name, .at = at});
   return id;
 }
 

@@ -26,12 +26,14 @@
 
 #include "format/format.hpp"
 #include "ft/fault_tree.hpp"
+#include "util/name_index.hpp"
 
 namespace fta::format {
 
 /// The value of `text` when all of it is one number as std::stod reads it
-/// (decimal or hexadecimal, inf or nan, optional sign and leading space)
-/// and std::stod does not report it out of range; nullopt otherwise.
+/// (decimal or hexadecimal, inf or nan, optional sign and leading space);
+/// nullopt otherwise, and when its magnitude overflows a double or
+/// underflows to zero. Unlike std::stod, a subnormal value is kept.
 std::optional<double> parse_number(std::string_view text);
 
 class TreeBuilder {
@@ -87,7 +89,6 @@ class TreeBuilder {
  private:
   struct Entry {
     std::string_view name;
-    std::size_t hash = 0;
     std::size_t at = 0;
     double probability = 0.0;
     std::uint32_t first_child = 0;
@@ -99,12 +100,10 @@ class TreeBuilder {
     ft::NodeIndex node = ft::kNoIndex;
   };
 
-  void grow_table();
-
   TreeFormat format_;
   std::string_view text_;
   std::vector<Entry> entries_;
-  std::vector<Id> table_;  ///< Open addressing over entries_; kEmpty free.
+  util::NameIndex names_;  ///< name -> index into entries_
   std::vector<Id> children_;
   std::vector<Id> events_;  ///< Event declarations, in order.
   std::vector<Id> gates_;   ///< Gate declarations, in order.

@@ -1,10 +1,7 @@
 #include "ft/fault_tree.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <functional>
-#include <string_view>
 
 namespace fta::ft {
 
@@ -18,34 +15,20 @@ const char* node_type_name(NodeType t) noexcept {
   return "?";
 }
 
-std::size_t FaultTree::name_slot(const std::string& name) {
+void FaultTree::check_name(const std::string& name) const {
   if (name.empty()) throw ValidationError("node name must not be empty");
-  if (2 * (nodes_.size() + 1) > name_index_.size()) {
-    rehash_names(std::max<std::size_t>(16, 2 * name_index_.size()));
-  }
-  const std::size_t mask = name_index_.size() - 1;
-  for (std::size_t s = std::hash<std::string_view>{}(name) & mask;;
-       s = (s + 1) & mask) {
-    const NodeIndex i = name_index_[s];
-    if (i == kNoIndex) return s;
-    if (nodes_[i].name == name) {
-      throw ValidationError("duplicate node name: " + name);
-    }
+  if (find(name) != kNoIndex) {
+    throw ValidationError("duplicate node name: " + name);
   }
 }
 
-void FaultTree::rehash_names(std::size_t slots) {
-  name_index_.assign(slots, kNoIndex);
-  const std::size_t mask = slots - 1;
-  for (NodeIndex i = 0; i < nodes_.size(); ++i) {
-    std::size_t s = std::hash<std::string_view>{}(nodes_[i].name) & mask;
-    while (name_index_[s] != kNoIndex) s = (s + 1) & mask;
-    name_index_[s] = i;
-  }
+NodeIndex FaultTree::push(Node n) {
+  nodes_.push_back(std::move(n));
+  return names_.insert(nodes_.back().name, node_name());
 }
 
 NodeIndex FaultTree::add_basic_event(std::string name, double probability) {
-  const std::size_t slot = name_slot(name);
+  check_name(name);
   if (!(probability >= 0.0 && probability <= 1.0)) {
     throw ValidationError("probability of '" + name +
                           "' out of [0,1]: " + std::to_string(probability));
@@ -55,10 +38,8 @@ NodeIndex FaultTree::add_basic_event(std::string name, double probability) {
   n.type = NodeType::BasicEvent;
   n.probability = probability;
   n.event_index = static_cast<EventIndex>(event_nodes_.size());
-  nodes_.push_back(std::move(n));
-  const auto idx = static_cast<NodeIndex>(nodes_.size() - 1);
+  const NodeIndex idx = push(std::move(n));
   event_nodes_.push_back(idx);
-  name_index_[slot] = idx;
   return idx;
 }
 
@@ -67,7 +48,7 @@ NodeIndex FaultTree::add_gate(std::string name, NodeType type,
   if (type != NodeType::And && type != NodeType::Or) {
     throw ValidationError("add_gate accepts And/Or only");
   }
-  const std::size_t slot = name_slot(name);
+  check_name(name);
   for (NodeIndex c : children) {
     if (c >= nodes_.size()) {
       throw ValidationError("gate '" + name + "' references unknown child");
@@ -77,15 +58,12 @@ NodeIndex FaultTree::add_gate(std::string name, NodeType type,
   n.name = std::move(name);
   n.type = type;
   n.children = std::move(children);
-  nodes_.push_back(std::move(n));
-  const auto idx = static_cast<NodeIndex>(nodes_.size() - 1);
-  name_index_[slot] = idx;
-  return idx;
+  return push(std::move(n));
 }
 
 NodeIndex FaultTree::add_vote_gate(std::string name, std::uint32_t k,
                                    std::vector<NodeIndex> children) {
-  const std::size_t slot = name_slot(name);
+  check_name(name);
   for (NodeIndex c : children) {
     if (c >= nodes_.size()) {
       throw ValidationError("gate '" + name + "' references unknown child");
@@ -101,16 +79,13 @@ NodeIndex FaultTree::add_vote_gate(std::string name, std::uint32_t k,
   n.type = NodeType::Vote;
   n.k = k;
   n.children = std::move(children);
-  nodes_.push_back(std::move(n));
-  const auto idx = static_cast<NodeIndex>(nodes_.size() - 1);
-  name_index_[slot] = idx;
-  return idx;
+  return push(std::move(n));
 }
 
 void FaultTree::reserve(std::size_t nodes, std::size_t events) {
   nodes_.reserve(nodes);
   event_nodes_.reserve(events);
-  if (2 * nodes > name_index_.size()) rehash_names(std::bit_ceil(2 * nodes));
+  names_.reserve(nodes, node_name());
 }
 
 void FaultTree::validate() const {
@@ -172,13 +147,7 @@ std::vector<double> FaultTree::event_probabilities() const {
 }
 
 NodeIndex FaultTree::find(const std::string& name) const {
-  if (name_index_.empty()) return kNoIndex;
-  const std::size_t mask = name_index_.size() - 1;
-  for (std::size_t s = std::hash<std::string_view>{}(name) & mask;;
-       s = (s + 1) & mask) {
-    const NodeIndex i = name_index_[s];
-    if (i == kNoIndex || nodes_[i].name == name) return i;
-  }
+  return names_.find(name, node_name());
 }
 
 void FaultTree::set_event_probability(EventIndex e, double probability) {

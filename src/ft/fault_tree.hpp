@@ -17,9 +17,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "logic/formula.hpp"
+#include "util/name_index.hpp"
 
 namespace fta::ft {
 
@@ -150,16 +152,17 @@ class FaultTree {
   logic::NodeId to_formula(logic::FormulaStore& store, NodeIndex root) const;
 
  private:
-  /// The free slot of name_index_ for a new node called `name`; throws
-  /// ValidationError when the name is empty or taken.
-  std::size_t name_slot(const std::string& name);
-  void rehash_names(std::size_t slots);
+  /// Throws ValidationError when `name` is empty or taken.
+  void check_name(const std::string& name) const;
+  /// Appends `n` and indexes its name.
+  NodeIndex push(Node n);
+  auto node_name() const {
+    return [this](NodeIndex i) -> std::string_view { return nodes_[i].name; };
+  }
 
   std::vector<Node> nodes_;
   std::vector<NodeIndex> event_nodes_;  // EventIndex -> NodeIndex
-  /// Open addressing from name hash to NodeIndex (kNoIndex = free); at
-  /// most half full. Indices, not views, so copies stay valid.
-  std::vector<NodeIndex> name_index_;
+  util::NameIndex names_;               // name -> NodeIndex
   NodeIndex top_ = kNoIndex;
 };
 

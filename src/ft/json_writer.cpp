@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <vector>
+
+#include "util/strings.hpp"
 
 namespace fta::ft {
 
 namespace {
 
 /// Appends the Fig. 2 document into one string: no stream, no temporary
-/// per value. Numbers print as printf's %.12g (null when not finite),
-/// which std::to_chars's general format with precision 12 is defined to
-/// match.
+/// per value. Strings and numbers follow util's JSON rules.
 class JsonPrinter {
  public:
   JsonPrinter(std::string& out, int indent)
@@ -47,19 +46,13 @@ class JsonPrinter {
   }
   void str(std::string_view v) {
     out_ += '"';
-    escape(v);
+    util::append_json_escaped(out_, v);
     out_ += '"';
     first_ = false;
   }
   void num(double v) {
-    if (!std::isfinite(v)) {
-      raw("null");
-      return;
-    }
-    char buf[32];
-    const auto r = std::to_chars(buf, buf + sizeof buf, v,
-                                 std::chars_format::general, 12);
-    raw(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+    util::append_json_number(out_, v);
+    first_ = false;
   }
   void num(std::uint64_t v) {
     char buf[24];
@@ -77,29 +70,6 @@ class JsonPrinter {
     if (indent_ == 0) return;
     out_ += '\n';
     out_.append(depth_ * indent_, ' ');
-  }
-  /// util::json_escape, appended in place.
-  void escape(std::string_view s) {
-    std::size_t run = 0;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      const auto c = static_cast<unsigned char>(s[i]);
-      if (c >= 0x20 && c != '"' && c != '\\') continue;
-      out_.append(s.data() + run, i - run);
-      run = i + 1;
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\r': out_ += "\\r"; break;
-        case '\t': out_ += "\\t"; break;
-        default: {
-          static constexpr char kHex[] = "0123456789abcdef";
-          const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
-          out_.append(u, sizeof u);
-        }
-      }
-    }
-    out_.append(s.data() + run, s.size() - run);
   }
 
   std::string& out_;

@@ -20,15 +20,23 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 /// Lower-cases ASCII characters.
 std::string to_lower(std::string_view s);
 
+/// Appends `s` escaped for embedding into a JSON string literal: `"`,
+/// `\\` and control characters become escapes; nothing else changes.
+void append_json_escaped(std::string& out, std::string_view s);
+
 /// Escapes a string for embedding into a JSON document.
 std::string json_escape(std::string_view s);
 
-/// Formats a double with enough digits to round-trip, trimming zeros.
+/// Formats a double as printf's `%.12g` does (12 significant digits,
+/// trailing zeros trimmed).
 std::string format_double(double v);
 
-/// A double as a JSON number: format_double for finite values, `null`
-/// for infinities and NaN, which JSON cannot represent (a probability-0
-/// cut has log cost +inf).
+/// Appends a double as a JSON number: format_double for finite values,
+/// `null` for infinities and NaN, which JSON cannot represent (a
+/// probability-0 cut has log cost +inf).
+void append_json_number(std::string& out, double v);
+
+/// append_json_number into a new string.
 std::string json_number(double v);
 
 }  // namespace fta::util

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <set>
 #include <sstream>
@@ -310,12 +311,15 @@ TEST(GalileoParse, NumberSpellingsStodReads) {
   for (const auto& [text, p] :
        {std::make_pair("+0.5", 0.5), std::make_pair("5e-1", 0.5),
         std::make_pair("0x1p-1", 0.5), std::make_pair(".5", 0.5),
-        std::make_pair("1E-300", 1e-300)}) {
+        std::make_pair("1E-300", 1e-300),
+        // Subnormals, which std::stod rejects, are kept.
+        std::make_pair("1e-310", 1e-310),
+        std::make_pair("5e-324", std::numeric_limits<double>::denorm_min())}) {
     const ft::FaultTree tree = format::parse_galileo(
         std::string("toplevel T;\nT or a b;\na prob=") + text + ";\n");
     EXPECT_EQ(prob_of(tree, "a"), p) << text;
   }
-  for (const char* bad : {"0.1abc", "", "1e-400", "0x", "--1"}) {
+  for (const char* bad : {"0.1abc", "", "1e-400", "2e-324", "0x", "--1"}) {
     EXPECT_THROW(format::parse_galileo(std::string("toplevel T;\nT or a b;\n"
                                                    "a prob=") +
                                        bad + ";\n"),

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -382,30 +383,40 @@ TEST(ServiceJournal, RestartRestoresAcknowledgedResourcesByteIdentically) {
 
 TEST(ServiceJournal, ReplayRestoresEveryProbabilityBitForBit) {
   // The journal stores a tree as ft::to_text. Its probabilities must
-  // survive a restart exactly as the service acknowledged them.
+  // survive a restart exactly as the service acknowledged them, whether
+  // the body was Galileo or JSON, subnormal probabilities included.
   const std::string dir = fresh_dir("svc-replay-bits");
   gen::GeneratorOptions g;
   g.num_events = 2000;
-  const ft::FaultTree tree = gen::random_tree(g, 2000);
-  std::string id;
+  ft::FaultTree tree = gen::random_tree(g, 2000);
+  tree.set_event_probability(0, std::numeric_limits<double>::denorm_min());
+  tree.set_event_probability(1, 1e-310);
+  tree.set_event_probability(2, std::numeric_limits<double>::min());
+  std::vector<std::string> ids;
   {
     SolveService svc(journaled_options(dir));
-    const HttpResponse created = svc.handle(
-        req("POST", "/v1/trees", create_body(format::to_galileo(tree), "")));
-    ASSERT_EQ(created.status, 201) << created.body;
-    id = util::JsonValue::parse(created.body).get_string("id", "");
+    for (const std::string& text :
+         {format::to_galileo(tree), format::to_json(tree)}) {
+      const HttpResponse created =
+          svc.handle(req("POST", "/v1/trees", create_body(text, "")));
+      ASSERT_EQ(created.status, 201) << created.body;
+      ids.push_back(util::JsonValue::parse(created.body).get_string("id", ""));
+    }
   }
   SolveService svc(journaled_options(dir));
-  const ft::FaultTree back = ft::parse_fault_tree(view_resource(svc, id).tree);
-  ASSERT_EQ(back.num_events(), tree.num_events());
-  std::size_t exact = 0;
-  for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
-    const ft::NodeIndex i = back.find(tree.event(e).name);
-    ASSERT_NE(i, ft::kNoIndex) << tree.event(e).name;
-    exact += std::bit_cast<std::uint64_t>(back.node(i).probability) ==
-             std::bit_cast<std::uint64_t>(tree.event_probability(e));
+  for (const std::string& id : ids) {
+    const ft::FaultTree back =
+        ft::parse_fault_tree(view_resource(svc, id).tree);
+    ASSERT_EQ(back.num_events(), tree.num_events()) << id;
+    std::size_t exact = 0;
+    for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
+      const ft::NodeIndex i = back.find(tree.event(e).name);
+      ASSERT_NE(i, ft::kNoIndex) << tree.event(e).name;
+      exact += std::bit_cast<std::uint64_t>(back.node(i).probability) ==
+               std::bit_cast<std::uint64_t>(tree.event_probability(e));
+    }
+    EXPECT_EQ(exact, tree.num_events()) << id;
   }
-  EXPECT_EQ(exact, tree.num_events());
 }
 
 TEST(ServiceJournal, ReadyzReflectsDrainAndHealthzStaysServing) {
