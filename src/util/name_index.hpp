@@ -20,16 +20,15 @@ class NameIndex {
   using Id = std::uint32_t;
   static constexpr Id kNone = 0xffffffffu;
 
-  std::size_t size() const noexcept { return size_; }
-
   /// The id called `name`, or kNone.
   template <class NameOf>
   Id find(std::string_view name, const NameOf& name_of) const {
     return slots_.empty() ? kNone : slots_[probe(name, name_of)];
   }
 
-  /// The id called `name`. A new name gets id size(), which the caller
-  /// must make `name_of` answer before the next call.
+  /// The id called `name`. A new name gets the next dense id (the number
+  /// of names indexed so far), which the caller must make `name_of`
+  /// answer before the next call.
   template <class NameOf>
   Id insert(std::string_view name, const NameOf& name_of) {
     if (2 * (size_ + 1) > slots_.size()) {
