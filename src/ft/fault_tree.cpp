@@ -147,6 +147,7 @@ std::vector<double> FaultTree::event_probabilities() const {
 }
 
 NodeIndex FaultTree::find(const std::string& name) const {
+  static_assert(util::NameIndex::kNone == kNoIndex);
   return names_.find(name, node_name());
 }
 
