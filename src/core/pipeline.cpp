@@ -99,45 +99,50 @@ std::vector<bool> reachable_events(const ft::FaultTree& tree) {
   return used;
 }
 
-/// Step 3 in scaled-integer form for the events in `used`: the final
-/// per-event soft weight (0 = no soft clause: unused or p == 1; p == 0
-/// gets the "forbidden" weight, one more than the summed ordinary
-/// weights). Factored out of build_instance so the mutation path
-/// rebuilds weights with bit-identical rounding.
-std::vector<maxsat::Weight> scaled_soft_weights(
-    const ft::FaultTree& tree, const std::vector<bool>& used,
-    double weight_scale, maxsat::Weight* forbidden_out = nullptr) {
-  const auto weights = MpmcsPipeline::log_weights(tree);
-  maxsat::Weight ordinary_total = 0;
-  std::vector<maxsat::Weight> scaled(tree.num_events(), 0);
+/// Step 3's per-event costs for the whole tree.
+std::vector<maxsat::ScaledCutCost> event_costs(const ft::FaultTree& tree,
+                                               double weight_scale) {
+  std::vector<maxsat::ScaledCutCost> cost(tree.num_events());
   for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
-    if (!used[e] || std::isinf(weights[e])) continue;
-    const auto w = static_cast<maxsat::Weight>(
-        std::llround(weights[e] * weight_scale));
-    scaled[e] = w;
-    ordinary_total += w;
+    cost[e] = maxsat::event_cost(tree, e, weight_scale);
   }
-  const maxsat::Weight forbidden = ordinary_total + 1;
-  for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
-    if (used[e] && std::isinf(weights[e])) scaled[e] = forbidden;
+  return cost;
+}
+
+/// Step 3 in scaled-integer form for the events in `used`: the final
+/// per-event soft weight (0 = no soft clause: unused or zero cost, as for
+/// p == 1). Each p == 0 member of an event's cost is charged the
+/// "forbidden" weight, one more than the summed ordinary weights, so it
+/// outweighs every combination of ordinary ones. Shared by the encoding
+/// and the mutation path, so reweighting is bit-identical to a rebuild.
+std::vector<maxsat::Weight> soft_weights(
+    std::span<const maxsat::ScaledCutCost> costs, const std::vector<bool>& used,
+    maxsat::Weight* forbidden_out = nullptr) {
+  maxsat::Weight forbidden = 1;
+  for (std::size_t e = 0; e < costs.size(); ++e) {
+    if (used[e]) forbidden += costs[e].ordinary;
+  }
+  std::vector<maxsat::Weight> scaled(costs.size(), 0);
+  for (std::size_t e = 0; e < costs.size(); ++e) {
+    if (used[e]) scaled[e] = costs[e].ordinary + costs[e].impossible * forbidden;
   }
   if (forbidden_out) *forbidden_out = forbidden;
   return scaled;
 }
 
-/// The whole-tree instance's "forbidden" weight (see scaled_soft_weights),
-/// which maps a ScaledCutCost to the monolithic scaled cost.
+/// An instance's "forbidden" weight (see soft_weights), which maps a
+/// ScaledCutCost to its scaled cost.
 maxsat::Weight forbidden_weight(const ft::FaultTree& tree,
-                                double weight_scale) {
+                                std::span<const maxsat::ScaledCutCost> costs) {
   maxsat::Weight forbidden = 0;
-  scaled_soft_weights(tree, reachable_events(tree), weight_scale, &forbidden);
+  soft_weights(costs, reachable_events(tree), &forbidden);
   return forbidden;
 }
 
-/// A monolithic scaled lower bound as a ScaledCutCost no cut beats: a cut
-/// with i p == 0 members costs i * forbidden + ordinary < (i + 1) *
-/// forbidden, so cost >= bound forces (i, ordinary) >= (bound / forbidden,
-/// bound % forbidden).
+/// A scaled lower bound as a ScaledCutCost no cut beats: a cut with i
+/// p == 0 members costs i * forbidden + ordinary < (i + 1) * forbidden, so
+/// cost >= bound forces (i, ordinary) >= (bound / forbidden, bound %
+/// forbidden).
 maxsat::ScaledCutCost lower_bound_cost(maxsat::Weight bound,
                                        maxsat::Weight forbidden) {
   return {bound % forbidden, static_cast<std::uint32_t>(bound / forbidden)};
@@ -146,12 +151,13 @@ maxsat::ScaledCutCost lower_bound_cost(maxsat::Weight bound,
 /// Step 4's soft side: one unit soft per weighted event, preferring it
 /// absent. Drops any previous softs first (the mutation path reweights
 /// instances in place).
-void rebuild_softs(const ft::FaultTree& tree, const std::vector<bool>& used,
-                   double weight_scale, maxsat::WcnfInstance& instance) {
+void rebuild_softs(std::span<const maxsat::ScaledCutCost> costs,
+                   const std::vector<bool>& used,
+                   maxsat::WcnfInstance& instance) {
   instance.clear_soft();
-  const auto scaled = scaled_soft_weights(tree, used, weight_scale);
-  for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
-    if (scaled[e] == 0) continue;  // unused, or p == 1: free to include
+  const auto scaled = soft_weights(costs, used);
+  for (ft::EventIndex e = 0; e < scaled.size(); ++e) {
+    if (scaled[e] == 0) continue;  // unused, or free to include (p == 1)
     instance.add_soft_unit(Lit::neg(e), scaled[e]);
   }
 }
@@ -160,6 +166,12 @@ void rebuild_softs(const ft::FaultTree& tree, const std::vector<bool>& used,
 
 maxsat::WcnfInstance MpmcsPipeline::build_instance(
     const ft::FaultTree& tree) const {
+  return build_weighted(tree, event_costs(tree, opts_.weight_scale));
+}
+
+maxsat::WcnfInstance MpmcsPipeline::build_weighted(
+    const ft::FaultTree& tree,
+    std::span<const maxsat::ScaledCutCost> costs) const {
   // Step 1 (logical transformation). The paper derives the success tree
   // X(t) = ¬f(t) and its gate-flipped positive form Y(t), then maximises
   // satisfied events in ¬Y(t) = f(t). Operationally both views produce
@@ -208,7 +220,7 @@ maxsat::WcnfInstance MpmcsPipeline::build_instance(
   // p == 0 get the "forbidden" weight: worse than every possible
   // combination of ordinary events, so they are only chosen when
   // unavoidable.
-  rebuild_softs(tree, used, opts_.weight_scale, instance);
+  rebuild_softs(costs, used, instance);
   return instance;
 }
 
@@ -551,13 +563,14 @@ MpmcsSolution MpmcsPipeline::solve(const ft::FaultTree& tree,
 PreparedInstance MpmcsPipeline::prepare(const ft::FaultTree& tree,
                                         util::CancelTokenPtr cancel) const {
   if (opts_.solver == SolverChoice::Auto) {
-    // The module pass: when the top gate is closed-form, only the
-    // frontier modules below it need Steps 1-4 — each on its own.
-    maxsat::StratifiedPlan plan = maxsat::plan_strata(tree);
+    // The module pass: only the frontier modules' kernels need Steps 1-4,
+    // each on its own (the whole tree's kernel when the top needs search).
+    maxsat::StratifiedPlan plan =
+        maxsat::plan_strata(tree, opts_.weight_scale);
     if (plan.applicable) {
       for (maxsat::StratifiedStratum& s : plan.strata) {
         s.prepared = std::make_shared<const PreparedInstance>(
-            prepare_monolithic(s.module->tree, cancel));
+            prepare_monolithic(s.kernel->tree, s.kernel->cost, cancel));
       }
       PreparedInstance prepared;
       prepared.strata =
@@ -565,14 +578,17 @@ PreparedInstance MpmcsPipeline::prepare(const ft::FaultTree& tree,
       return prepared;
     }
   }
-  return prepare_monolithic(tree, std::move(cancel));
+  return prepare_monolithic(tree, event_costs(tree, opts_.weight_scale),
+                            std::move(cancel));
 }
 
 PreparedInstance MpmcsPipeline::prepare_monolithic(
-    const ft::FaultTree& tree, util::CancelTokenPtr cancel) const {
+    const ft::FaultTree& tree, std::span<const maxsat::ScaledCutCost> costs,
+    util::CancelTokenPtr cancel) const {
   g_prepare_calls.fetch_add(1, std::memory_order_relaxed);
   PreparedInstance prepared;
-  build_monolithic(tree, build_instance(tree), prepared, std::move(cancel));
+  build_monolithic(tree, build_weighted(tree, costs), prepared,
+                   std::move(cancel));
   return prepared;
 }
 
@@ -617,17 +633,16 @@ std::uint64_t MpmcsPipeline::escalations() noexcept {
   return g_escalations.load(std::memory_order_relaxed);
 }
 
-void MpmcsPipeline::reweight_prepared(const ft::FaultTree& tree,
-                                      PreparedInstance& prepared,
-                                      bool exclusive,
-                                      DeltaApplication& st) const {
+void MpmcsPipeline::reweight_prepared(
+    const ft::FaultTree& tree, std::span<const maxsat::ScaledCutCost> costs,
+    PreparedInstance& prepared, bool exclusive, DeltaApplication& st) const {
   // The tree's structure is unchanged, so every hard clause — raw
   // Tseitin, preprocessed, and everything a SAT session has learnt from
   // them — is still exact. Only the soft side (Step 3/4) and the
   // weight-dependent core-transformation state need replacing.
   prepared.optimum = std::make_shared<FrontierOptimum>();
   const std::vector<bool> used = reachable_events(tree);
-  rebuild_softs(tree, used, opts_.weight_scale, prepared.raw);
+  rebuild_softs(costs, used, prepared.raw);
   if (prepared.pre && !prepared.pre->unsat) {
     // The UP-forced fix set depends only on hard clauses, so under new
     // weights a fixed-true event discharges its (new) weight into the
@@ -651,7 +666,7 @@ void MpmcsPipeline::reweight_prepared(const ft::FaultTree& tree,
                            .get();
     next->simplified.clear_soft();
     next->cost_offset = 0;
-    const auto scaled = scaled_soft_weights(tree, used, opts_.weight_scale);
+    const auto scaled = soft_weights(costs, used);
     for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
       if (scaled[e] == 0) continue;
       const logic::LBool v =
@@ -687,9 +702,10 @@ DeltaApplication MpmcsPipeline::patch_prepared(
   st.weight_only = delta.weight_only();
   if (!prepared.strata) {
     // The tree's own artefact: a weight edit keeps its hard clauses, any
-    // other edit rebuilds it (prepare may then find a closed-form top).
+    // other edit rebuilds it (prepare may then find a module pass).
     if (st.weight_only) {
-      reweight_prepared(new_tree, prepared, exclusive, st);
+      reweight_prepared(new_tree, event_costs(new_tree, opts_.weight_scale),
+                        prepared, exclusive, st);
     } else {
       prepared = prepare(new_tree, std::move(cancel));
       st.reprepared = true;
@@ -697,35 +713,27 @@ DeltaApplication MpmcsPipeline::patch_prepared(
     return st;
   }
   // The module pass's shape is weight-independent: a weight edit keeps
-  // the plan and refreshes the probabilities of the modules whose events
-  // changed; any other edit re-runs the (linear) pass.
+  // the plan and re-prices the kernels (recomposing the collapsed
+  // sub-modules); any other edit re-runs the (linear) pass.
   maxsat::StratifiedPlan next;
   if (st.weight_only) {
     next = *prepared.strata;
-    for (maxsat::StratifiedStratum& s : next.strata) {
-      std::shared_ptr<analysis::ExtractedModule> module;
-      for (ft::EventIndex e = 0; e < s.module->tree.num_events(); ++e) {
-        const double p = new_tree.event_probability(s.module->event_map[e]);
-        if (s.module->tree.event_probability(e) == p) continue;
-        if (!module) {
-          module = std::make_shared<analysis::ExtractedModule>(*s.module);
-        }
-        module->tree.set_event_probability(e, p);
-      }
-      if (module) s.module = std::move(module);
-    }
+    maxsat::reprice_kernels(new_tree, next, opts_.weight_scale);
   } else {
-    next = maxsat::plan_strata(new_tree);
+    next = maxsat::plan_strata(new_tree, opts_.weight_scale);
     if (!next.applicable) {
-      prepared = prepare_monolithic(new_tree, std::move(cancel));
+      prepared = prepare_monolithic(
+          new_tree, event_costs(new_tree, opts_.weight_scale),
+          std::move(cancel));
       st.reprepared = true;
       return st;
     }
   }
   // Frontier modules pair up by gate (a splice keeps existing node
-  // indices): an identical module shares its artefact, warm session and
-  // proven optimum included, one with the same shape but new weights is
-  // patched, and only a changed shape pays a cold prepare.
+  // indices): a kernel with the same shape and costs shares its artefact,
+  // warm session and proven optimum included; one with the same shape but
+  // new costs (an edited event, or a collapsed sub-module whose optimum
+  // moved) is reweighted; only a changed shape pays a cold prepare.
   std::unordered_map<ft::NodeIndex, const maxsat::StratifiedStratum*> old;
   for (const maxsat::StratifiedStratum& s : prepared.strata->strata) {
     old.emplace(s.gate, &s);
@@ -735,21 +743,22 @@ DeltaApplication MpmcsPipeline::patch_prepared(
     const auto it = old.find(s.gate);
     const maxsat::StratifiedStratum* o =
         it == old.end() ? nullptr : it->second;
-    if (o != nullptr &&
-        (s.module == o->module ||
-         ft::structural_equal(s.module->tree, o->module->tree))) {
+    const bool same_shape =
+        o != nullptr &&
+        (s.kernel == o->kernel ||
+         ft::structural_equal(s.kernel->tree, o->kernel->tree,
+                              /*compare_probabilities=*/false));
+    if (same_shape && s.kernel->cost == o->kernel->cost) {
       s.prepared = o->prepared;
       ++st.strata_reused;
-    } else if (o != nullptr &&
-               ft::structural_equal(s.module->tree, o->module->tree,
-                                    /*compare_probabilities=*/false)) {
+    } else if (same_shape) {
       auto sub = std::make_shared<PreparedInstance>(*o->prepared);
-      reweight_prepared(s.module->tree, *sub, exclusive, st);
+      reweight_prepared(s.kernel->tree, s.kernel->cost, *sub, exclusive, st);
       s.prepared = std::move(sub);
       ++st.strata_reweighted;
     } else {
       s.prepared = std::make_shared<const PreparedInstance>(
-          prepare_monolithic(s.module->tree, cancel));
+          prepare_monolithic(s.kernel->tree, s.kernel->cost, cancel));
       ++st.strata_reprepared;
     }
   }
@@ -828,21 +837,6 @@ std::future<MpmcsSolution> MpmcsPipeline::solve_async(
 
 namespace {
 
-/// Appends a frontier module's cut to its list, in the original tree's
-/// event space.
-void append_cut(maxsat::FrontierList& list, const ft::FaultTree& tree,
-                const maxsat::StratifiedStratum& s, const MpmcsSolution& sub,
-                double weight_scale) {
-  std::vector<ft::EventIndex> mapped;
-  mapped.reserve(sub.cut.size());
-  for (const ft::EventIndex e : sub.cut.events()) {
-    mapped.push_back(s.module->event_map[e]);
-  }
-  list.cuts.emplace_back(std::move(mapped));
-  list.costs.push_back(
-      maxsat::scaled_cut_cost(tree, list.cuts.back().events(), weight_scale));
-}
-
 /// Step 6 and the scaled cost of a composed cut, written into `sol`.
 void set_composed(MpmcsSolution& sol, const ft::FaultTree& tree,
                   ft::CutSet cut, maxsat::ScaledCutCost cost,
@@ -864,14 +858,19 @@ MpmcsSolution MpmcsPipeline::solve_composed(const ft::FaultTree& tree,
                                             const maxsat::StratifiedPlan& plan,
                                             util::CancelTokenPtr cancel) const {
   util::Timer timer;
-  // One time limit over every frontier module and the composition.
+  // One time limit over every kernel and the composition.
   const util::CancelTokenPtr limit = util::make_child_token(std::move(cancel));
   limit->set_deadline_after(opts_.timeout_seconds);
   MpmcsSolution sol;
+  sol.solver_name = "stratified";
+  sol.lineage = "strata";
+  // The collapsed sub-modules' optima, which the kernels' cuts expand into.
+  maxsat::Composer parts(tree, plan, {}, 1, opts_.weight_scale);
+  if (!parts.evaluate(plan.collapsed, limit)) return sol;
   std::vector<maxsat::FrontierList> lists;
   lists.reserve(plan.strata.size());
   for (const maxsat::StratifiedStratum& s : plan.strata) {
-    // A module's proven optimum stands until an edit reweights or
+    // A kernel's proven optimum stands until an edit reweights or
     // rebuilds its artefact; only proven, shrunk answers are kept.
     FrontierOptimum& memo = *s.prepared->optimum;
     std::optional<MpmcsSolution> sub;
@@ -880,7 +879,7 @@ MpmcsSolution MpmcsPipeline::solve_composed(const ft::FaultTree& tree,
       sub = memo.solution;
     }
     if (!sub) {
-      sub = solve_artefact(s.module->tree, *s.prepared, limit);
+      sub = solve_artefact(s.kernel->tree, *s.prepared, limit);
       sol.sat_decisions += sub->sat_decisions;
       sol.sat_propagations += sub->sat_propagations;
       sol.sat_conflicts += sub->sat_conflicts;
@@ -894,20 +893,18 @@ MpmcsSolution MpmcsPipeline::solve_composed(const ft::FaultTree& tree,
     sol.cnf_clauses += sub->cnf_clauses;
     sol.preprocess_removed_vars += sub->preprocess_removed_vars;
     maxsat::FrontierList& list = lists.emplace_back();
-    list.exact = sub->status != maxsat::MaxSatStatus::Unknown;
     if (sub->status == maxsat::MaxSatStatus::Optimal || sub->approximate) {
-      append_cut(list, tree, s, *sub, opts_.weight_scale);
+      list = maxsat::expand(tree, *s.kernel, sub->cut, parts, 1);
     }
+    list.exact = sub->status != maxsat::MaxSatStatus::Unknown;
     if (!list.exact) {
       list.lower = lower_bound_cost(
           sub->scaled_lower_bound,
-          forbidden_weight(s.module->tree, opts_.weight_scale));
+          forbidden_weight(s.kernel->tree, s.kernel->cost));
     }
   }
   const maxsat::Composition c =
       maxsat::compose(tree, plan, lists, 1, opts_.weight_scale, limit);
-  sol.solver_name = "stratified";
-  sol.lineage = "strata";
   sol.status = c.exact ? maxsat::MaxSatStatus::Unsatisfiable
                        : maxsat::MaxSatStatus::Unknown;
   if (!c.cuts.empty()) {
@@ -915,12 +912,12 @@ MpmcsSolution MpmcsPipeline::solve_composed(const ft::FaultTree& tree,
     const maxsat::ScaledCutCost cost = c.costs.front();
     const maxsat::Weight forbidden =
         cost.impossible > 0 || c.lower.impossible > 0
-            ? forbidden_weight(tree, opts_.weight_scale)
+            ? forbidden_weight(tree, event_costs(tree, opts_.weight_scale))
             : 0;
     set_composed(sol, tree, c.cuts.front(), cost, forbidden);
-    // Anytime answer: an undecided frontier module left an incumbent. Its
-    // lower bound composed by the same monotone rules bounds the optimum;
-    // a bound that meets the incumbent proves it.
+    // Anytime answer: an undecided kernel left an incumbent. Its lower
+    // bound composed by the same monotone rules bounds the optimum; a
+    // bound that meets the incumbent proves it.
     if (!c.exact && c.lower < cost) {
       sol.status = maxsat::MaxSatStatus::Unknown;
       set_lower_bound(sol, c.lower.ordinary + c.lower.impossible * forbidden,
@@ -1015,45 +1012,80 @@ std::vector<MpmcsSolution> MpmcsPipeline::top_k_composed(
     maxsat::MaxSatStatus* final_status) const {
   const util::CancelTokenPtr limit = util::make_child_token(std::move(cancel));
   limit->set_deadline_after(opts_.timeout_seconds);
-  // Every frontier module yields its first cut; after each composition, a
-  // module yields one more only when a composed cut contains its last.
-  // Any other module has no further cut the k cheapest can use: in place
-  // of its last, a deeper cut costs no less, and the k cheapest left the
-  // composite over its last out.
-  std::vector<Enumeration> modules;
-  modules.reserve(plan.strata.size());
-  for (const maxsat::StratifiedStratum& s : plan.strata) {
-    modules.emplace_back(*this, s.module->tree, *s.prepared, limit);
+  maxsat::Composer parts(tree, plan, {}, k, opts_.weight_scale);
+  if (!parts.evaluate(plan.collapsed, limit)) {
+    if (final_status) *final_status = maxsat::MaxSatStatus::Unknown;
+    return {};
   }
+  // Every kernel yields its first cut; each kernel cut expands into the k
+  // cheapest module cuts it stands for, all costing at least its own cost
+  // (its cheapest expansion's). So once a kernel cut of cost c is in, no
+  // later one can undercut the pooled expansions costing up to c: those
+  // are the module's list. After each composition, a kernel yields one
+  // more cut only while its list is short of k and a composed cut
+  // contains the list's last. Any other module has no further cut the k
+  // cheapest can use: in place of its last, a deeper cut costs no less,
+  // and the k cheapest left the composite over its last out.
+  std::vector<Enumeration> kernels;
+  kernels.reserve(plan.strata.size());
+  for (const maxsat::StratifiedStratum& s : plan.strata) {
+    kernels.emplace_back(*this, s.kernel->tree, *s.prepared, limit);
+  }
+  std::vector<maxsat::FrontierList> pools(plan.strata.size());
+  std::vector<maxsat::ScaledCutCost> last(plan.strata.size());
   std::vector<maxsat::FrontierList> lists(plan.strata.size());
   std::vector<bool> wanted(plan.strata.size(), true);
   maxsat::Composition c;
   MpmcsSolution sub;
   do {
-    for (std::size_t j = 0; j < modules.size(); ++j) {
+    for (std::size_t j = 0; j < kernels.size(); ++j) {
       if (!wanted[j]) continue;
-      if (modules[j].next(sub)) {
-        append_cut(lists[j], tree, plan.strata[j], sub, opts_.weight_scale);
+      maxsat::FrontierList& pool = pools[j];
+      if (kernels[j].next(sub)) {
+        maxsat::FrontierList more =
+            maxsat::expand(tree, *plan.strata[j].kernel, sub.cut, parts, k);
+        last[j] = more.costs.front();
+        // Merge, keeping the k cheapest; ties keep the pooled ones first.
+        for (std::size_t i = 0; i < more.cuts.size(); ++i) {
+          const auto at = std::upper_bound(pool.costs.begin(),
+                                           pool.costs.end(), more.costs[i]);
+          const auto pos = at - pool.costs.begin();
+          pool.costs.insert(at, more.costs[i]);
+          pool.cuts.insert(pool.cuts.begin() + pos, std::move(more.cuts[i]));
+        }
+        pool.costs.resize(std::min(k, pool.costs.size()));
+        pool.cuts.resize(pool.costs.size());
       }
-      lists[j].exact =
-          modules[j].status() != maxsat::MaxSatStatus::Unknown;
+      const bool more_follow =
+          kernels[j].status() == maxsat::MaxSatStatus::Optimal;
+      const std::size_t settled =
+          more_follow ? static_cast<std::size_t>(
+                            std::upper_bound(pool.costs.begin(),
+                                             pool.costs.end(), last[j]) -
+                            pool.costs.begin())
+                      : pool.costs.size();
+      lists[j].costs.assign(pool.costs.begin(), pool.costs.begin() + settled);
+      lists[j].cuts.assign(pool.cuts.begin(), pool.cuts.begin() + settled);
+      lists[j].exact = kernels[j].status() != maxsat::MaxSatStatus::Unknown;
     }
     c = maxsat::compose(tree, plan, lists, k, opts_.weight_scale, limit);
-    for (std::size_t j = 0; j < modules.size(); ++j) {
+    for (std::size_t j = 0; j < kernels.size(); ++j) {
       const std::vector<ft::CutSet>& cuts = lists[j].cuts;
-      wanted[j] = modules[j].status() == maxsat::MaxSatStatus::Optimal &&
+      wanted[j] = kernels[j].status() == maxsat::MaxSatStatus::Optimal &&
                   cuts.size() < k &&
-                  std::any_of(c.cuts.begin(), c.cuts.end(),
-                              [&](const ft::CutSet& cut) {
-                                return cuts.back().subset_of(cut);
-                              });
+                  (cuts.empty() ||
+                   std::any_of(c.cuts.begin(), c.cuts.end(),
+                               [&](const ft::CutSet& cut) {
+                                 return cuts.back().subset_of(cut);
+                               }));
     }
   } while (std::find(wanted.begin(), wanted.end(), true) != wanted.end());
   const bool impossible = std::any_of(
       c.costs.begin(), c.costs.end(),
       [](const maxsat::ScaledCutCost& x) { return x.impossible > 0; });
   const maxsat::Weight forbidden =
-      impossible ? forbidden_weight(tree, opts_.weight_scale) : 0;
+      impossible ? forbidden_weight(tree, event_costs(tree, opts_.weight_scale))
+                 : 0;
   std::vector<MpmcsSolution> out(c.cuts.size());
   for (std::size_t i = 0; i < c.cuts.size(); ++i) {
     set_composed(out[i], tree, c.cuts[i], c.costs[i], forbidden);

@@ -20,8 +20,9 @@
 //      on one flat instance per artefact: the Step 3.5 one when
 //      preprocessing ran, else the raw one. By default the module pass
 //      (maxsat/stratified) answers the tree's closed-form part without
-//      search, and each module that needs search is solved by the
-//      incremental OLL alone, with the portfolio racing only when the lead
+//      search, and each module that needs search is solved — over its
+//      kernel, its closed-form sub-modules collapsed into weighted
+//      placeholder events — by the incremental OLL alone, with the portfolio racing only when the lead
 //      has no answer within its budget.
 //   6. Reverse transformation — P = exp(-Σ w_i) over the chosen events
 //      (recomputed exactly from the tree's probabilities).
@@ -57,7 +58,8 @@ namespace fta::core {
 enum class SolverChoice {
   /// The default. The module pass (maxsat/stratified) answers the tree's
   /// closed-form gates from their children without search; each frontier
-  /// module — all of the tree when its top gate is one — runs Step 5
+  /// module's kernel (all of the tree when its top gate is a frontier
+  /// module with nothing to collapse) runs Step 5
   /// hedged by escalation: the incremental OLL on the module artefact's
   /// session (with its fragmentation divert to LSU) answers alone, and
   /// only when it has no answer within a short budget do the Portfolio
@@ -210,15 +212,16 @@ struct PreparedInstance {
   /// null when the shrink pass is disabled.
   std::shared_ptr<const ft::ShrinkContext> shrink;
   /// The module pass (maxsat/stratified), built by prepare() under Auto
-  /// when the top gate is closed-form: each frontier module then carries
-  /// its own monolithic artefact and the whole-tree fields above stay
-  /// empty. Null when the tree's own artefact serves: a monolithic
-  /// choice, or a top gate that is itself a frontier module. The engine's
-  /// structural key separates the two shapes.
+  /// when the top gate is closed-form or its kernel collapses a
+  /// sub-module: each frontier module's kernel then carries its own
+  /// monolithic artefact and the whole-tree fields above stay empty. Null
+  /// when the tree's own artefact serves: a monolithic choice, or a top
+  /// gate that is a frontier module with nothing to collapse. The
+  /// engine's structural key separates the two shapes.
   std::shared_ptr<const maxsat::StratifiedPlan> strata;
   /// Set wherever `raw` is built (null on a module-pass artefact). When
-  /// the artefact serves a frontier module, the module pass keeps the
-  /// module's optimum here once a solve proved it, so a re-solve after an
+  /// the artefact serves a kernel, the module pass keeps the kernel's
+  /// optimum here once a solve proved it, so a re-solve after an
   /// edit elsewhere in the tree skips its Step 5. Copies of the artefact
   /// share it; a reweight starts a fresh one.
   std::shared_ptr<FrontierOptimum> optimum;
@@ -227,7 +230,7 @@ struct PreparedInstance {
   /// IncrementalSolveSession::memory_bytes_estimate), lock-free.
   std::size_t session_bytes_estimate() const noexcept;
   /// Whether the artefact holds an incremental session: its own or a
-  /// frontier module's.
+  /// frontier module kernel's.
   bool has_session() const noexcept;
 };
 
@@ -266,8 +269,8 @@ class MpmcsPipeline {
 
   /// Steps 1-4 plus (when enabled) the Step 3.5 preprocessing pass, as
   /// one reusable artefact. Under Auto the module pass runs first, and
-  /// these steps run per frontier module (for the whole tree when its
-  /// top gate is one). The engine's structural cache stores these. The
+  /// these steps run per frontier module kernel (for the whole tree when
+  /// its top gate is a frontier module with nothing to collapse). The engine's structural cache stores these. The
   /// cancel token (when set) bounds the preprocessing phase; an early
   /// stop yields a sound but less simplified artefact.
   PreparedInstance prepare(const ft::FaultTree& tree,
@@ -295,7 +298,7 @@ class MpmcsPipeline {
   /// learnt clauses, totalizer networks) is weight-independent, so no
   /// re-encoding and no cold prepare happens at all. Structural deltas on
   /// module-pass artefacts re-run the (linear) pass and re-prepare only
-  /// the frontier modules that changed, paired by gate; everything else
+  /// the kernels whose shape changed, paired by gate; everything else
   /// falls back to a cold prepare. The caller
   /// must own `prepared` exclusively (no cache-shared copies) because
   /// sessions are mutated in place — shared artefacts go through
@@ -316,8 +319,8 @@ class MpmcsPipeline {
                                    util::CancelTokenPtr cancel = nullptr) const;
 
   /// Process-wide count of cold Step 1-4 artefact builds: one per prepare
-  /// of a whole tree, and one per frontier module the module pass
-  /// prepares (a closed-form tree costs none). The mutation bench and
+  /// of a whole tree, and one per kernel the module pass prepares (a
+  /// closed-form tree costs none). The mutation bench and
   /// tests assert on deltas of this counter: a weight-only edit adds 0, a
   /// single-module splice adds exactly that module's prepare.
   static std::uint64_t prepare_calls() noexcept;
@@ -381,23 +384,32 @@ class MpmcsPipeline {
   maxsat::MaxSatResult solve_step5(
       maxsat::IncrementalSolveSession::Guard* session,
       const maxsat::WcnfInstance& working, util::CancelTokenPtr cancel) const;
-  /// The module pass's solve: each frontier module on its own artefact,
-  /// then the closed-form gates composed, all under one time limit.
+  /// The module pass's solve: each kernel on its own artefact, its cut
+  /// expanded through the collapsed sub-modules' optima, then the
+  /// closed-form gates composed, all under one time limit.
   MpmcsSolution solve_composed(const ft::FaultTree& tree,
                                const maxsat::StratifiedPlan& plan,
                                util::CancelTokenPtr cancel) const;
   /// The superset-blocking loop of top_k_prepared over one monolithic
   /// artefact, one cut at a time.
   class Enumeration;
-  /// The module pass's top-k: k-best lists composed over the frontier
-  /// modules' enumerations, each deepened only as far as the lists use.
+  /// The module pass's top-k: k-best lists composed over the kernels'
+  /// enumerations, expanded through the collapsed sub-modules' k-best
+  /// lists, each kernel deepened only as far as the lists use.
   std::vector<MpmcsSolution> top_k_composed(
       const ft::FaultTree& tree, const maxsat::StratifiedPlan& plan,
       std::size_t k, util::CancelTokenPtr cancel,
       maxsat::MaxSatStatus* final_status) const;
-  /// A cold whole-tree artefact (counted by prepare_calls).
-  PreparedInstance prepare_monolithic(const ft::FaultTree& tree,
-                                      util::CancelTokenPtr cancel) const;
+  /// Steps 1-4 with Step 3's per-event `costs` (a kernel's placeholders
+  /// carry their sub-modules' composed optima).
+  maxsat::WcnfInstance build_weighted(
+      const ft::FaultTree& tree,
+      std::span<const maxsat::ScaledCutCost> costs) const;
+  /// A cold artefact for `tree` (the whole tree, or a kernel) under Step
+  /// 3's per-event `costs` (counted by prepare_calls).
+  PreparedInstance prepare_monolithic(
+      const ft::FaultTree& tree, std::span<const maxsat::ScaledCutCost> costs,
+      util::CancelTokenPtr cancel) const;
   /// The whole-tree artefacts (the raw instance `raw`, its Step 3.5
   /// pass, session, shrink context) built into `prepared`, replacing
   /// whatever was there. Shared by prepare_monolithic and the WCNF
@@ -413,9 +425,10 @@ class MpmcsPipeline {
                                   PreparedInstance& prepared, bool exclusive,
                                   util::CancelTokenPtr cancel) const;
   /// Weight-only patch of a monolithic artefact: rebuilds raw/simplified
-  /// softs under the new tree's weights and rebases (or replaces) the
+  /// softs under the new per-event `costs` and rebases (or replaces) the
   /// session.
   void reweight_prepared(const ft::FaultTree& tree,
+                         std::span<const maxsat::ScaledCutCost> costs,
                          PreparedInstance& prepared, bool exclusive,
                          DeltaApplication& st) const;
   PipelineOptions opts_;

@@ -89,8 +89,16 @@ ft::FaultTree parse_tree(const std::string& text,
 
 /// Canonical Galileo DFT: quoted names, gates top-down, `prob=` with
 /// 17-significant-digit probabilities. parse_tree(to_galileo(t)) is
-/// structurally identical to t including probabilities.
+/// structurally identical to t including probabilities. Throws as
+/// check_galileo_names does on a name it cannot write.
 std::string to_galileo(const ft::FaultTree& tree);
+
+/// Throws std::invalid_argument naming the first node whose name holds a
+/// double quote or a line feed: a quoted Galileo name cannot hold either,
+/// and the format has no escape. The JSON and Open-PSA readers accept
+/// such names; whatever keeps trees as Galileo text (the service journal)
+/// must refuse them up front.
+void check_galileo_names(const ft::FaultTree& tree);
 
 /// Open-PSA MEF with round-trip float precision: the top gate first, the
 /// other gates in depth-first order, then model-data in EventIndex order.

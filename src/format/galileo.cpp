@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
@@ -272,7 +273,20 @@ ft::FaultTree parse_galileo(const std::string& text,
   return GalileoReader(text, opts).run();
 }
 
+void check_galileo_names(const ft::FaultTree& tree) {
+  for (ft::NodeIndex i = 0; i < tree.num_nodes(); ++i) {
+    const std::string& name = tree.node(i).name;
+    if (name.find_first_of("\"\n") != std::string::npos) {
+      throw std::invalid_argument(
+          "node '" + util::json_escape(name) +
+          "' holds a double quote or a line feed, which Galileo text cannot "
+          "write");
+    }
+  }
+}
+
 std::string write_galileo(const ft::FaultTree& tree) {
+  check_galileo_names(tree);
   std::ostringstream os;
   auto quoted = [](const std::string& name) { return '"' + name + '"'; };
   os << "toplevel " << quoted(tree.node(tree.top()).name) << ";\n";

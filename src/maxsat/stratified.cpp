@@ -4,18 +4,13 @@
 #include <cmath>
 #include <tuple>
 
+#include "analysis/modules.hpp"
+
 namespace fta::maxsat {
 
 namespace {
 
 constexpr std::uint32_t kNone = UINT32_MAX;
-
-ScaledCutCost event_cost(const ft::FaultTree& tree, ft::EventIndex e,
-                         double weight_scale) {
-  const double p = tree.event_probability(e);
-  if (p <= 0.0) return {0, 1};
-  return {static_cast<Weight>(std::llround(-std::log(p) * weight_scale)), 0};
-}
 
 /// A gate whose children are basic events or modules, none repeated under
 /// a vote (VOT(2; a, a, b) fires on a alone, so repeats change the count).
@@ -34,26 +29,19 @@ bool closed_form(const ft::FaultTree& tree, const std::vector<bool>& module,
          children.end();
 }
 
-}  // namespace
-
-StratifiedPlan plan_strata(const ft::FaultTree& tree) {
-  StratifiedPlan plan;
-  std::vector<bool> module(tree.num_nodes(), false);
-  for (const analysis::ModuleInfo& m : analysis::find_modules(tree)) {
-    module[m.gate] = true;
-  }
-  const ft::NodeIndex top = tree.top();
-  if (!module[top] || !closed_form(tree, module, top)) return plan;
-
-  // Down from the top, children before parents in `closed`. A module is
-  // reached once; `seen` only skips a child an AND/OR gate repeats.
-  std::vector<bool> seen(tree.num_nodes(), false);
+/// Calls `visit(gate)` for `root` and every gate below it that `descend`
+/// admits, children before parents, skipping gates `seen` already holds
+/// (and marking the ones it reaches in it).
+template <typename Descend, typename Visit>
+void post_order(const ft::FaultTree& tree, ft::NodeIndex root,
+                std::vector<bool>& seen, Descend descend, Visit visit) {
   struct Frame {
     ft::NodeIndex gate;
     std::size_t next_child = 0;
   };
-  std::vector<Frame> stack{{top}};
-  seen[top] = true;
+  if (seen[root]) return;
+  seen[root] = true;
+  std::vector<Frame> stack{{root}};
   while (!stack.empty()) {
     Frame& f = stack.back();
     const ft::Node& n = tree.node(f.gate);
@@ -61,22 +49,192 @@ StratifiedPlan plan_strata(const ft::FaultTree& tree) {
       const ft::NodeIndex c = n.children[f.next_child++];
       if (seen[c] || tree.node(c).type == ft::NodeType::BasicEvent) continue;
       seen[c] = true;
-      if (closed_form(tree, module, c)) {
-        stack.push_back({c});  // invalidates `f`
-      } else {
-        plan.strata.push_back(
-            {c,
-             std::make_shared<const analysis::ExtractedModule>(
-                 analysis::extract_module(tree, c)),
-             nullptr});
-      }
+      if (descend(c)) stack.push_back({c});  // invalidates `f`
       continue;
     }
-    plan.closed.push_back(f.gate);
+    visit(f.gate);
     stack.pop_back();
   }
+}
+
+constexpr auto kAll = [](ft::NodeIndex) { return true; };
+
+/// Copies frontier module `gate` into a kernel: gates down to events and
+/// to the `pure` sub-modules, each of which becomes one placeholder event
+/// named after its gate and has its gates appended to `collapsed`,
+/// children first. `map` (original node -> kernel node) and `seen` are
+/// shared by every extraction of one plan: frontier modules are disjoint.
+std::shared_ptr<Kernel> extract_kernel(const ft::FaultTree& tree,
+                                       ft::NodeIndex gate,
+                                       const std::vector<bool>& pure,
+                                       std::vector<ft::NodeIndex>& map,
+                                       std::vector<bool>& seen,
+                                       std::vector<ft::NodeIndex>& collapsed) {
+  auto kernel = std::make_shared<Kernel>();
+  ft::FaultTree& out = kernel->tree;
+  struct Frame {
+    ft::NodeIndex node;
+    std::size_t next_child = 0;
+  };
+  std::vector<Frame> stack{{gate}};
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    const ft::Node& n = tree.node(f.node);
+    if (map[f.node] != ft::kNoIndex) {
+      stack.pop_back();
+      continue;
+    }
+    const bool leaf = n.type == ft::NodeType::BasicEvent ||
+                      (f.node != gate && pure[f.node]);
+    if (!leaf && f.next_child < n.children.size()) {
+      stack.push_back({n.children[f.next_child++]});
+      continue;
+    }
+    if (n.type == ft::NodeType::BasicEvent) {
+      map[f.node] = out.add_basic_event(n.name, n.enabled ? n.probability : 0.0);
+      kernel->source.push_back(f.node);
+    } else if (leaf) {
+      // Priced by set_costs(); 1 until then.
+      map[f.node] = out.add_basic_event(n.name, 1.0);
+      kernel->source.push_back(f.node);
+      post_order(tree, f.node, seen, kAll,
+                 [&](ft::NodeIndex g) { collapsed.push_back(g); });
+    } else {
+      std::vector<ft::NodeIndex> children;
+      children.reserve(n.children.size());
+      for (const ft::NodeIndex c : n.children) children.push_back(map[c]);
+      map[f.node] =
+          n.type == ft::NodeType::Vote
+              ? out.add_vote_gate(n.name, n.k, std::move(children))
+              : out.add_gate(n.name, n.type, std::move(children));
+    }
+    stack.pop_back();
+  }
+  out.set_top(map[gate]);
+  return kernel;
+}
+
+/// The Step 3 costs of `kernel`'s events under `tree`: an event's own, a
+/// placeholder's composed optimum from `heads` (collapsed gates at k = 1).
+std::vector<ScaledCutCost> kernel_costs(const ft::FaultTree& tree,
+                                        const Kernel& kernel,
+                                        const Composer& heads,
+                                        double weight_scale) {
+  std::vector<ScaledCutCost> cost(kernel.source.size());
+  for (std::size_t e = 0; e < cost.size(); ++e) {
+    const ft::Node& n = tree.node(kernel.source[e]);
+    cost[e] = n.type == ft::NodeType::BasicEvent
+                  ? event_cost(tree, n.event_index, weight_scale)
+                  : heads.cost(kernel.source[e], 0);
+  }
+  return cost;
+}
+
+/// Installs `cost` in `kernel`, with the tree's probabilities to match:
+/// an event's own, a placeholder's exp(-W/scale) (0 for an impossible
+/// optimum; it may underflow to 0 as well, which only the shrink order
+/// sees).
+void set_costs(const ft::FaultTree& tree, Kernel& kernel,
+               std::vector<ScaledCutCost> cost, double weight_scale) {
+  for (ft::EventIndex e = 0; e < cost.size(); ++e) {
+    const ft::Node& n = tree.node(kernel.source[e]);
+    const double p =
+        n.type == ft::NodeType::BasicEvent
+            ? tree.event_probability(n.event_index)
+        : cost[e].impossible > 0
+            ? 0.0
+            : std::exp(-static_cast<double>(cost[e].ordinary) / weight_scale);
+    kernel.tree.set_event_probability(e, p);
+  }
+  kernel.cost = std::move(cost);
+}
+
+}  // namespace
+
+ScaledCutCost event_cost(const ft::FaultTree& tree, ft::EventIndex e,
+                         double weight_scale) {
+  const double p = tree.event_probability(e);
+  if (p <= 0.0) return {0, 1};
+  return {static_cast<Weight>(std::llround(-std::log(p) * weight_scale)), 0};
+}
+
+StratifiedPlan plan_strata(const ft::FaultTree& tree, double weight_scale) {
+  StratifiedPlan plan;
+  const std::size_t n = tree.num_nodes();
+  const ft::NodeIndex top = tree.top();
+  if (tree.node(top).type == ft::NodeType::BasicEvent) return plan;
+  std::vector<bool> module(n, false);
+  for (const analysis::ModuleInfo& m : analysis::find_modules(tree)) {
+    module[m.gate] = true;
+  }
+  // A pure gate is a closed-form module whose gates below are all pure:
+  // its whole sub-module composes.
+  std::vector<bool> pure(n, false), seen(n, false);
+  post_order(tree, top, seen, kAll, [&](ft::NodeIndex g) {
+    if (!module[g] || !closed_form(tree, module, g)) return;
+    bool all = true;
+    for (const ft::NodeIndex c : tree.node(g).children) {
+      all = all && (tree.node(c).type == ft::NodeType::BasicEvent || pure[c]);
+    }
+    pure[g] = all;
+  });
+
+  // Down from a closed-form top, children before parents in `closed`; its
+  // first gates that are not closed-form are the frontier modules. A
+  // module is reached once; `seen` only skips a child an AND/OR gate
+  // repeats. A frontier top is the one frontier module.
+  std::vector<ft::NodeIndex> frontier;
+  std::fill(seen.begin(), seen.end(), false);
+  if (closed_form(tree, module, top)) {
+    post_order(
+        tree, top, seen,
+        [&](ft::NodeIndex c) {
+          if (closed_form(tree, module, c)) return true;
+          frontier.push_back(c);
+          return false;
+        },
+        [&](ft::NodeIndex g) { plan.closed.push_back(g); });
+  } else {
+    frontier.push_back(top);
+  }
+
+  std::vector<ft::NodeIndex> map(n, ft::kNoIndex);
+  std::fill(seen.begin(), seen.end(), false);
+  std::vector<std::shared_ptr<Kernel>> kernels;
+  for (const ft::NodeIndex g : frontier) {
+    kernels.push_back(
+        extract_kernel(tree, g, pure, map, seen, plan.collapsed));
+  }
+  // A frontier top with nothing to collapse is the tree's own instance.
+  if (plan.closed.empty() && plan.collapsed.empty()) return {};
   plan.applicable = true;
+  if (frontier.empty()) return plan;
+
+  Composer heads(tree, plan, {}, 1, weight_scale);
+  heads.evaluate(plan.collapsed, nullptr);
+  for (std::size_t j = 0; j < frontier.size(); ++j) {
+    set_costs(tree, *kernels[j],
+              kernel_costs(tree, *kernels[j], heads, weight_scale),
+              weight_scale);
+    kernels[j]->tree.validate();
+    plan.strata.push_back({frontier[j], std::move(kernels[j]), nullptr});
+  }
   return plan;
+}
+
+void reprice_kernels(const ft::FaultTree& tree, StratifiedPlan& plan,
+                     double weight_scale) {
+  if (plan.strata.empty()) return;
+  Composer heads(tree, plan, {}, 1, weight_scale);
+  heads.evaluate(plan.collapsed, nullptr);
+  for (StratifiedStratum& s : plan.strata) {
+    std::vector<ScaledCutCost> cost =
+        kernel_costs(tree, *s.kernel, heads, weight_scale);
+    if (cost == s.kernel->cost) continue;
+    auto kernel = std::make_shared<Kernel>(*s.kernel);
+    set_costs(tree, *kernel, std::move(cost), weight_scale);
+    s.kernel = std::move(kernel);
+  }
 }
 
 ScaledCutCost scaled_cut_cost(const ft::FaultTree& tree,
@@ -90,30 +248,6 @@ ScaledCutCost scaled_cut_cost(const ft::FaultTree& tree,
 }
 
 namespace {
-
-/// One entry of a node's k-best list. Its cut is the union, over the
-/// chain of parts starting at `part`, of each part's child's entry.
-struct Entry {
-  ScaledCutCost cost;
-  std::uint32_t part = kNone;
-};
-
-struct Part {
-  ft::NodeIndex child = ft::kNoIndex;
-  std::uint32_t entry = 0;    ///< Index into the child's list.
-  std::uint32_t prev = kNone;  ///< Next part of the same entry.
-};
-
-/// A closed-form gate's child as the composition sees it.
-struct ChildList {
-  ft::NodeIndex node = ft::kNoIndex;
-  std::span<const Entry> list;
-  bool exact = true;
-  ScaledCutCost lower;
-
-  /// The child may fire: it has a cut, or its search is undecided.
-  bool live() const noexcept { return !list.empty() || !exact; }
-};
 
 /// A candidate list entry before selection: `base` is an entry of the
 /// list being extended, `pick` the child entry it adds.
@@ -138,206 +272,272 @@ void keep_cheapest(std::vector<Candidate>& cands, std::size_t k) {
   cands.resize(keep);
 }
 
-class Composer {
- public:
-  Composer(const ft::FaultTree& tree, const StratifiedPlan& plan,
-           std::span<const FrontierList> frontier, std::size_t k,
-           double weight_scale)
-      : tree_(tree),
-        plan_(plan),
-        frontier_(frontier),
-        k_(k),
-        weight_scale_(weight_scale),
-        slot_(tree.num_nodes(), kNone),
-        last_parent_(tree.num_nodes(), ft::kNoIndex) {
-    const std::size_t slots = plan.closed.size() + frontier.size();
-    begin_.resize(slots);
-    size_.resize(slots);
-    exact_.resize(slots);
-    lower_.resize(slots);
-    for (std::size_t i = 0; i < plan.closed.size(); ++i) {
-      slot_[plan.closed[i]] = static_cast<std::uint32_t>(i);
-    }
-    for (std::size_t j = 0; j < frontier.size(); ++j) {
-      const auto s = static_cast<std::uint32_t>(plan.closed.size() + j);
-      slot_[plan.strata[j].gate] = s;
-      std::vector<Entry> list(std::min(k, frontier[j].costs.size()));
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        list[i].cost = frontier[j].costs[i];
-      }
-      store(s, list, frontier[j].exact, frontier[j].lower);
-    }
-  }
-
-  /// Evaluates closed-form gate `i` of the plan (its children done).
-  void evaluate(std::size_t i) {
-    const ft::NodeIndex gate = plan_.closed[i];
-    const ft::Node& n = tree_.node(gate);
-    // AND/OR ignore repeated children; a closed-form vote has none.
-    children_.clear();
-    singles_.clear();
-    singles_.reserve(n.children.size());  // spans below point into it
-    for (const ft::NodeIndex c : n.children) {
-      if (last_parent_[c] == gate) continue;
-      last_parent_[c] = gate;
-      const ft::Node& cn = tree_.node(c);
-      if (cn.type == ft::NodeType::BasicEvent) {
-        singles_.push_back({event_cost(tree_, cn.event_index, weight_scale_)});
-        children_.push_back({c, {&singles_.back(), 1}, true,
-                             singles_.back().cost});
-        continue;
-      }
-      const std::uint32_t s = slot_[c];
-      children_.push_back({c, {entries_.data() + begin_[s], size_[s]},
-                           exact_[s] != 0, lower_[s]});
-    }
-    bool exact = true;
-    std::vector<ScaledCutCost>& lowers = lowers_;
-    lowers.clear();
-    for (const ChildList& c : children_) {
-      exact = exact && c.exact;
-      if (c.live()) lowers.push_back(c.lower);
-    }
-    std::sort(lowers.begin(), lowers.end());
-    const std::size_t need = n.type == ft::NodeType::Or    ? 1
-                             : n.type == ft::NodeType::And ? children_.size()
-                                                           : n.k;
-    const auto s = static_cast<std::uint32_t>(i);
-    if (lowers.size() < need) {
-      store(s, {}, true, {});  // too few children can fire: no cut at all
-      return;
-    }
-    ScaledCutCost lower;
-    for (std::size_t j = 0; j < need; ++j) lower = lower + lowers[j];
-    std::vector<Entry> list{Entry{}};
-    if (n.type == ft::NodeType::And) {
-      for (const ChildList& c : children_) list = extend(list, c);
-    } else {
-      list = choose(static_cast<std::uint32_t>(need));  // OR: 1-of-n
-    }
-    store(s, list, exact, lower);
-  }
-
-  Composition finish() const {
-    Composition out;
-    const std::uint32_t top = slot_[tree_.top()];
-    out.exact = exact_[top] != 0;
-    out.lower = lower_[top];
-    for (std::uint32_t e = 0; e < size_[top]; ++e) {
-      out.costs.push_back(entries_[begin_[top] + e].cost);
-      out.cuts.push_back(cut_of(tree_.top(), e));
-    }
-    return out;
-  }
-
- private:
-  void store(std::uint32_t s, const std::vector<Entry>& list, bool exact,
-             ScaledCutCost lower) {
-    begin_[s] = static_cast<std::uint32_t>(entries_.size());
-    size_[s] = static_cast<std::uint32_t>(list.size());
-    exact_[s] = exact ? 1 : 0;
-    // An exact list's head is the optimum itself.
-    lower_[s] = exact && !list.empty() ? list.front().cost : lower;
-    entries_.insert(entries_.end(), list.begin(), list.end());
-  }
-
-  /// The k cheapest of {a + b : a in `base`, b in child's list}; with
-  /// `kept`, the result also competes with those already-built entries.
-  std::vector<Entry> extend(const std::vector<Entry>& base,
-                            const ChildList& child,
-                            const std::vector<Entry>& kept = {}) {
-    std::vector<Candidate> cands;
-    for (const Entry& e : kept) cands.push_back({e.cost, kNone, 0, e.part});
-    for (std::uint32_t a = 0; a < base.size(); ++a) {
-      for (std::uint32_t b = 0; b < child.list.size(); ++b) {
-        cands.push_back({base[a].cost + child.list[b].cost, a, b});
-      }
-    }
-    keep_cheapest(cands, k_);
-    std::vector<Entry> out;
-    for (const Candidate& x : cands) {
-      std::uint32_t part = x.part;
-      if (part == kNone) {
-        part = static_cast<std::uint32_t>(parts_.size());
-        parts_.push_back({child.node, x.pick, base[x.base].part});
-      }
-      out.push_back({x.cost, part});
-    }
-    return out;
-  }
-
-  /// k-of-n: chosen[j] holds the k cheapest ways to fire exactly j of the
-  /// children seen so far, one child at a time (a 0/1 knapsack over j).
-  std::vector<Entry> choose(std::uint32_t threshold) {
-    std::vector<std::vector<Entry>> chosen(threshold + 1);
-    chosen[0] = {Entry{}};
-    for (std::size_t c = 0; c < children_.size(); ++c) {
-      const std::size_t top = std::min<std::size_t>(threshold, c + 1);
-      for (std::size_t j = top; j >= 1; --j) {
-        chosen[j] = extend(chosen[j - 1], children_[c], chosen[j]);
-      }
-    }
-    return chosen[threshold];
-  }
-
-  ft::CutSet cut_of(ft::NodeIndex node, std::uint32_t entry) const {
-    std::vector<ft::EventIndex> events;
-    std::vector<std::pair<ft::NodeIndex, std::uint32_t>> todo{{node, entry}};
-    while (!todo.empty()) {
-      const auto [id, e] = todo.back();
-      todo.pop_back();
-      const ft::Node& n = tree_.node(id);
-      if (n.type == ft::NodeType::BasicEvent) {
-        events.push_back(n.event_index);
-        continue;
-      }
-      const std::uint32_t s = slot_[id];
-      if (s >= plan_.closed.size()) {
-        const ft::CutSet& cut = frontier_[s - plan_.closed.size()].cuts[e];
-        events.insert(events.end(), cut.events().begin(), cut.events().end());
-        continue;
-      }
-      for (std::uint32_t p = entries_[begin_[s] + e].part; p != kNone;
-           p = parts_[p].prev) {
-        todo.push_back({parts_[p].child, parts_[p].entry});
-      }
-    }
-    return ft::CutSet(std::move(events));
-  }
-
-  const ft::FaultTree& tree_;
-  const StratifiedPlan& plan_;
-  std::span<const FrontierList> frontier_;
-  std::size_t k_;
-  double weight_scale_;
-  std::vector<std::uint32_t> slot_;  ///< Node -> closed gate or frontier.
-  std::vector<std::uint32_t> begin_, size_;  ///< Per slot, into entries_.
-  std::vector<std::uint8_t> exact_;
-  std::vector<ScaledCutCost> lower_;
-  std::vector<Entry> entries_;
-  std::vector<Part> parts_;
-  /// The gate that last listed a node as its child: skips repeats.
-  std::vector<ft::NodeIndex> last_parent_;
-  std::vector<ChildList> children_;  ///< Scratch for evaluate().
-  std::vector<Entry> singles_;       ///< Scratch: event children's lists.
-  std::vector<ScaledCutCost> lowers_;  ///< Scratch for evaluate().
-};
-
 }  // namespace
+
+Composer::Composer(const ft::FaultTree& tree, const StratifiedPlan& plan,
+                   std::span<const FrontierList> frontier, std::size_t k,
+                   double weight_scale)
+    : tree_(tree),
+      frontier_(frontier),
+      k_(k),
+      weight_scale_(weight_scale),
+      slot_(tree.num_nodes(), kNone),
+      last_parent_(tree.num_nodes(), ft::kNoIndex) {
+  for (std::size_t j = 0; j < frontier.size(); ++j) {
+    const ft::NodeIndex gate = plan.strata[j].gate;
+    std::vector<Entry> list(std::min(k, frontier[j].costs.size()));
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      list[i].cost = frontier[j].costs[i];
+    }
+    store(gate, list, frontier[j].exact, frontier[j].lower);
+    frontier_of_.back() = static_cast<std::uint32_t>(j);
+  }
+}
+
+bool Composer::evaluate(std::span<const ft::NodeIndex> gates,
+                        const util::CancelTokenPtr& cancel) {
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    if (cancel && i % 1024 == 0) {
+      if (cancel->cancelled()) return false;
+      cancel->note_progress();
+    }
+    evaluate(gates[i]);
+  }
+  return true;
+}
+
+void Composer::evaluate(ft::NodeIndex gate) {
+  const ft::Node& n = tree_.node(gate);
+  // AND/OR ignore repeated children; a closed-form vote has none.
+  children_.clear();
+  singles_.clear();
+  singles_.reserve(n.children.size());  // spans below point into it
+  for (const ft::NodeIndex c : n.children) {
+    if (last_parent_[c] == gate) continue;
+    last_parent_[c] = gate;
+    const ft::Node& cn = tree_.node(c);
+    if (cn.type == ft::NodeType::BasicEvent) {
+      singles_.push_back({event_cost(tree_, cn.event_index, weight_scale_)});
+      children_.push_back({c, {&singles_.back(), 1}, true,
+                           singles_.back().cost});
+      continue;
+    }
+    const std::uint32_t s = slot_[c];
+    children_.push_back({c, {entries_.data() + begin_[s], size_[s]},
+                         exact_[s] != 0, lower_[s]});
+  }
+  bool exact = true;
+  std::vector<ScaledCutCost>& lowers = lowers_;
+  lowers.clear();
+  for (const ChildList& c : children_) {
+    exact = exact && c.exact;
+    if (c.live()) lowers.push_back(c.lower);
+  }
+  const std::size_t need = n.type == ft::NodeType::Or    ? 1
+                           : n.type == ft::NodeType::And ? children_.size()
+                                                         : n.k;
+  if (lowers.size() < need) {
+    store(gate, {}, true, {});  // too few children can fire: no cut at all
+    return;
+  }
+  std::nth_element(lowers.begin(), lowers.begin() + (need - 1), lowers.end());
+  ScaledCutCost lower;
+  for (std::size_t j = 0; j < need; ++j) lower = lower + lowers[j];
+  if (k_ == 1) {
+    const Entry best = cheapest(static_cast<std::uint32_t>(need));
+    store(gate, {&best, best.part == kNone ? 0u : 1u}, exact, lower);
+    return;
+  }
+  std::vector<Entry> list{Entry{}};
+  if (n.type == ft::NodeType::And) {
+    for (const ChildList& c : children_) list = extend(list, c);
+  } else {
+    list = choose(static_cast<std::uint32_t>(need));  // OR: 1-of-n
+  }
+  store(gate, list, exact, lower);
+}
+
+/// The optimum alone: the `threshold` cheapest children with a cut, each
+/// by its head (a partial selection, linear in the fan-in). No entry (part
+/// kNone) when fewer children have one.
+Composer::Entry Composer::cheapest(std::uint32_t threshold) {
+  picks_.clear();
+  for (std::uint32_t c = 0; c < children_.size(); ++c) {
+    if (!children_[c].list.empty()) picks_.push_back(c);
+  }
+  if (picks_.size() < threshold) return {};
+  const auto head = [this](std::uint32_t c) {
+    const ScaledCutCost& x = children_[c].list.front().cost;
+    return std::tuple(x.impossible, x.ordinary, c);
+  };
+  if (threshold < picks_.size()) {
+    std::nth_element(
+        picks_.begin(), picks_.begin() + (threshold - 1), picks_.end(),
+        [&](std::uint32_t a, std::uint32_t b) { return head(a) < head(b); });
+  }
+  Entry best;
+  for (std::uint32_t i = 0; i < threshold; ++i) {
+    const ChildList& c = children_[picks_[i]];
+    best.cost = best.cost + c.list.front().cost;
+    parts_.push_back({c.node, 0, best.part});
+    best.part = static_cast<std::uint32_t>(parts_.size() - 1);
+  }
+  return best;
+}
+
+void Composer::store(ft::NodeIndex node, std::span<const Entry> list,
+                     bool exact, ScaledCutCost lower) {
+  slot_[node] = static_cast<std::uint32_t>(begin_.size());
+  begin_.push_back(static_cast<std::uint32_t>(entries_.size()));
+  size_.push_back(static_cast<std::uint32_t>(list.size()));
+  exact_.push_back(exact ? 1 : 0);
+  // An exact list's head is the optimum itself.
+  lower_.push_back(exact && !list.empty() ? list.front().cost : lower);
+  frontier_of_.push_back(kNone);
+  entries_.insert(entries_.end(), list.begin(), list.end());
+}
+
+/// The k cheapest of {a + b : a in `base`, b in child's list}; with
+/// `kept`, the result also competes with those already-built entries.
+std::vector<Composer::Entry> Composer::extend(const std::vector<Entry>& base,
+                                              const ChildList& child,
+                                              const std::vector<Entry>& kept) {
+  std::vector<Candidate> cands;
+  for (const Entry& e : kept) cands.push_back({e.cost, kNone, 0, e.part});
+  for (std::uint32_t a = 0; a < base.size(); ++a) {
+    for (std::uint32_t b = 0; b < child.list.size(); ++b) {
+      cands.push_back({base[a].cost + child.list[b].cost, a, b});
+    }
+  }
+  keep_cheapest(cands, k_);
+  std::vector<Entry> out;
+  for (const Candidate& x : cands) {
+    std::uint32_t part = x.part;
+    if (part == kNone) {
+      part = static_cast<std::uint32_t>(parts_.size());
+      parts_.push_back({child.node, x.pick, base[x.base].part});
+    }
+    out.push_back({x.cost, part});
+  }
+  return out;
+}
+
+/// k-of-n: chosen[j] holds the k cheapest ways to fire exactly j of the
+/// children seen so far, one child at a time (a 0/1 knapsack over j).
+std::vector<Composer::Entry> Composer::choose(std::uint32_t threshold) {
+  std::vector<std::vector<Entry>> chosen(threshold + 1);
+  chosen[0] = {Entry{}};
+  for (std::size_t c = 0; c < children_.size(); ++c) {
+    const std::size_t top = std::min<std::size_t>(threshold, c + 1);
+    for (std::size_t j = top; j >= 1; --j) {
+      chosen[j] = extend(chosen[j - 1], children_[c], chosen[j]);
+    }
+  }
+  return chosen[threshold];
+}
+
+void Composer::append_cut(ft::NodeIndex gate, std::size_t entry,
+                          std::vector<ft::EventIndex>& events) const {
+  std::vector<std::pair<ft::NodeIndex, std::uint32_t>> todo{
+      {gate, static_cast<std::uint32_t>(entry)}};
+  while (!todo.empty()) {
+    const auto [id, e] = todo.back();
+    todo.pop_back();
+    const ft::Node& n = tree_.node(id);
+    if (n.type == ft::NodeType::BasicEvent) {
+      events.push_back(n.event_index);
+      continue;
+    }
+    const std::uint32_t s = slot_[id];
+    if (frontier_of_[s] != kNone) {
+      const ft::CutSet& cut = frontier_[frontier_of_[s]].cuts[e];
+      events.insert(events.end(), cut.events().begin(), cut.events().end());
+      continue;
+    }
+    for (std::uint32_t p = entries_[begin_[s] + e].part; p != kNone;
+         p = parts_[p].prev) {
+      todo.push_back({parts_[p].child, parts_[p].entry});
+    }
+  }
+}
+
+Composition Composer::result(ft::NodeIndex gate) const {
+  Composition out;
+  const std::uint32_t s = slot_[gate];
+  out.exact = exact_[s] != 0;
+  out.lower = lower_[s];
+  std::vector<ft::EventIndex> events;
+  for (std::uint32_t e = 0; e < size_[s]; ++e) {
+    out.costs.push_back(entries_[begin_[s] + e].cost);
+    events.clear();
+    append_cut(gate, e, events);
+    out.cuts.emplace_back(events);
+  }
+  return out;
+}
 
 Composition compose(const ft::FaultTree& tree, const StratifiedPlan& plan,
                     std::span<const FrontierList> frontier, std::size_t k,
                     double weight_scale, const util::CancelTokenPtr& cancel) {
   if (!plan.applicable || k == 0) return {};
   Composer composer(tree, plan, frontier, k, weight_scale);
-  for (std::size_t i = 0; i < plan.closed.size(); ++i) {
-    if (cancel && i % 1024 == 0) {
-      if (cancel->cancelled()) return {};
-      cancel->note_progress();
+  if (!composer.evaluate(plan.closed, cancel)) return {};
+  return composer.result(tree.top());
+}
+
+FrontierList expand(const ft::FaultTree& tree, const Kernel& kernel,
+                    const ft::CutSet& cut, const Composer& parts,
+                    std::size_t k) {
+  // One combination per way of picking an entry of each placeholder's
+  // list, extended a placeholder at a time and cut back to the k
+  // cheapest (ties: earlier picks first).
+  struct Combo {
+    ScaledCutCost cost;
+    std::vector<std::uint32_t> picks;  ///< Per placeholder of the cut.
+  };
+  std::vector<ft::EventIndex> events;
+  std::vector<ft::NodeIndex> placeholders;
+  ScaledCutCost own;  // the cut's events; placeholders add list entries
+  for (const ft::EventIndex e : cut.events()) {
+    const ft::Node& n = tree.node(kernel.source[e]);
+    if (n.type == ft::NodeType::BasicEvent) {
+      events.push_back(n.event_index);
+      own = own + kernel.cost[e];
+    } else {
+      placeholders.push_back(kernel.source[e]);
     }
-    composer.evaluate(i);
   }
-  return composer.finish();
+  std::vector<Combo> combos{{own, {}}};
+  for (const ft::NodeIndex g : placeholders) {
+    std::vector<Combo> next;
+    for (const Combo& c : combos) {
+      for (std::uint32_t i = 0; i < parts.size(g); ++i) {
+        Combo x{c.cost + parts.cost(g, i), c.picks};
+        x.picks.push_back(i);
+        next.push_back(std::move(x));
+      }
+    }
+    const std::size_t keep = std::min(k, next.size());
+    std::partial_sort(next.begin(), next.begin() + keep, next.end(),
+                      [](const Combo& a, const Combo& b) {
+                        return std::tie(a.cost.impossible, a.cost.ordinary,
+                                        a.picks) <
+                               std::tie(b.cost.impossible, b.cost.ordinary,
+                                        b.picks);
+                      });
+    next.resize(keep);
+    combos = std::move(next);
+  }
+  FrontierList out;
+  for (const Combo& c : combos) {
+    std::vector<ft::EventIndex> cut_events = events;
+    for (std::size_t i = 0; i < placeholders.size(); ++i) {
+      parts.append_cut(placeholders[i], c.picks[i], cut_events);
+    }
+    out.cuts.emplace_back(std::move(cut_events));
+    out.costs.push_back(c.cost);
+  }
+  return out;
 }
 
 }  // namespace fta::maxsat

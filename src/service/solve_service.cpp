@@ -381,6 +381,8 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
     }
     tree = parse_tree_text(tree_text, doc.get_string("format", "auto"));
     tree.validate();
+    // The journal and GET keep trees as Galileo text.
+    format::check_galileo_names(tree);
     const std::string solver = doc.get_string("solver", "");
     if (!solver.empty() && !core::parse_solver_choice(solver, &popts.solver)) {
       throw util::JsonError(0, "unknown solver \"" + solver + "\"");
@@ -642,6 +644,8 @@ HttpResponse SolveService::handle_tree_create(const HttpRequest& request) {
     }
     tree = parse_tree_text(tree_text, doc.get_string("format", "auto"));
     tree.validate();
+    // The journal and GET keep trees as Galileo text.
+    format::check_galileo_names(tree);
     const std::string solver = doc.get_string("solver", "");
     if (!solver.empty() && !core::parse_solver_choice(solver, &popts.solver)) {
       throw util::JsonError(0, "unknown solver \"" + solver + "\"");

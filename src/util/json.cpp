@@ -1,6 +1,8 @@
 #include "util/json.hpp"
 
+#include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace fta::util {
@@ -223,14 +225,23 @@ std::string_view JsonReader::number_text() {
 
 double JsonReader::number() {
   // The slice is a validated JSON number: from_chars reads it as strtod
-  // would (both round correctly) unless it is out of range, and strtod
-  // then gives the same zero or infinity it always gave.
+  // would (both round correctly) unless it is out of range. strtod then
+  // gives the subnormal nearest the text, which is kept, or a zero or an
+  // infinity, which the text does not denote: those fail at the number,
+  // as the Galileo and Open-PSA readers' numbers do.
+  const std::size_t start = pos_;
   const std::string_view slice = number_text();
   double v = 0.0;
   const auto [stop, ec] =
       std::from_chars(slice.data(), slice.data() + slice.size(), v);
   if (ec == std::errc() && stop == slice.data() + slice.size()) return v;
-  return std::strtod(std::string(slice).c_str(), nullptr);
+  errno = 0;
+  v = std::strtod(std::string(slice).c_str(), nullptr);
+  if (errno == ERANGE && (v == 0.0 || std::isinf(v))) {
+    pos_ = start;
+    fail("number out of range: " + std::string(slice));
+  }
+  return v;
 }
 
 JsonValue JsonValue::parse_value(JsonReader& reader, std::size_t depth,

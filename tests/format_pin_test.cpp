@@ -671,6 +671,12 @@ std::vector<Malformed> malformed_table() {
                "\"event\", \"prob\": 1.5}\n]}", 2, 3},
       {"json", "{\"top\": \"a\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
                "\"event\", \"prob\": \"x\"}\n]}", 2, 40},
+      // A probability that underflows or overflows is refused at the
+      // number, as Galileo's and Open-PSA's are (it read as 0 and inf).
+      {"json", "{\"top\": \"a\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
+               "\"event\", \"prob\": 1e-400}\n]}", 2, 40},
+      {"json", "{\"top\": \"a\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
+               "\"event\", \"prob\": 1e400}\n]}", 2, 40},
       {"json", "{\"top\": \"T\", \"nodes\": [\n  {\"id\": \"a\", \"type\": "
                "\"event\"},\n  {\"id\": \"T\", \"type\": \"vote\", \"k\": 2, "
                "\"children\": [\"a\"]}\n]}", 3, 3},

@@ -344,7 +344,7 @@ void expect_same_optimum(const ft::FaultTree& tree, core::SolverChoice solver,
     for (const auto& s : prepared.strata->strata) {
       const auto& kept = s.prepared->optimum->solution;
       ASSERT_TRUE(kept.has_value()) << label;
-      EXPECT_EQ(on.solve_prepared(s.module->tree, *s.prepared).scaled_cost,
+      EXPECT_EQ(on.solve_prepared(s.kernel->tree, *s.prepared).scaled_cost,
                 kept->scaled_cost)
           << label;
     }

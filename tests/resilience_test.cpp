@@ -419,6 +419,55 @@ TEST(ServiceJournal, ReplayRestoresEveryProbabilityBitForBit) {
   }
 }
 
+TEST(ServiceJournal, RefusesNamesTheJournalCannotWrite) {
+  // The journal keeps trees as Galileo text, which has no escape for a
+  // double quote or a line feed in a name. A JSON body may carry either:
+  // the service must refuse it before registering or journaling anything
+  // (it used to answer 201 and lose the tree on restart).
+  const std::string dir = fresh_dir("svc-names");
+  const auto appends = [](SolveService& svc) {
+    const util::JsonValue stats = util::JsonValue::parse(svc.statsz_json());
+    return stats.find("resilience")->get_number("journalAppends", -1.0);
+  };
+  std::string kept;
+  {
+    SolveService svc(journaled_options(dir));
+    for (const std::string name : {"a\"b", "a\nb"}) {
+      const std::string json =
+          "{\"top\": \"T\", \"nodes\": [{\"id\": \"" +
+          util::json_escape(name) +
+          "\", \"type\": \"event\", \"prob\": 0.1}, {\"id\": \"T\", "
+          "\"type\": \"or\", \"children\": [\"" +
+          util::json_escape(name) + "\"]}]}";
+      const HttpResponse r =
+          svc.handle(req("POST", "/v1/trees", create_body(json, "")));
+      EXPECT_EQ(r.status, 400) << r.body;
+      EXPECT_NE(r.body.find("holds a double quote or a line feed"),
+                std::string::npos)
+          << r.body;
+    }
+    EXPECT_EQ(appends(svc), 0.0);
+    EXPECT_TRUE(svc.engine().list_trees().empty());
+
+    // A replace subtree is Galileo text, whose reader refuses both.
+    const HttpResponse c =
+        svc.handle(req("POST", "/v1/trees", create_body(plant_text(), "")));
+    ASSERT_EQ(c.status, 201) << c.body;
+    kept = util::JsonValue::parse(c.body).get_string("id", "");
+    const double before = appends(svc);
+    const HttpResponse patched = svc.handle(
+        req("PATCH", "/v1/trees/" + kept,
+            "{\"delta\": [{\"op\": \"replace\", \"gate\": \"M1\", "
+            "\"subtree\": \"toplevel r;\\nr or a\\\"b c;\\n\"}]}"));
+    EXPECT_EQ(patched.status, 400) << patched.body;
+    EXPECT_EQ(appends(svc), before);
+  }
+  SolveService svc(journaled_options(dir));
+  const util::JsonValue stats = util::JsonValue::parse(svc.statsz_json());
+  EXPECT_EQ(stats.find("resilience")->get_number("restoredTrees", -1.0), 1.0);
+  EXPECT_EQ(svc.handle(req("GET", "/v1/trees/" + kept)).status, 200);
+}
+
 TEST(ServiceJournal, ReadyzReflectsDrainAndHealthzStaysServing) {
   SolveService svc(journaled_options(fresh_dir("svc-readyz")));
   EXPECT_EQ(svc.handle(req("GET", "/v1/readyz")).status, 200);
