@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
 namespace fta::analysis {
 
@@ -70,49 +69,6 @@ std::vector<ModuleInfo> find_modules(const ft::FaultTree& tree) {
     if (module[g]) modules.push_back(ModuleInfo{g, events_under[g]});
   }
   return modules;
-}
-
-ExtractedModule extract_module(const ft::FaultTree& tree,
-                               ft::NodeIndex gate) {
-  ExtractedModule out;
-  // Post-order copy: children are materialised before the gate that uses
-  // them. `mapping` keeps shared sub-DAGs shared in the copy; it is keyed
-  // by node so an extraction costs the size of the module, not the tree.
-  std::unordered_map<ft::NodeIndex, ft::NodeIndex> mapping;
-  struct Frame {
-    ft::NodeIndex node;
-    std::size_t next_child = 0;
-  };
-  std::vector<Frame> stack{{gate}};
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    const ft::Node& n = tree.node(f.node);
-    if (mapping.count(f.node) != 0) {
-      stack.pop_back();
-      continue;
-    }
-    if (f.next_child < n.children.size()) {
-      stack.push_back({n.children[f.next_child++]});
-      continue;
-    }
-    if (n.type == ft::NodeType::BasicEvent) {
-      mapping[f.node] = out.tree.add_basic_event(
-          n.name, n.enabled ? n.probability : 0.0);
-      out.event_map.push_back(n.event_index);
-    } else {
-      std::vector<ft::NodeIndex> children;
-      children.reserve(n.children.size());
-      for (const ft::NodeIndex c : n.children) children.push_back(mapping[c]);
-      mapping[f.node] =
-          n.type == ft::NodeType::Vote
-              ? out.tree.add_vote_gate(n.name, n.k, std::move(children))
-              : out.tree.add_gate(n.name, n.type, std::move(children));
-    }
-    stack.pop_back();
-  }
-  out.tree.set_top(mapping[gate]);
-  out.tree.validate();
-  return out;
 }
 
 bool is_module(const ft::FaultTree& tree, ft::NodeIndex gate) {

@@ -34,19 +34,4 @@ std::vector<ModuleInfo> find_modules(const ft::FaultTree& tree);
 /// True iff `gate` is a module of the tree.
 bool is_module(const ft::FaultTree& tree, ft::NodeIndex gate);
 
-/// A module lifted out as a standalone fault tree. Events are renumbered
-/// densely in the subtree; `event_map` translates the subtree's
-/// EventIndex space back to the original tree's (cut sets computed on the
-/// extracted tree map back through it).
-struct ExtractedModule {
-  ft::FaultTree tree;
-  std::vector<ft::EventIndex> event_map;  ///< subtree index -> original.
-};
-
-/// Copies the subtree rooted at `gate` (which need not be a module — the
-/// caller guarantees independence when it matters) into its own tree,
-/// preserving node names, gate types/thresholds and event probabilities.
-/// Deterministic: node visitation order depends only on the tree shape.
-ExtractedModule extract_module(const ft::FaultTree& tree, ft::NodeIndex gate);
-
 }  // namespace fta::analysis
