@@ -862,11 +862,6 @@ MpmcsSolution MpmcsPipeline::solve_composed(const ft::FaultTree& tree,
   const util::CancelTokenPtr limit = util::make_child_token(std::move(cancel));
   limit->set_deadline_after(opts_.timeout_seconds);
   MpmcsSolution sol;
-  sol.solver_name = "stratified";
-  sol.lineage = "strata";
-  // The collapsed sub-modules' optima, which the kernels' cuts expand into.
-  maxsat::Composer parts(tree, plan, {}, 1, opts_.weight_scale);
-  if (!parts.evaluate(plan.collapsed, limit)) return sol;
   std::vector<maxsat::FrontierList> lists;
   lists.reserve(plan.strata.size());
   for (const maxsat::StratifiedStratum& s : plan.strata) {
@@ -894,7 +889,7 @@ MpmcsSolution MpmcsPipeline::solve_composed(const ft::FaultTree& tree,
     sol.preprocess_removed_vars += sub->preprocess_removed_vars;
     maxsat::FrontierList& list = lists.emplace_back();
     if (sub->status == maxsat::MaxSatStatus::Optimal || sub->approximate) {
-      list = maxsat::expand(tree, *s.kernel, sub->cut, parts, 1);
+      list = maxsat::expand(tree, *s.kernel, sub->cut);
     }
     list.exact = sub->status != maxsat::MaxSatStatus::Unknown;
     if (!list.exact) {
@@ -905,6 +900,8 @@ MpmcsSolution MpmcsPipeline::solve_composed(const ft::FaultTree& tree,
   }
   const maxsat::Composition c =
       maxsat::compose(tree, plan, lists, 1, opts_.weight_scale, limit);
+  sol.solver_name = "stratified";
+  sol.lineage = "strata";
   sol.status = c.exact ? maxsat::MaxSatStatus::Unsatisfiable
                        : maxsat::MaxSatStatus::Unknown;
   if (!c.cuts.empty()) {

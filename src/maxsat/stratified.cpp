@@ -94,7 +94,7 @@ std::shared_ptr<Kernel> extract_kernel(const ft::FaultTree& tree,
       map[f.node] = out.add_basic_event(n.name, n.enabled ? n.probability : 0.0);
       kernel->source.push_back(f.node);
     } else if (leaf) {
-      // Priced by set_costs(); 1 until then.
+      // Priced by price(); 1 until then.
       map[f.node] = out.add_basic_event(n.name, 1.0);
       kernel->source.push_back(f.node);
       post_order(tree, f.node, seen, kAll,
@@ -114,39 +114,60 @@ std::shared_ptr<Kernel> extract_kernel(const ft::FaultTree& tree,
   return kernel;
 }
 
-/// The Step 3 costs of `kernel`'s events under `tree`: an event's own, a
-/// placeholder's composed optimum from `heads` (collapsed gates at k = 1).
-std::vector<ScaledCutCost> kernel_costs(const ft::FaultTree& tree,
-                                        const Kernel& kernel,
-                                        const Composer& heads,
-                                        double weight_scale) {
-  std::vector<ScaledCutCost> cost(kernel.source.size());
-  for (std::size_t e = 0; e < cost.size(); ++e) {
-    const ft::Node& n = tree.node(kernel.source[e]);
-    cost[e] = n.type == ft::NodeType::BasicEvent
-                  ? event_cost(tree, n.event_index, weight_scale)
-                  : heads.cost(kernel.source[e], 0);
-  }
-  return cost;
-}
-
-/// Installs `cost` in `kernel`, with the tree's probabilities to match:
-/// an event's own, a placeholder's exp(-W/scale) (0 for an impossible
-/// optimum; it may underflow to 0 as well, which only the shrink order
-/// sees).
-void set_costs(const ft::FaultTree& tree, Kernel& kernel,
-               std::vector<ScaledCutCost> cost, double weight_scale) {
-  for (ft::EventIndex e = 0; e < cost.size(); ++e) {
-    const ft::Node& n = tree.node(kernel.source[e]);
-    const double p =
-        n.type == ft::NodeType::BasicEvent
-            ? tree.event_probability(n.event_index)
-        : cost[e].impossible > 0
-            ? 0.0
-            : std::exp(-static_cast<double>(cost[e].ordinary) / weight_scale);
+/// Prices `kernel` under `tree`: each event at its own Step 3 cost and
+/// probability; each placeholder at its sub-module's composed optimum
+/// from `heads` (the collapsed gates at k = 1), with that optimum's cut
+/// and a probability of exp(-W/scale) (0 for an impossible optimum; it
+/// may underflow to 0 as well, which only the shrink order sees).
+void price(const ft::FaultTree& tree, Kernel& kernel, const Composer& heads,
+           double weight_scale) {
+  const std::size_t n = kernel.source.size();
+  kernel.cost.resize(n);
+  kernel.cut.assign(n, {});
+  std::vector<ft::EventIndex> events;
+  for (ft::EventIndex e = 0; e < n; ++e) {
+    const ft::NodeIndex g = kernel.source[e];
+    const ft::Node& node = tree.node(g);
+    double p = 0.0;
+    if (node.type == ft::NodeType::BasicEvent) {
+      kernel.cost[e] = event_cost(tree, node.event_index, weight_scale);
+      p = tree.event_probability(node.event_index);
+    } else {
+      kernel.cost[e] = heads.cost(g, 0);
+      events.clear();
+      heads.append_cut(g, 0, events);
+      kernel.cut[e] = ft::CutSet(events);
+      if (kernel.cost[e].impossible == 0) {
+        p = std::exp(-static_cast<double>(kernel.cost[e].ordinary) /
+                     weight_scale);
+      }
+    }
     kernel.tree.set_event_probability(e, p);
   }
-  kernel.cost = std::move(cost);
+}
+
+/// Whether price() would leave `kernel` as it is under `tree`: its events'
+/// probabilities and its placeholders' optima (cost and cut) are `tree`'s.
+bool priced(const ft::FaultTree& tree, const Kernel& kernel,
+            const Composer& heads, std::vector<ft::EventIndex>& scratch) {
+  for (ft::EventIndex e = 0; e < kernel.source.size(); ++e) {
+    const ft::NodeIndex g = kernel.source[e];
+    const ft::Node& node = tree.node(g);
+    if (node.type == ft::NodeType::BasicEvent) {
+      if (tree.event_probability(node.event_index) !=
+          kernel.tree.event_probability(e)) {
+        return false;
+      }
+      continue;
+    }
+    if (heads.cost(g, 0) != kernel.cost[e]) return false;
+    scratch.clear();
+    heads.append_cut(g, 0, scratch);
+    std::sort(scratch.begin(), scratch.end());
+    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+    if (scratch != kernel.cut[e].events()) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -213,9 +234,7 @@ StratifiedPlan plan_strata(const ft::FaultTree& tree, double weight_scale) {
   Composer heads(tree, plan, {}, 1, weight_scale);
   heads.evaluate(plan.collapsed, nullptr);
   for (std::size_t j = 0; j < frontier.size(); ++j) {
-    set_costs(tree, *kernels[j],
-              kernel_costs(tree, *kernels[j], heads, weight_scale),
-              weight_scale);
+    price(tree, *kernels[j], heads, weight_scale);
     kernels[j]->tree.validate();
     plan.strata.push_back({frontier[j], std::move(kernels[j]), nullptr});
   }
@@ -227,12 +246,11 @@ void reprice_kernels(const ft::FaultTree& tree, StratifiedPlan& plan,
   if (plan.strata.empty()) return;
   Composer heads(tree, plan, {}, 1, weight_scale);
   heads.evaluate(plan.collapsed, nullptr);
+  std::vector<ft::EventIndex> scratch;
   for (StratifiedStratum& s : plan.strata) {
-    std::vector<ScaledCutCost> cost =
-        kernel_costs(tree, *s.kernel, heads, weight_scale);
-    if (cost == s.kernel->cost) continue;
+    if (priced(tree, *s.kernel, heads, scratch)) continue;
     auto kernel = std::make_shared<Kernel>(*s.kernel);
-    set_costs(tree, *kernel, std::move(cost), weight_scale);
+    price(tree, *kernel, heads, weight_scale);
     s.kernel = std::move(kernel);
   }
 }
@@ -483,6 +501,26 @@ Composition compose(const ft::FaultTree& tree, const StratifiedPlan& plan,
   Composer composer(tree, plan, frontier, k, weight_scale);
   if (!composer.evaluate(plan.closed, cancel)) return {};
   return composer.result(tree.top());
+}
+
+FrontierList expand(const ft::FaultTree& tree, const Kernel& kernel,
+                    const ft::CutSet& cut) {
+  std::vector<ft::EventIndex> events;
+  ScaledCutCost cost;
+  for (const ft::EventIndex e : cut.events()) {
+    cost = cost + kernel.cost[e];
+    const ft::Node& n = tree.node(kernel.source[e]);
+    if (n.type == ft::NodeType::BasicEvent) {
+      events.push_back(n.event_index);
+    } else {
+      const std::vector<ft::EventIndex>& part = kernel.cut[e].events();
+      events.insert(events.end(), part.begin(), part.end());
+    }
+  }
+  FrontierList out;
+  out.cuts.emplace_back(std::move(events));
+  out.costs.push_back(cost);
+  return out;
 }
 
 FrontierList expand(const ft::FaultTree& tree, const Kernel& kernel,

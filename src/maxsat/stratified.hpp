@@ -108,6 +108,9 @@ struct Kernel {
   /// probability in `tree` is exp(-W/scale), or 0 when the optimum has a
   /// p == 0 member; only the minimality shrink's order reads it.)
   std::vector<ScaledCutCost> cost;
+  /// Kernel event -> the composed optimum's cut of a placeholder's
+  /// sub-module (original event indices); empty for an event.
+  std::vector<ft::CutSet> cut;
 };
 
 /// A frontier module: its gate in the tree, its kernel (shared by the plan
@@ -141,8 +144,8 @@ StratifiedPlan plan_strata(const ft::FaultTree& tree,
                            double weight_scale = 1e6);
 
 /// Re-prices the kernels of `plan` (made for a tree of `tree`'s shape)
-/// under `tree`'s probabilities: a kernel whose costs moved is replaced by
-/// a repriced copy; the others stay shared.
+/// under `tree`'s probabilities: a kernel whose events or placeholder
+/// optima moved is replaced by a repriced copy; the others stay shared.
 void reprice_kernels(const ft::FaultTree& tree, StratifiedPlan& plan,
                      double weight_scale);
 
@@ -251,10 +254,15 @@ Composition compose(const ft::FaultTree& tree, const StratifiedPlan& plan,
                     std::span<const FrontierList> frontier, std::size_t k,
                     double weight_scale, const util::CancelTokenPtr& cancel);
 
-/// The k cheapest cuts of the tree that the kernel cut `cut` (kernel
-/// events) stands for, cheapest first: its events joined with one cut of
-/// each placeholder's sub-module, from `parts`, a Composer that evaluated
-/// the plan's collapsed gates with at least k entries per list.
+/// The cheapest cut of the tree that the kernel cut `cut` (kernel events)
+/// stands for: its events joined with each placeholder's optimum cut.
+FrontierList expand(const ft::FaultTree& tree, const Kernel& kernel,
+                    const ft::CutSet& cut);
+
+/// The k cheapest cuts of the tree that the kernel cut `cut` stands for,
+/// cheapest first: its events joined with one cut of each placeholder's
+/// sub-module, from `parts`, a Composer that evaluated the plan's
+/// collapsed gates with at least k entries per list.
 FrontierList expand(const ft::FaultTree& tree, const Kernel& kernel,
                     const ft::CutSet& cut, const Composer& parts,
                     std::size_t k);
