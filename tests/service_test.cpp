@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -764,6 +765,630 @@ TEST(TreeResources, TenantQuotaAndGlobalLruEviction) {
   EXPECT_EQ(tsec->get_number("created", -1), 3);
   EXPECT_EQ(tsec->get_number("evicted", -1), 1);
   EXPECT_EQ(tsec->get_number("active", -1), 2);
+}
+
+// --- pinned answers -------------------------------------------------------
+
+/// `body` with the value of every `key` member (of every member when
+/// `key` is empty) replaced by '#' where it is a number or a boolean: the
+/// fields that vary from run to run, or from build to build.
+std::string mask_values(const std::string& body, const std::string& key) {
+  const std::string anchor = key.empty() ? "\": " : "\"" + key + "\": ";
+  std::string out;
+  std::size_t at = 0;
+  for (std::size_t hit = body.find(anchor); hit != std::string::npos;
+       hit = body.find(anchor, at)) {
+    std::size_t end = hit + anchor.size();
+    out.append(body, at, end - at);
+    std::size_t stop = body.find_first_not_of("0123456789.eE+-", end);
+    for (const char* word : {"true", "false"}) {
+      if (stop == end && body.compare(end, std::strlen(word), word) == 0) {
+        stop = end + std::strlen(word);
+      }
+    }
+    if (stop == std::string::npos) stop = body.size();
+    if (stop > end) {
+      out += '#';
+      end = stop;
+    }
+    at = end;
+  }
+  return out + body.substr(at);
+}
+
+struct Pinned {
+  std::string note;
+  HttpRequest request;
+  int status;
+  std::string body;  ///< With its "seconds" masked.
+};
+
+void expect_pinned(SolveService& svc, const Pinned& c) {
+  const HttpResponse r = svc.handle(c.request);
+  const std::string body = mask_values(r.body, "seconds");
+  EXPECT_EQ(r.status, c.status) << c.note;
+  EXPECT_EQ(body, c.body) << c.note;
+}
+
+/// Creates the pinned tree for tenant "pin" and returns its id.
+std::string create_pinned(SolveService& svc) {
+  const HttpResponse r = svc.handle(
+      req("POST", "/v1/trees", solve_body("pin", named_tree_text())));
+  EXPECT_EQ(r.status, 201) << r.body;
+  return util::JsonValue::parse(r.body).get_string("id", "");
+}
+
+/// The exact status and body of every answer the solve and tree
+/// endpoints give, one case per defect, refusal and outcome.
+TEST(PinnedAnswers, EveryStatusAndBodyStaysTheSame) {
+  const std::string tree = util::json_escape(named_tree_text());
+  const std::string bump =
+      "[{\"op\": \"weight\", \"event\": \"a\", \"probability\": 0.5}]";
+  const auto patch = [](const std::string& id, const std::string& body) {
+    return req("PATCH", "/v1/trees/" + id, body);
+  };
+  {
+    SolveService svc(test_options());
+    const std::string id = create_pinned(svc);
+    const std::string other = create_pinned(svc);
+    const Pinned cases[] = {
+        // Malformed bodies on every reading endpoint.
+        {"solve: empty body", post("/v1/solve", ""), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "unexpected end of document (at byte 0)\"}"},
+        {"solve: not JSON", post("/v1/solve", "{broken"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "expected object key (at byte 1)\"}"},
+        {"solve: JSON array", post("/v1/solve", "[1, 2]"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "request body must be a JSON object (at byte 0)\"}"},
+        {"solve: missing tree", post("/v1/solve", "{\"tenant\": \"a\"}"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "missing required member \\\"tree\\\" (at byte 0)\"}"},
+        {"solve: empty tenant",
+         post("/v1/solve", "{\"tenant\": \"\", \"tree\": \"" + tree + "\"}"),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "tenant must be 1..128 bytes (at byte 0)\"}"},
+        {"solve: oversized tenant",
+         post("/v1/solve", solve_body(std::string(129, 'x'),
+                                      named_tree_text())),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "tenant must be 1..128 bytes (at byte 0)\"}"},
+        {"solve: tree of wrong type", post("/v1/solve", "{\"tree\": 17}"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "member \\\"tree\\\" must be a string (at byte 0)\"}"},
+        {"solve: unparseable tree",
+         post("/v1/solve", "{\"tree\": \"?? not a tree ??;\"}"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"galileo: "
+         "line 1, column 4: unknown gate operator 'not'\"}"},
+        {"solve: unknown format",
+         post("/v1/solve",
+              "{\"tree\": \"" + tree + "\", \"format\": \"xml\"}"),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "unknown format \\\"xml\\\" (expected auto, json, galileo, or "
+         "openpsa) (at byte 0)\"}"},
+        {"solve: probability out of range",
+         post("/v1/solve", "{\"tree\": \"toplevel T; T or a b; a prob=1.5; "
+                           "b prob=0.1;\"}"),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"galileo: "
+         "line 1, column 23: probability of 'a' out of [0,1]: 1.500000\"}"},
+        {"solve: unknown solver",
+         post("/v1/solve", solve_body("a", named_tree_text(), "quantum")), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "unknown solver \\\"quantum\\\" (at byte 0)\"}"},
+        {"solve: negative deadline",
+         post("/v1/solve",
+              "{\"tree\": \"" + tree + "\", \"deadline_ms\": -5}"),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "deadline_ms must be >= 0 (at byte 0)\"}"},
+        {"solve: deadline of wrong type",
+         post("/v1/solve",
+              "{\"tree\": \"" + tree + "\", \"deadline_ms\": \"soon\"}"),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "member \\\"deadline_ms\\\" must be a number (at byte 0)\"}"},
+        {"topk: k = 0",
+         post("/v1/topk", "{\"tree\": \"" + tree + "\", \"k\": 0}"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: k "
+         "must be in [1, 64] (at byte 0)\"}"},
+        {"topk: k too large",
+         post("/v1/topk", "{\"tree\": \"" + tree + "\", \"k\": 1000000}"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: k "
+         "must be in [1, 64] (at byte 0)\"}"},
+        {"topk: missing tree", post("/v1/topk", "{\"k\": 2}"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "missing required member \\\"tree\\\" (at byte 0)\"}"},
+        {"create: empty body", req("POST", "/v1/trees", ""), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "unexpected end of document (at byte 0)\"}"},
+        {"create: missing tree",
+         req("POST", "/v1/trees", "{\"tenant\": \"pin\"}"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "missing required member \\\"tree\\\" (at byte 0)\"}"},
+        {"create: empty tenant",
+         req("POST", "/v1/trees",
+             "{\"tenant\": \"\", \"tree\": \"" + tree + "\"}"),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "tenant must be 1..128 bytes (at byte 0)\"}"},
+        {"create: unknown solver",
+         req("POST", "/v1/trees",
+             solve_body("pin", named_tree_text(), "quantum")),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "unknown solver \\\"quantum\\\" (at byte 0)\"}"},
+        {"create: unknown format",
+         req("POST", "/v1/trees",
+             "{\"tree\": \"" + tree + "\", \"format\": \"xml\"}"),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "unknown format \\\"xml\\\" (expected auto, json, galileo, or "
+         "openpsa) (at byte 0)\"}"},
+        {"create: name Galileo cannot write",
+         req("POST", "/v1/trees",
+             "{\"tree\": \"{\\\"top\\\": \\\"T\\\", \\\"nodes\\\": "
+             "[{\\\"id\\\": \\\"a\\\\\\\"b\\\", \\\"type\\\": "
+             "\\\"event\\\", \\\"prob\\\": 0.1}, {\\\"id\\\": \\\"T\\\", "
+             "\\\"type\\\": \\\"or\\\", \\\"children\\\": "
+             "[\\\"a\\\\\\\"b\\\"]}]}\"}"),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"node "
+         "'a\\\\\\\"b' holds a double quote or a line feed, which Galileo "
+         "text cannot write\"}"},
+        {"patch: not JSON", patch(id, "{broken"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "expected object key (at byte 1)\"}"},
+        {"patch: JSON array", patch(id, "[1]"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "request body must be a JSON object (at byte 0)\"}"},
+        {"patch: empty tenant",
+         patch(id, "{\"tenant\": \"\", \"delta\": " + bump + "}"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "tenant must be 1..128 bytes (at byte 0)\"}"},
+        {"patch: missing delta", patch(id, "{\"tenant\": \"pin\"}"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "missing required member \\\"delta\\\" (at byte 0)\"}"},
+        {"patch: delta not an array",
+         patch(id, patch_body("pin", "", "{\"op\": \"weight\"}")), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"delta "
+         "must be a JSON array of edit ops\"}"},
+        {"patch: empty delta", patch(id, patch_body("pin", "", "[]")), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "delta must contain at least one op (at byte 0)\"}"},
+        {"patch: unknown op",
+         patch(id, patch_body("pin", "", "[{\"op\": \"teleport\"}]")), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"unknown "
+         "delta op 'teleport'\"}"},
+        {"patch: weight without probability",
+         patch(id, patch_body("pin", "",
+                              "[{\"op\": \"weight\", \"event\": \"a\"}]")),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"weight op "
+         "needs a string 'event' and numeric 'probability'\"}"},
+        {"patch: negative deadline",
+         patch(id, "{\"tenant\": \"pin\", \"deadline_ms\": -1, \"delta\": " +
+                       bump + "}"),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "deadline_ms must be >= 0 (at byte 0)\"}"},
+        // Deltas the tree refuses.
+        {"patch: unknown event",
+         patch(id, patch_body("pin", "",
+                              "[{\"op\": \"weight\", \"event\": \"ghost\", "
+                              "\"probability\": 0.5}]")),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"unknown "
+         "event 'ghost'\"}"},
+        {"patch: probability 1.5",
+         patch(id, patch_body("pin", "",
+                              "[{\"op\": \"weight\", \"event\": \"a\", "
+                              "\"probability\": 1.5}]")),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": "
+         "\"probability of 'a' out of [0,1]: 1.500000\"}"},
+        {"patch: weight on a gate",
+         patch(id, patch_body("pin", "",
+                              "[{\"op\": \"weight\", \"event\": \"M1\", "
+                              "\"probability\": 0.5}]")),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"'M1' is a "
+         "gate, not a basic event\"}"},
+        {"patch: toggle an unknown event",
+         patch(id, patch_body("pin", "",
+                              "[{\"op\": \"toggle\", \"event\": \"ghost\", "
+                              "\"enabled\": false}]")),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"unknown "
+         "event 'ghost'\"}"},
+        {"patch: replace an unknown gate",
+         patch(id, patch_body("pin", "",
+                              "[{\"op\": \"replace\", \"gate\": \"G9\", "
+                              "\"subtree\": \"toplevel r; r or a c;\"}]")),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"replace: "
+         "unknown gate 'G9'\"}"},
+        {"patch: replace a basic event",
+         patch(id, patch_body("pin", "",
+                              "[{\"op\": \"replace\", \"gate\": \"a\", "
+                              "\"subtree\": \"toplevel r; r or a c;\"}]")),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"replace: "
+         "target 'a' is a basic event; only gates can be replaced\"}"},
+        {"patch: replace with a bad subtree",
+         patch(id, patch_body("pin", "",
+                              "[{\"op\": \"replace\", \"gate\": \"M1\", "
+                              "\"subtree\": \"toplevel r; r or\"}]")),
+         400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"replace: "
+         "bad subtree: line 1: statement not terminated by ';'\"}"},
+        {"get: malformed body", req("GET", "/v1/trees/" + id, "[1]"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "request body must be a JSON object (at byte 0)\"}"},
+        {"delete: empty tenant",
+         req("DELETE", "/v1/trees/" + id, "{\"tenant\": \"\"}"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "tenant must be 1..128 bytes (at byte 0)\"}"},
+        {"list: not JSON", req("GET", "/v1/trees", "{broken"), 400,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"json: "
+         "expected object key (at byte 1)\"}"},
+        // Unknown, foreign and malformed ids.
+        {"get: foreign tenant",
+         req("GET", "/v1/trees/" + id, "{\"tenant\": \"intruder\"}"), 404,
+         "{\"ok\": false, \"code\": \"not_found\", \"error\": \"unknown "
+         "tree id \\\"t1\\\"\"}"},
+        {"patch: foreign tenant", patch(id, patch_body("intruder", "", bump)),
+         404,
+         "{\"ok\": false, \"code\": \"not_found\", \"error\": \"unknown "
+         "tree id \\\"t1\\\"\"}"},
+        {"delete: foreign tenant",
+         req("DELETE", "/v1/trees/" + id, "{\"tenant\": \"intruder\"}"), 404,
+         "{\"ok\": false, \"code\": \"not_found\", \"error\": \"unknown "
+         "tree id \\\"t1\\\"\"}"},
+        {"get: unknown id",
+         req("GET", "/v1/trees/t99", "{\"tenant\": \"pin\"}"), 404,
+         "{\"ok\": false, \"code\": \"not_found\", \"error\": \"unknown "
+         "tree id \\\"t99\\\"\"}"},
+        {"patch: unknown id", patch("t99", patch_body("pin", "", bump)), 404,
+         "{\"ok\": false, \"code\": \"not_found\", \"error\": \"unknown "
+         "tree id \\\"t99\\\"\"}"},
+        {"delete: unknown id",
+         req("DELETE", "/v1/trees/t99", "{\"tenant\": \"pin\"}"), 404,
+         "{\"ok\": false, \"code\": \"not_found\", \"error\": \"unknown "
+         "tree id \\\"t99\\\"\"}"},
+        {"malformed id", req("GET", "/v1/trees/a/b", ""), 404,
+         "{\"ok\": false, \"code\": \"not_found\", \"error\": \"malformed "
+         "tree id\"}"},
+        {"empty id", req("GET", "/v1/trees/", ""), 404,
+         "{\"ok\": false, \"code\": \"not_found\", \"error\": \"malformed "
+         "tree id\"}"},
+        {"unknown path", get("/v1/nope"), 404,
+         "{\"ok\": false, \"code\": \"not_found\", \"error\": \"unknown "
+         "path /v1/nope (try /v1/solve, /v1/topk, /v1/trees, /v1/healthz, "
+         "/v1/readyz, /v1/statsz)\"}"},
+        // Methods a path does not take.
+        {"solve: GET", get("/v1/solve"), 405,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"solve "
+         "endpoints are POST\"}"},
+        {"trees: PUT", req("PUT", "/v1/trees", ""), 405,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"/v1/trees "
+         "is POST or GET\"}"},
+        {"tree: POST", req("POST", "/v1/trees/" + id, ""), 405,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"tree "
+         "resources accept GET, PATCH, DELETE\"}"},
+        {"healthz: POST", post("/v1/healthz", ""), 405,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"healthz "
+         "is GET-only\"}"},
+        {"statsz: POST", post("/v1/statsz", ""), 405,
+         "{\"ok\": false, \"code\": \"bad_request\", \"error\": \"statsz is "
+         "GET-only\"}"},
+        // Answers.
+        {"solve: optimal",
+         post("/v1/solve", solve_body("pin", named_tree_text())), 200,
+         "{\"ok\": true, \"status\": \"optimal\", \"tenant\": \"pin\", "
+         "\"kind\": \"mpmcs\", \"cacheHit\": false, \"memoized\": false, "
+         "\"coalesced\": false, \"seconds\": #, \"solution\": "
+         "{\"probability\": 0.03, \"logCost\": 3.50655789732, \"solver\": "
+         "\"stratified\", \"lineage\": \"strata\", \"satDecisions\": 0, "
+         "\"satPropagations\": 0, \"satConflicts\": 0, \"mpmcs\": [\"c\", "
+         "\"d\"]}}"},
+        {"topk: optimal",
+         post("/v1/topk", solve_body("pin", named_tree_text(), "", 3)), 200,
+         "{\"ok\": true, \"status\": \"optimal\", \"tenant\": \"pin\", "
+         "\"kind\": \"top-k\", \"cacheHit\": true, \"memoized\": false, "
+         "\"coalesced\": false, \"seconds\": #, \"top\": [{\"probability\": "
+         "0.03, \"logCost\": 3.50655789732, \"solver\": \"stratified\", "
+         "\"lineage\": \"strata\", \"satDecisions\": 0, "
+         "\"satPropagations\": 0, \"satConflicts\": 0, \"mpmcs\": [\"c\", "
+         "\"d\"]}, {\"probability\": 0.02, \"logCost\": 3.91202300543, "
+         "\"solver\": \"stratified\", \"lineage\": \"strata\", "
+         "\"satDecisions\": 0, \"satPropagations\": 0, \"satConflicts\": 0, "
+         "\"mpmcs\": [\"a\", \"b\"]}]}"},
+        {"patch: optimal",
+         patch(id, patch_body("pin", id + "-v1",
+                              "[{\"op\": \"weight\", \"event\": \"c\", "
+                              "\"probability\": 0.6}, {\"op\": \"weight\", "
+                              "\"event\": \"d\", \"probability\": 0.6}]")),
+         200,
+         "{\"ok\": true, \"status\": \"optimal\", \"tenant\": \"pin\", "
+         "\"id\": \"t1\", \"etag\": \"t1-v2\", \"version\": 2, "
+         "\"deltaApplied\": true, \"delta\": {\"weightOnly\": true, "
+         "\"sessionRebased\": false, \"reprepared\": false, "
+         "\"strataTotal\": 0, \"strataReused\": 0, \"strataReweighted\": 0, "
+         "\"strataReprepared\": 0}, \"memoized\": false, \"seconds\": #, "
+         "\"solution\": {\"probability\": 0.36, \"logCost\": 1.02165124753, "
+         "\"solver\": \"stratified\", \"lineage\": \"strata\", "
+         "\"satDecisions\": 0, \"satPropagations\": 0, \"satConflicts\": 0, "
+         "\"mpmcs\": [\"c\", \"d\"]}}"},
+        {"patch: stale etag", patch(id, patch_body("pin", id + "-v1", bump)),
+         409,
+         "{\"ok\": false, \"code\": \"etag_conflict\", \"error\": \"etag "
+         "\\\"t1-v1\\\" does not match current \\\"t1-v2\\\"\"}"},
+        {"patch: splice",
+         patch(id, patch_body("pin", id + "-v2",
+                              "[{\"op\": \"replace\", \"gate\": \"M1\", "
+                              "\"subtree\": \"toplevel r; r or a e; e "
+                              "prob=0.05;\"}]")),
+         200,
+         "{\"ok\": true, \"status\": \"optimal\", \"tenant\": \"pin\", "
+         "\"id\": \"t1\", \"etag\": \"t1-v3\", \"version\": 3, "
+         "\"deltaApplied\": true, \"delta\": {\"weightOnly\": false, "
+         "\"sessionRebased\": false, \"reprepared\": false, "
+         "\"strataTotal\": 0, \"strataReused\": 0, \"strataReweighted\": 0, "
+         "\"strataReprepared\": 0}, \"memoized\": false, \"seconds\": #, "
+         "\"solution\": {\"probability\": 0.36, \"logCost\": 1.02165124753, "
+         "\"solver\": \"stratified\", \"lineage\": \"strata\", "
+         "\"satDecisions\": 0, \"satPropagations\": 0, \"satConflicts\": 0, "
+         "\"mpmcs\": [\"c\", \"d\"]}}"},
+        {"get: after the edits",
+         req("GET", "/v1/trees/" + id, "{\"tenant\": \"pin\"}"), 200,
+         "{\"ok\": true, \"tenant\": \"pin\", \"id\": \"t1\", \"etag\": "
+         "\"t1-v3\", \"version\": 3, \"edits\": 3, \"events\": 5, "
+         "\"nodes\": 8, \"tree\": \"toplevel \\\"TOP\\\";\\n\\\"a\\\" "
+         "prob=0;\\n\\\"b\\\" prob=0.20000000000000001;\\n\\\"c\\\" "
+         "prob=0.59999999999999998;\\n\\\"d\\\" "
+         "prob=0.59999999999999998;\\n\\\"e\\\" "
+         "prob=0.050000000000000003;\\n\\\"TOP\\\" or \\\"M1\\\" "
+         "\\\"M2\\\";\\n\\\"M1\\\" or \\\"a\\\" \\\"e\\\";\\n\\\"M2\\\" and "
+         "\\\"c\\\" \\\"d\\\";\\n\"}"},
+        {"list", req("GET", "/v1/trees", "{\"tenant\": \"pin\"}"), 200,
+         "{\"ok\": true, \"tenant\": \"pin\", \"trees\": [{\"id\": \"t2\", "
+         "\"etag\": \"t2-v1\", \"version\": 1, \"edits\": 0, \"events\": 4, "
+         "\"nodes\": 7}, {\"id\": \"t1\", \"etag\": \"t1-v3\", \"version\": "
+         "3, \"edits\": 3, \"events\": 5, \"nodes\": 8}]}"},
+        {"delete", req("DELETE", "/v1/trees/" + other, "{\"tenant\": \"pin\"}"),
+         200,
+         "{\"ok\": true, \"id\": \"t2\", \"deleted\": true}"},
+    };
+    for (const Pinned& c : cases) expect_pinned(svc, c);
+  }
+  {
+    // Every admission refusal, deterministic without a request in
+    // flight: zero-length queues and a one-second service estimate.
+    ServiceOptions opts = test_options();
+    opts.tenant_queue_limit = 0;
+    SolveService quota(opts);
+    const std::string qid = create_pinned(quota);
+    opts = test_options();
+    opts.global_queue_limit = 0;
+    SolveService full(opts);
+    const std::string fid = create_pinned(full);
+    opts = test_options();
+    opts.min_service_estimate_seconds = 1.0;
+    SolveService slow(opts);
+    const std::string sid = create_pinned(slow);
+    opts = test_options();
+    opts.tenant_tree_limit = 0;
+    SolveService owned(opts);
+    SolveService draining(test_options());
+    const std::string did = create_pinned(draining);
+    draining.begin_shutdown();
+    const std::string solve = solve_body("pin", named_tree_text());
+    const std::string hurried =
+        solve_body("pin", named_tree_text(), "", 0, 1.0);
+    const std::string hurried_patch =
+        "{\"tenant\": \"pin\", \"deadline_ms\": 1, \"delta\": " + bump + "}";
+    const std::pair<SolveService*, Pinned> cases[] = {
+        {&quota, {"solve: tenant queue", post("/v1/solve", solve), 429,
+                  "{\"ok\": false, \"code\": \"over_quota\", \"error\": "
+                  "\"tenant \\\"pin\\\" has 0 requests outstanding\"}"}},
+        {&quota,
+         {"patch: tenant queue", patch(qid, patch_body("pin", "", bump)), 429,
+          "{\"ok\": false, \"code\": \"over_quota\", \"error\": \"tenant "
+          "\\\"pin\\\" has 0 requests outstanding\"}"}},
+        {&full, {"solve: global queue", post("/v1/solve", solve), 503,
+                 "{\"ok\": false, \"code\": \"over_capacity\", \"error\": "
+                 "\"global queue is full (0 outstanding)\"}"}},
+        {&full,
+         {"patch: global queue", patch(fid, patch_body("pin", "", bump)), 503,
+          "{\"ok\": false, \"code\": \"over_capacity\", \"error\": \"global "
+          "queue is full (0 outstanding)\"}"}},
+        {&slow,
+         {"solve: unmeetable deadline", post("/v1/solve", hurried), 503,
+          "{\"ok\": false, \"code\": \"deadline_unmeetable\", \"error\": "
+          "\"estimated wait 1s exceeds the 0.001s deadline\"}"}},
+        {&slow, {"patch: unmeetable deadline", patch(sid, hurried_patch), 503,
+                 "{\"ok\": false, \"code\": \"deadline_unmeetable\", "
+                 "\"error\": \"estimated wait 1s exceeds the 0.001s "
+                 "deadline\"}"}},
+        {&owned,
+         {"create: tree quota", req("POST", "/v1/trees", solve), 429,
+          "{\"ok\": false, \"code\": \"over_quota\", \"error\": \"tenant "
+          "\\\"pin\\\" owns 0 trees (limit 0)\"}"}},
+        {&draining, {"solve: draining", post("/v1/solve", solve), 503,
+                     "{\"ok\": false, \"code\": \"shutting_down\", "
+                     "\"error\": \"server is draining\"}"}},
+        {&draining,
+         {"create: draining", req("POST", "/v1/trees", solve), 503,
+          "{\"ok\": false, \"code\": \"shutting_down\", \"error\": \"server "
+          "is draining\"}"}},
+        {&draining,
+         {"patch: draining", patch(did, patch_body("pin", "", bump)), 503,
+          "{\"ok\": false, \"code\": \"shutting_down\", \"error\": \"server "
+          "is draining\"}"}},
+    };
+    for (const auto& [svc, c] : cases) expect_pinned(*svc, c);
+    // Each refusal is counted once, globally and for its tenant; the
+    // engine never saw a refused request.
+    const auto counted = [](SolveService& svc,
+                            std::atomic<std::uint64_t> TenantCounters::*n) {
+      return std::make_pair((svc.stats().global().*n).load(),
+                            (svc.stats().tenant("pin").*n).load());
+    };
+    const auto twice = std::make_pair(std::uint64_t{2}, std::uint64_t{2});
+    EXPECT_EQ(counted(quota, &TenantCounters::rejected_quota), twice);
+    EXPECT_EQ(counted(full, &TenantCounters::rejected_capacity), twice);
+    EXPECT_EQ(counted(slow, &TenantCounters::rejected_deadline), twice);
+    EXPECT_EQ(counted(owned, &TenantCounters::rejected_quota),
+              std::make_pair(std::uint64_t{1}, std::uint64_t{1}));
+    for (SolveService* svc : {&quota, &full, &slow, &owned, &draining}) {
+      EXPECT_EQ(svc->engine().stats().submitted, 0u);
+    }
+  }
+  {
+    // A 504 with a deadline: the held engine run outlives it.
+    SolveService svc(delayed_options(0.5));
+    const std::string id = create_pinned(svc);
+    const Pinned cases[] = {
+        {"solve: deadline expired",
+         post("/v1/solve",
+              solve_body("pin", named_tree_text(), "", 0, 50.0)),
+         504,
+         "{\"ok\": false, \"code\": \"deadline_exceeded\", \"error\": "
+         "\"deadline of 0.05s expired before the solve finished\"}"},
+        {"patch: deadline expired",
+         patch(id, "{\"tenant\": \"pin\", \"deadline_ms\": 50, \"delta\": " +
+                       bump + "}"),
+         504,
+         "{\"ok\": false, \"code\": \"deadline_exceeded\", \"error\": "
+         "\"deadline of 0.05s expired before the re-solve finished\"}"},
+    };
+    for (const Pinned& c : cases) expect_pinned(svc, c);
+  }
+  {
+    // A 504 without one: the engine cancels the held run.
+    SolveService svc(delayed_options(5.0));
+    const std::string id = create_pinned(svc);
+    const Pinned cases[] = {
+        {"solve: cancelled",
+         post("/v1/solve", solve_body("pin", named_tree_text())), 504,
+         "{\"ok\": false, \"code\": \"deadline_exceeded\", \"error\": \"the "
+         "solve was cancelled before it finished\"}"},
+        {"patch: cancelled", patch(id, patch_body("pin", "", bump)), 504,
+         "{\"ok\": false, \"code\": \"deadline_exceeded\", \"error\": \"the "
+         "re-solve was cancelled before it finished\"}"},
+    };
+    for (const Pinned& c : cases) {
+      // Once the engine counts the request, its token is a child of the
+      // lifetime token cancel_all() cancels.
+      const std::uint64_t before = svc.engine().stats().submitted;
+      std::thread cancel([&svc, before] {
+        EXPECT_TRUE(eventually(
+            [&] { return svc.engine().stats().submitted > before; }));
+        svc.engine().cancel_all();
+      });
+      expect_pinned(svc, c);
+      cancel.join();
+    }
+  }
+  {
+    // The members /v1/statsz reports (its numbers masked).
+    SolveService svc(test_options());
+    svc.handle(post("/v1/solve", solve_body("pin", named_tree_text())));
+    const HttpResponse r = svc.handle(get("/v1/statsz"));
+    EXPECT_EQ(r.status, 200);
+    const std::string body = mask_values(r.body, "");
+    EXPECT_EQ(body,
+              "{\n  \"global\": {\"requests\": #, \"ok\": #, "
+              "\"coalescedHits\": #, \"memoHits\": #, \"cacheHits\": #, "
+              "\"engineSolves\": #, \"rejectedQuota\": #, "
+              "\"rejectedCapacity\": #, \"rejectedDeadline\": #, "
+              "\"deadlineExceeded\": #, \"degraded\": #, \"badRequests\": "
+              "#, \"errors\": #, \"queueDepth\": #, \"p50Seconds\": #, "
+              "\"p99Seconds\": #},\n  \"engine\": {\"submitted\": #, "
+              "\"completed\": #, \"cancelled\": #, \"failed\": #, "
+              "\"cacheHits\": #, \"cacheMisses\": #, \"deltaHits\": #, "
+              "\"memoHits\": #, \"sessionMemoryBytes\": #, "
+              "\"sessionEvictions\": #, \"poolSteals\": #, \"threads\": "
+              "#},\n  \"trees\": {\"active\": #, \"edits\": #, \"created\": "
+              "#, \"evicted\": #, \"etagConflicts\": #},\n  \"resilience\": "
+              "{\"journalEnabled\": #, \"restoredTrees\": #, "
+              "\"journalAppends\": #, \"journalCompactions\": #, "
+              "\"journalFsyncs\": #, \"watchdogCancels\": #, "
+              "\"quarantines\": #, \"sessionResets\": #, "
+              "\"failpointsCompiled\": #},\n  \"sat\": {\"solves\": #, "
+              "\"decisions\": #, \"propagations\": #, \"conflicts\": #, "
+              "\"escalations\": #},\n  \"tenants\": [\n    {\"tenant\": "
+              "\"pin\", \"requests\": #, \"ok\": #, \"coalescedHits\": #, "
+              "\"memoHits\": #, \"cacheHits\": #, \"engineSolves\": #, "
+              "\"rejectedQuota\": #, \"rejectedCapacity\": #, "
+              "\"rejectedDeadline\": #, \"deadlineExceeded\": #, "
+              "\"degraded\": #, \"badRequests\": #, \"errors\": #, "
+              "\"queueDepth\": #, \"p50Seconds\": #, \"p99Seconds\": #}\n  "
+              "]\n}\n")
+        << "statsz";
+  }
+}
+
+/// The approximate 200 on both solving endpoints: the first SAT call
+/// (LSU's first incumbent) runs free and every later one sleeps past the
+/// deadline.
+TEST(PinnedAnswers, ApproximateAnswersStayTheSame) {
+  if (!util::failpoints_compiled()) {
+    GTEST_SKIP() << "build without MPMCS_FAILPOINTS";
+  }
+  gen::GeneratorOptions g;
+  g.num_events = 35;
+  g.and_fraction = 0.5;
+  g.sharing = 0.2;
+  const std::string tree = ft::to_text(gen::random_tree(g, 11));
+  SolveService svc(test_options());
+  const HttpResponse created = svc.handle(
+      req("POST", "/v1/trees", solve_body("pin", tree, "lsu")));
+  ASSERT_EQ(created.status, 201) << created.body;
+  const std::string id =
+      util::JsonValue::parse(created.body).get_string("id", "");
+  const Pinned cases[] = {
+      {"solve: approximate",
+       post("/v1/solve", solve_body("pin", tree, "lsu", 0, 250.0)), 200,
+       "{\"ok\": true, \"status\": \"approximate\", \"tenant\": \"pin\", "
+       "\"kind\": \"mpmcs\", \"seconds\": #, \"solution\": "
+       "{\"probability\": 2.15676954653e-15, \"logCost\": 33.770164873, "
+       "\"solver\": \"lsu-inc\", \"lineage\": \"pre\", \"satDecisions\": "
+       "39, \"satPropagations\": 41, \"satConflicts\": 0, \"mpmcs\": "
+       "[\"e2\", \"e15\", \"e17\", \"e19\", \"e25\", \"e29\", \"e32\"], "
+       "\"approximate\": true, \"scaledCost\": 33770166, "
+       "\"scaledLowerBound\": 26424028, \"probabilityUpperBound\": "
+       "3.3434162578e-12, \"optimalityGap\": 0.217533369543}}"},
+      {"patch: approximate",
+       req("PATCH", "/v1/trees/" + id,
+           "{\"tenant\": \"pin\", \"deadline_ms\": 250, \"delta\": "
+           "[{\"op\": \"weight\", \"event\": \"e0\", \"probability\": "
+           "0.5}]}"),
+       200,
+       "{\"ok\": true, \"status\": \"approximate\", \"tenant\": \"pin\", "
+       "\"id\": \"t1\", \"etag\": \"t1-v2\", \"version\": 2, "
+       "\"deltaApplied\": true, \"delta\": {\"weightOnly\": true, "
+       "\"sessionRebased\": true, \"reprepared\": false, \"strataTotal\": "
+       "0, \"strataReused\": 0, \"strataReweighted\": 0, "
+       "\"strataReprepared\": 0}, \"seconds\": #, \"solution\": "
+       "{\"probability\": 2.15676954653e-15, \"logCost\": 33.770164873, "
+       "\"solver\": \"lsu-inc\", \"lineage\": \"pre\", \"satDecisions\": "
+       "39, \"satPropagations\": 41, \"satConflicts\": 0, \"mpmcs\": "
+       "[\"e2\", \"e15\", \"e17\", \"e19\", \"e25\", \"e29\", \"e32\"], "
+       "\"approximate\": true, \"scaledCost\": 33770166, "
+       "\"scaledLowerBound\": 26424028, \"probabilityUpperBound\": "
+       "3.3434162578e-12, \"optimalityGap\": 0.217533369543}}"},
+  };
+  for (const Pinned& c : cases) {
+    util::configure_failpoints("sat.solve=delay(400)@1");
+    expect_pinned(svc, c);
+    util::clear_failpoints();
+  }
 }
 
 // --- the wire: real sockets through HttpServer/HttpClient ---------------
