@@ -207,7 +207,6 @@ maxsat::WcnfInstance MpmcsPipeline::build_weighted(
   // Step 2 (CNF conversion, Tseitin; vote gates per card_lowering).
   logic::TseitinOptions topts;
   topts.card_lowering = opts_.card_lowering;
-  topts.card_totalizer_threshold = opts_.card_totalizer_threshold;
   auto ts = logic::tseitin(store, fault, /*assert_root=*/true, topts);
 
   maxsat::WcnfInstance instance(ts.cnf.num_vars());
@@ -259,13 +258,12 @@ std::vector<bool> freeze_mask(const ft::FaultTree& tree,
 /// one (observed >400x on corpora dominated by 6..12-input votes), so
 /// BVE is switched off when such gates make up 10% or more of the gates.
 /// The default Auto lowering subsumes this guard: every wide vote
-/// (n*k >= threshold covers all n >= 5) is encoded as a totalizer whose
+/// (n*k >= 10 covers all n >= 5) is encoded as a totalizer whose
 /// variables are frozen by construction, so BVE can stay on and keep
 /// simplifying the rest of the encoding.
 preprocess::PreprocessOptions effective_preprocess_options(
     const ft::FaultTree& tree, const PipelineOptions& opts) {
-  preprocess::PreprocessOptions pp = opts.preprocess_opts;
-  if (!pp.bve) return pp;
+  preprocess::PreprocessOptions pp;
   std::size_t gates = 0, wide_expanded_votes = 0;
   for (ft::NodeIndex i = 0; i < tree.num_nodes(); ++i) {
     const ft::Node& n = tree.node(i);
@@ -275,8 +273,7 @@ preprocess::PreprocessOptions effective_preprocess_options(
     // Classified with the encoder's own policy rule (pre-fold tree
     // dimensions; a gate that constant-folds away entirely leaves no
     // counting network for BVE to mangle either way).
-    if (!logic::lowers_to_totalizer(opts.card_lowering,
-                                    opts.card_totalizer_threshold, n.k,
+    if (!logic::lowers_to_totalizer(opts.card_lowering, n.k,
                                     n.children.size())) {
       ++wide_expanded_votes;
     }
@@ -436,7 +433,7 @@ MpmcsSolution MpmcsPipeline::solve_simplified(
     const ft::FaultTree& tree, const maxsat::WcnfInstance& to_solve,
     const preprocess::PreprocessResult* pre, util::CancelTokenPtr cancel,
     maxsat::IncrementalSolveSession::Guard* session,
-    const ft::ShrinkContext* shrink) const {
+    const ft::ShrinkContext& shrink) const {
   util::Timer total;
   MpmcsSolution sol;
   sol.cnf_vars = to_solve.num_vars();
@@ -496,17 +493,12 @@ MpmcsSolution MpmcsPipeline::solve_simplified(
     for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
       if (model[e]) events.push_back(e);
     }
-    ft::CutSet cut(std::move(events));
-    if (opts_.shrink_to_minimal) {
-      cut = shrink != nullptr ? shrink->shrink(tree, std::move(cut))
-                              : ft::shrink_to_minimal(tree, std::move(cut));
-    }
+    sol.cut = shrink.shrink(tree, ft::CutSet(std::move(events)));
 
     // Step 6 (reverse log-space transformation) — recomputed exactly from
     // the tree's probabilities rather than the scaled integer cost.
-    sol.cut = cut;
-    sol.probability = cut.probability(tree);
-    sol.log_cost = cut.log_cost(tree);
+    sol.probability = sol.cut.probability(tree);
+    sol.log_cost = sol.cut.log_cost(tree);
     if (incumbent_cut) {
       set_lower_bound(sol, r.lower_bound + offset, opts_.weight_scale);
     }
@@ -620,8 +612,6 @@ void MpmcsPipeline::build_monolithic(const ft::FaultTree& tree,
   if (opts_.incremental && !(prepared.pre && prepared.pre->unsat)) {
     prepared.session = new_session(opts_, step5_instance(prepared));
   }
-  // Unconditional for the same cache-sharing reason: a later request with
-  // the shrink pass enabled must find the context ready.
   prepared.shrink = std::make_shared<const ft::ShrinkContext>(tree);
 }
 
@@ -635,7 +625,7 @@ std::uint64_t MpmcsPipeline::escalations() noexcept {
 
 void MpmcsPipeline::reweight_prepared(
     const ft::FaultTree& tree, std::span<const maxsat::ScaledCutCost> costs,
-    PreparedInstance& prepared, bool exclusive, DeltaApplication& st) const {
+    PreparedInstance& prepared, DeltaApplication& st) const {
   // The tree's structure is unchanged, so every hard clause — raw
   // Tseitin, preprocessed, and everything a SAT session has learnt from
   // them — is still exact. Only the soft side (Step 3/4) and the
@@ -650,20 +640,13 @@ void MpmcsPipeline::reweight_prepared(
     // keeps a verbatim unit soft — exactly what a fresh Step 3.5 run
     // over the reweighted raw instance would emit.
     //
-    // Exclusive artefacts patch the result in place (the hard clauses —
-    // the expensive part of a PreprocessResult — are untouched, so the
-    // edit costs O(events), not a full artefact copy); shared ones
-    // copy-on-write, because cache-shared copies may still point at the
-    // old result. The const_cast is sound: every PreprocessResult is
-    // created non-const by prepare()/this COW path, and exclusivity is
-    // the documented apply_delta contract.
-    std::shared_ptr<preprocess::PreprocessResult> copy;
-    auto* next = exclusive
-                     ? const_cast<preprocess::PreprocessResult*>(
-                           prepared.pre.get())
-                     : (copy = std::make_shared<preprocess::PreprocessResult>(
-                            *prepared.pre))
-                           .get();
+    // The result is patched in place (the hard clauses — the expensive
+    // part of a PreprocessResult — are untouched, so the edit costs
+    // O(events), not a full artefact copy). The const_cast is sound: every
+    // PreprocessResult is created non-const by prepare(), and exclusive
+    // ownership is the documented apply_delta contract.
+    auto* next =
+        const_cast<preprocess::PreprocessResult*>(prepared.pre.get());
     next->simplified.clear_soft();
     next->cost_offset = 0;
     const auto scaled = soft_weights(costs, used);
@@ -677,16 +660,14 @@ void MpmcsPipeline::reweight_prepared(
         next->simplified.add_soft_unit(Lit::neg(e), scaled[e]);
       }
     }
-    if (copy) prepared.pre = std::move(copy);
   }
   if (prepared.session) {
-    // Exclusively-owned artefacts rebase the live session: learnt
-    // clauses and totalizer networks carry over, so the next solve
-    // starts warm. Shared ones (cache derive path) get a fresh session —
-    // the base's warm state must not be mutated under it.
+    // Rebase the live session: learnt clauses and totalizer networks
+    // carry over, so the next solve starts warm. A session that cannot
+    // rebase is replaced by a fresh one.
     std::shared_ptr<const maxsat::WcnfInstance> instance =
         step5_instance(prepared);
-    if (exclusive && prepared.session->rebase(instance)) {
+    if (prepared.session->rebase(instance)) {
       st.session_rebased = true;
     } else {
       prepared.session = new_session(opts_, std::move(instance));
@@ -694,10 +675,10 @@ void MpmcsPipeline::reweight_prepared(
   }
 }
 
-DeltaApplication MpmcsPipeline::patch_prepared(
-    const ft::FaultTree& new_tree, const ft::TreeDelta& delta,
-    PreparedInstance& prepared, bool exclusive,
-    util::CancelTokenPtr cancel) const {
+DeltaApplication MpmcsPipeline::apply_delta(const ft::FaultTree& new_tree,
+                                            const ft::TreeDelta& delta,
+                                            PreparedInstance& prepared,
+                                            util::CancelTokenPtr cancel) const {
   DeltaApplication st;
   st.weight_only = delta.weight_only();
   if (!prepared.strata) {
@@ -705,7 +686,7 @@ DeltaApplication MpmcsPipeline::patch_prepared(
     // other edit rebuilds it (prepare may then find a module pass).
     if (st.weight_only) {
       reweight_prepared(new_tree, event_costs(new_tree, opts_.weight_scale),
-                        prepared, exclusive, st);
+                        prepared, st);
     } else {
       prepared = prepare(new_tree, std::move(cancel));
       st.reprepared = true;
@@ -753,7 +734,7 @@ DeltaApplication MpmcsPipeline::patch_prepared(
       ++st.strata_reused;
     } else if (same_shape) {
       auto sub = std::make_shared<PreparedInstance>(*o->prepared);
-      reweight_prepared(s.kernel->tree, s.kernel->cost, *sub, exclusive, st);
+      reweight_prepared(s.kernel->tree, s.kernel->cost, *sub, st);
       s.prepared = std::move(sub);
       ++st.strata_reweighted;
     } else {
@@ -765,26 +746,6 @@ DeltaApplication MpmcsPipeline::patch_prepared(
   prepared.strata =
       std::make_shared<const maxsat::StratifiedPlan>(std::move(next));
   return st;
-}
-
-DeltaApplication MpmcsPipeline::apply_delta(const ft::FaultTree& new_tree,
-                                            const ft::TreeDelta& delta,
-                                            PreparedInstance& prepared,
-                                            util::CancelTokenPtr cancel) const {
-  return patch_prepared(new_tree, delta, prepared, /*exclusive=*/true,
-                        std::move(cancel));
-}
-
-PreparedInstance MpmcsPipeline::derive_prepared(
-    const ft::FaultTree& new_tree, const ft::TreeDelta& delta,
-    const PreparedInstance& base, DeltaApplication* stats,
-    util::CancelTokenPtr cancel) const {
-  PreparedInstance out = base;
-  const DeltaApplication st =
-      patch_prepared(new_tree, delta, out, /*exclusive=*/false,
-                     std::move(cancel));
-  if (stats) *stats = st;
-  return out;
 }
 
 MpmcsSolution MpmcsPipeline::solve_prepared(const ft::FaultTree& tree,
@@ -809,7 +770,7 @@ MpmcsSolution MpmcsPipeline::solve_artefact(const ft::FaultTree& tree,
   if (prepared.session) guard = prepared.session->try_acquire();
   return solve_simplified(tree, pre ? pre->simplified : prepared.raw, pre,
                           std::move(cancel), guard ? &guard : nullptr,
-                          prepared.shrink.get());
+                          *prepared.shrink);
 }
 
 MpmcsSolution MpmcsPipeline::solve_prepared(const ft::FaultTree& tree,
@@ -878,8 +839,7 @@ MpmcsSolution MpmcsPipeline::solve_composed(const ft::FaultTree& tree,
       sol.sat_decisions += sub->sat_decisions;
       sol.sat_propagations += sub->sat_propagations;
       sol.sat_conflicts += sub->sat_conflicts;
-      if (sub->status == maxsat::MaxSatStatus::Optimal &&
-          opts_.shrink_to_minimal) {
+      if (sub->status == maxsat::MaxSatStatus::Optimal) {
         std::lock_guard<std::mutex> lock(memo.mutex);
         memo.solution = *sub;
       }
@@ -959,7 +919,7 @@ class MpmcsPipeline::Enumeration {
     if (status_ != maxsat::MaxSatStatus::Optimal) return false;
     out = pipeline_->solve_simplified(*tree_, working_, pre_, cancel_,
                                       guard_ ? &guard_ : nullptr,
-                                      prepared_->shrink.get());
+                                      *prepared_->shrink);
     if (out.status != maxsat::MaxSatStatus::Optimal) {
       status_ = out.status;
       return false;

@@ -28,8 +28,9 @@
 //      (recomputed exactly from the tree's probabilities).
 //
 // Extensions beyond the paper: voting-gate support end-to-end, a
-// minimality shrink pass (required when events have p = 1, i.e. zero
-// weight), and top-k MPMCS enumeration via superset-blocking clauses.
+// minimality shrink of every returned cut (required when events have
+// p = 1, i.e. zero weight), and top-k MPMCS enumeration via
+// superset-blocking clauses.
 #pragma once
 
 #include <cstdint>
@@ -91,26 +92,20 @@ struct PipelineOptions {
   /// engine's solve, the lead and the race together, or the module pass
   /// with every frontier module it solves (0 = none).
   double timeout_seconds = 0.0;
-  /// Drop gratuitous members from the returned cut (only relevant when
-  /// events with probability ~1 make zero-weight softs).
-  bool shrink_to_minimal = true;
   /// Step 2 vote-gate lowering: `Expand` rewrites k-of-n gates to the
   /// recursive AND/OR network, `Totalizer` encodes them as shared
   /// counting networks (logic/cardinality), `Auto` (default) picks the
-  /// totalizer once n*k reaches `card_totalizer_threshold`. Totalizer
-  /// blocks report their auxiliaries, so Step 3.5 freezes the counting
-  /// structure by construction and the incremental OLL engine reuses it
-  /// as a pre-built core structure. The CLI exposes --card-lowering.
+  /// totalizer once n*k reaches 10, which makes every wide vote (n >= 5)
+  /// cardinality-native. Totalizer blocks report their auxiliaries, so
+  /// Step 3.5 freezes the counting structure by construction and the
+  /// incremental OLL engine reuses it as a pre-built core structure. The
+  /// CLI exposes --card-lowering.
   logic::CardinalityLowering card_lowering = logic::CardinalityLowering::Auto;
-  /// Auto threshold on n*k; 10 makes every wide vote (n >= 5)
-  /// cardinality-native.
-  std::uint32_t card_totalizer_threshold = 10;
-  /// Step 3.5: simplify the WCNF before solving (src/preprocess). Exact —
-  /// every solver sees an equivalent instance and models are mapped back
-  /// to the original variable space. The CLI exposes --no-preprocess.
+  /// Step 3.5: simplify the WCNF before solving (src/preprocess), with
+  /// preprocess::PreprocessOptions' default techniques. Exact — every
+  /// solver sees an equivalent instance and models are mapped back to the
+  /// original variable space. The CLI exposes --no-preprocess.
   bool preprocess = true;
-  /// Technique/effort knobs for Step 3.5 (ignored when !preprocess).
-  preprocess::PreprocessOptions preprocess_opts;
   /// Keep a persistent incremental SAT session per prepared instance
   /// (maxsat/incremental): the OLL/LSU solver state — learnt clauses,
   /// totalizers, core transformations — survives successive
@@ -147,8 +142,8 @@ struct MpmcsSolution {
   std::string lineage;
   /// Anytime answer: `status` is Unknown (budget/deadline expired before
   /// an optimality proof) but `cut` holds the best incumbent found — a
-  /// valid (minimal if shrinking) cut set whose cost may exceed the
-  /// optimum. The fields below bound how far off it can be.
+  /// valid minimal cut set whose cost may exceed the optimum. The fields
+  /// below bound how far off it can be.
   bool approximate = false;
   /// Certified lower bound on the *optimal* scaled-integer cost, in the
   /// same space as `scaled_cost` (Step 3.5 offset included). Invariant:
@@ -169,9 +164,8 @@ struct MpmcsSolution {
   std::uint64_t sat_conflicts = 0;
 };
 
-/// What apply_delta()/derive_prepared() did to the artefact — the lineage
-/// record the service reports as `delta_applied` and the mutation bench
-/// asserts on.
+/// What apply_delta() did to the artefact — the lineage record the
+/// service reports as `delta_applied` and the mutation bench asserts on.
 struct DeltaApplication {
   /// The delta left the tree's structure (hard clauses) intact: softs
   /// were rebuilt in place and sessions rebased — zero re-encoding.
@@ -209,7 +203,7 @@ struct PreparedInstance {
   /// use it; shared so cached copies of this artefact share one session.
   maxsat::IncrementalSessionPtr session;
   /// Reusable minimality-shrink context (the tree formula, built once);
-  /// null when the shrink pass is disabled.
+  /// set wherever `raw` is built.
   std::shared_ptr<const ft::ShrinkContext> shrink;
   /// The module pass (maxsat/stratified), built by prepare() under Auto
   /// when the top gate is closed-form or its kernel collapses a
@@ -301,22 +295,11 @@ class MpmcsPipeline {
   /// the kernels whose shape changed, paired by gate; everything else
   /// falls back to a cold prepare. The caller
   /// must own `prepared` exclusively (no cache-shared copies) because
-  /// sessions are mutated in place — shared artefacts go through
-  /// derive_prepared() instead.
+  /// sessions and the Step 3.5 result are mutated in place.
   DeltaApplication apply_delta(const ft::FaultTree& new_tree,
                                const ft::TreeDelta& delta,
                                PreparedInstance& prepared,
                                util::CancelTokenPtr cancel = nullptr) const;
-
-  /// Non-destructive apply_delta: returns a patched *copy* of `base`,
-  /// which may be shared (an engine cache entry). Untouched sub-artefacts
-  /// and contexts are shared with the base; anything reweighted gets a
-  /// fresh session (the base's warm sessions are never mutated).
-  PreparedInstance derive_prepared(const ft::FaultTree& new_tree,
-                                   const ft::TreeDelta& delta,
-                                   const PreparedInstance& base,
-                                   DeltaApplication* stats = nullptr,
-                                   util::CancelTokenPtr cancel = nullptr) const;
 
   /// Process-wide count of cold Step 1-4 artefact builds: one per prepare
   /// of a whole tree, and one per kernel the module pass prepares (a
@@ -370,13 +353,12 @@ class MpmcsPipeline {
   /// offset (to_solve is then the simplified instance, possibly with
   /// extra hard clauses such as top-k blockers appended). `session`
   /// (when non-null) is an acquired guard on the artefact's incremental
-  /// session; `shrink` (when non-null) replaces the per-call
-  /// shrink_to_minimal formula rebuild.
+  /// session; `shrink` is the artefact's minimality-shrink context.
   MpmcsSolution solve_simplified(
       const ft::FaultTree& tree, const maxsat::WcnfInstance& to_solve,
       const preprocess::PreprocessResult* pre, util::CancelTokenPtr cancel,
       maxsat::IncrementalSolveSession::Guard* session,
-      const ft::ShrinkContext* shrink) const;
+      const ft::ShrinkContext& shrink) const;
   /// Step 5 under `timeout_seconds`. Auto runs the OLL lead alone under
   /// the lead budget and escalates to the race only if it has no answer
   /// with time left; Portfolio races from the start; every other choice
@@ -417,19 +399,12 @@ class MpmcsPipeline {
   void build_monolithic(const ft::FaultTree& tree, maxsat::WcnfInstance raw,
                         PreparedInstance& prepared,
                         util::CancelTokenPtr cancel) const;
-  /// apply_delta/derive_prepared implementation; `exclusive` says whether
-  /// sessions may be rebased in place (true) or must be replaced by
-  /// fresh ones (false — the base is shared with a cache).
-  DeltaApplication patch_prepared(const ft::FaultTree& new_tree,
-                                  const ft::TreeDelta& delta,
-                                  PreparedInstance& prepared, bool exclusive,
-                                  util::CancelTokenPtr cancel) const;
   /// Weight-only patch of a monolithic artefact: rebuilds raw/simplified
   /// softs under the new per-event `costs` and rebases (or replaces) the
   /// session.
   void reweight_prepared(const ft::FaultTree& tree,
                          std::span<const maxsat::ScaledCutCost> costs,
-                         PreparedInstance& prepared, bool exclusive,
+                         PreparedInstance& prepared,
                          DeltaApplication& st) const;
   PipelineOptions opts_;
 };

@@ -13,6 +13,14 @@
 
 namespace fta::engine {
 
+namespace {
+
+/// The floor of a warm re-solve's budget (EngineOptions::
+/// warm_reset_multiple).
+constexpr double kWarmResetFloorSeconds = 0.05;
+
+}  // namespace
+
 const char* analysis_kind_name(AnalysisKind k) noexcept {
   switch (k) {
     case AnalysisKind::Mpmcs: return "mpmcs";
@@ -122,13 +130,8 @@ void AnalysisEngine::watchdog_loop() {
 }
 
 void AnalysisEngine::quarantine_tree(const std::string& id) {
-  std::shared_ptr<TreeResource> res;
-  {
-    std::lock_guard<std::mutex> lock(trees_mutex_);
-    const auto it = trees_.find(id);
-    if (it == trees_.end()) return;
-    res = it->second;
-  }
+  const std::shared_ptr<TreeResource> res = resource(id);
+  if (!res) return;
   if (!res->quarantined.exchange(true, std::memory_order_relaxed)) {
     quarantines_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -177,7 +180,6 @@ EngineStats AnalysisEngine::stats() const {
   s.failed = failed_.load(std::memory_order_relaxed);
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
-  s.delta_hits = cache_.delta_hits();
   s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   s.pool_steals = pool_.steals();
   s.session_memory_bytes = cache_.session_memory_bytes();
@@ -256,15 +258,17 @@ bool AnalysisEngine::release_tree(const std::string& id) {
   return trees_.erase(id) > 0;
 }
 
-std::optional<TreeResourceInfo> AnalysisEngine::tree_info(
+std::shared_ptr<AnalysisEngine::TreeResource> AnalysisEngine::resource(
     const std::string& id) const {
-  std::shared_ptr<TreeResource> res;
-  {
-    std::lock_guard<std::mutex> lock(trees_mutex_);
-    const auto it = trees_.find(id);
-    if (it == trees_.end()) return std::nullopt;
-    res = it->second;
-  }
+  std::lock_guard<std::mutex> lock(trees_mutex_);
+  const auto it = trees_.find(id);
+  return it == trees_.end() ? nullptr : it->second;
+}
+
+std::optional<TreeResourceInfo> AnalysisEngine::tree_info(
+    const std::string& id, std::string* text) const {
+  const std::shared_ptr<TreeResource> res = resource(id);
+  if (!res) return std::nullopt;
   std::lock_guard<std::mutex> lock(res->mutex);
   TreeResourceInfo info;
   info.id = id;
@@ -273,47 +277,16 @@ std::optional<TreeResourceInfo> AnalysisEngine::tree_info(
   info.events = res->tree.num_events();
   info.nodes = res->tree.num_nodes();
   info.last_used = res->last_used;
+  if (text != nullptr) *text = ft::to_text(res->tree);
   return info;
-}
-
-std::optional<std::string> AnalysisEngine::tree_text(
-    const std::string& id) const {
-  std::shared_ptr<TreeResource> res;
-  {
-    std::lock_guard<std::mutex> lock(trees_mutex_);
-    const auto it = trees_.find(id);
-    if (it == trees_.end()) return std::nullopt;
-    res = it->second;
-  }
-  std::lock_guard<std::mutex> lock(res->mutex);
-  return ft::to_text(res->tree);
 }
 
 std::optional<ft::FaultTree> AnalysisEngine::tree_snapshot(
     const std::string& id) const {
-  std::shared_ptr<TreeResource> res;
-  {
-    std::lock_guard<std::mutex> lock(trees_mutex_);
-    const auto it = trees_.find(id);
-    if (it == trees_.end()) return std::nullopt;
-    res = it->second;
-  }
+  const std::shared_ptr<TreeResource> res = resource(id);
+  if (!res) return std::nullopt;
   std::lock_guard<std::mutex> lock(res->mutex);
   return res->tree;
-}
-
-bool AnalysisEngine::validate_delta(const std::string& id,
-                                    const ft::TreeDelta& delta) const {
-  std::shared_ptr<TreeResource> res;
-  {
-    std::lock_guard<std::mutex> lock(trees_mutex_);
-    const auto it = trees_.find(id);
-    if (it == trees_.end()) return false;
-    res = it->second;
-  }
-  std::lock_guard<std::mutex> lock(res->mutex);
-  ft::validate_delta(res->tree, delta);
-  return true;
 }
 
 std::vector<TreeResourceInfo> AnalysisEngine::list_trees() const {
@@ -338,28 +311,12 @@ std::size_t AnalysisEngine::num_trees() const {
 
 PreparedTreePtr AnalysisEngine::prepared_for(
     const core::MpmcsPipeline& pipeline, const AnalysisRequest& request,
-    const ft::FaultTree* base, AnalysisResult& result) {
+    AnalysisResult& result) {
   const std::string key = structural_key(request.tree, request.pipeline);
   PreparedTreePtr prepared = cache_.find(key);
   if (prepared) {
     result.cache_hit = true;
     return prepared;
-  }
-  // Delta match: the edited tree misses, but its base is resident —
-  // derive a patched artefact from the base entry (sharing every
-  // untouched piece) instead of re-running the transformation steps.
-  if (base != nullptr && request.delta) {
-    const PreparedTreePtr base_entry =
-        cache_.find_base(structural_key(*base, request.pipeline));
-    if (base_entry) {
-      util::Timer build;
-      auto derived = std::make_shared<PreparedTree>();
-      derived->prepared = pipeline.derive_prepared(
-          request.tree, *request.delta, base_entry->prepared, &result.delta);
-      derived->build_seconds = build.seconds();
-      result.delta_applied = true;
-      return cache_.insert(key, std::move(derived));
-    }
   }
   util::Timer build;
   auto built = std::make_shared<PreparedTree>();
@@ -371,7 +328,6 @@ PreparedTreePtr AnalysisEngine::prepared_for(
 }
 
 void AnalysisEngine::run_mpmcs(const AnalysisRequest& request,
-                               const ft::FaultTree* base,
                                util::CancelTokenPtr token,
                                AnalysisResult& result) {
   const core::MpmcsPipeline pipeline(request.pipeline);
@@ -379,7 +335,7 @@ void AnalysisEngine::run_mpmcs(const AnalysisRequest& request,
     WatchScope watch(*this, token, "");
     result.mpmcs = pipeline.solve(request.tree, std::move(token));
   } else {
-    PreparedTreePtr prepared = prepared_for(pipeline, request, base, result);
+    PreparedTreePtr prepared = prepared_for(pipeline, request, result);
     // Second tier: a solution memoized under the same structure and an
     // outcome-equivalent solver configuration skips Step 5 entirely.
     const std::string memo_key = outcome_key(request.pipeline);
@@ -409,7 +365,6 @@ void AnalysisEngine::run_mpmcs(const AnalysisRequest& request,
 }
 
 void AnalysisEngine::run_top_k(const AnalysisRequest& request,
-                               const ft::FaultTree* base,
                                util::CancelTokenPtr token,
                                AnalysisResult& result) {
   const core::MpmcsPipeline pipeline(request.pipeline);
@@ -422,7 +377,7 @@ void AnalysisEngine::run_top_k(const AnalysisRequest& request,
     // Enumeration shares the cached Step 1-4/3.5 artefact — and, through
     // it, the warm incremental session — with MPMCS traffic on the same
     // structure instead of re-preparing per request.
-    PreparedTreePtr prepared = prepared_for(pipeline, request, base, result);
+    PreparedTreePtr prepared = prepared_for(pipeline, request, result);
     // Third tier: a completed enumeration under the same structure,
     // solver configuration AND k replays with zero solver work. k is
     // part of the key — a k=5 sequence is not a valid k=10 answer, and
@@ -484,13 +439,9 @@ void AnalysisEngine::run_quantitative(const ft::FaultTree& tree,
 void AnalysisEngine::run_resource(const AnalysisRequest& request,
                                   util::CancelTokenPtr token,
                                   AnalysisResult& result) {
-  std::shared_ptr<TreeResource> res;
-  {
-    std::lock_guard<std::mutex> lock(trees_mutex_);
-    const auto it = trees_.find(request.tree_id);
-    if (it != trees_.end()) res = it->second;
-  }
+  const std::shared_ptr<TreeResource> res = resource(request.tree_id);
   if (!res) {
+    result.refusal = Refusal::UnknownTree;
     result.error = "unknown tree id '" + request.tree_id + "'";
     return;
   }
@@ -499,6 +450,19 @@ void AnalysisEngine::run_resource(const AnalysisRequest& request,
   // requests to different resources run concurrently across the pool.
   std::lock_guard<std::mutex> lock(res->mutex);
   res->last_used = use_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+  result.tree_version = res->version;
+  // Optimistic concurrency, judged under the lock the edit takes: of two
+  // requests that expect one revision, the second finds it gone.
+  if (!request.etag.empty()) {
+    const std::string current =
+        request.tree_id + "-v" + std::to_string(res->version);
+    if (request.etag != current) {
+      result.refusal = Refusal::EtagConflict;
+      result.error = "etag \"" + request.etag +
+                     "\" does not match current \"" + current + "\"";
+      return;
+    }
+  }
   // The resource's pipeline configuration shaped its artefact; a
   // per-request override would silently mismatch the two.
   const core::MpmcsPipeline pipeline(res->pipeline);
@@ -507,41 +471,23 @@ void AnalysisEngine::run_resource(const AnalysisRequest& request,
     // artefact (and the session it carries) and rebuild cold before
     // touching it again.
     res->prepared = pipeline.prepare(res->tree, token);
-    res->solutions.clear();
     res->fresh_artefact = true;
     session_resets_.fetch_add(1, std::memory_order_relaxed);
   }
   if (request.delta && !request.delta->empty()) {
-    // Throws ft::DeltaError on bad edits — reported via result.error
-    // with the resource untouched.
+    // Throws ft::DeltaError on bad edits (a refusal, see execute) with
+    // the resource untouched.
     ft::FaultTree next = ft::apply_delta(res->tree, *request.delta);
     result.delta = pipeline.apply_delta(next, *request.delta, res->prepared,
                                         token);
     res->tree = std::move(next);
-    ++res->version;
+    result.tree_version = ++res->version;
     res->edits += request.delta->ops.size();
-    // Whole-solution memo dies with the edit; untouched frontier modules
-    // keep their warm sessions inside the artefact.
-    res->solutions.clear();
     result.delta_applied = true;
     tree_edits_.fetch_add(1, std::memory_order_relaxed);
   }
-  result.tree_id = request.tree_id;
-  result.tree_version = res->version;
   switch (request.kind) {
     case AnalysisKind::Mpmcs: {
-      const std::string memo_key = outcome_key(res->pipeline);
-      if (opts_.memoize_results) {
-        const auto it = res->solutions.find(memo_key);
-        if (it != res->solutions.end()) {
-          result.mpmcs = it->second;
-          result.cut_names = result.mpmcs.cut.names(res->tree);
-          result.memoized = true;
-          result.ok = true;
-          memo_hits_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-      }
       WatchScope watch(*this, token, request.tree_id);
       const bool fresh = res->fresh_artefact;
       const bool warm_budgeted =
@@ -555,14 +501,13 @@ void AnalysisEngine::run_resource(const AnalysisRequest& request,
         // re-descend cold with the remaining request deadline.
         const double budget =
             opts_.warm_reset_multiple *
-            std::max(res->cold_solve_ewma, opts_.warm_reset_floor_seconds);
+            std::max(res->cold_solve_ewma, kWarmResetFloorSeconds);
         auto sub = util::make_child_token(token);
         sub->set_deadline_after(budget);
         result.mpmcs = pipeline.solve_prepared(res->tree, res->prepared, sub);
         if (result.mpmcs.status == maxsat::MaxSatStatus::Unknown &&
             !token->cancelled()) {
           res->prepared = pipeline.prepare(res->tree, token);
-          res->solutions.clear();
           session_resets_.fetch_add(1, std::memory_order_relaxed);
           util::Timer cold_timer;
           result.mpmcs =
@@ -583,10 +528,6 @@ void AnalysisEngine::run_resource(const AnalysisRequest& request,
                   : 0.7 * res->cold_solve_ewma + 0.3 * cold_timer.seconds();
           res->fresh_artefact = false;
         }
-      }
-      if (opts_.memoize_results &&
-          result.mpmcs.status != maxsat::MaxSatStatus::Unknown) {
-        res->solutions.emplace(memo_key, result.mpmcs);
       }
       result.cut_names = result.mpmcs.cut.names(res->tree);
       result.ok = result.mpmcs.status != maxsat::MaxSatStatus::Unknown;
@@ -616,10 +557,8 @@ AnalysisResult AnalysisEngine::execute(AnalysisRequest request,
   AnalysisResult result;
   result.id = request.id;
   result.kind = request.kind;
-  const double timeout = request.timeout_seconds > 0.0
-                             ? request.timeout_seconds
-                             : opts_.default_timeout_seconds;
-  token->set_deadline_after(timeout);
+  result.tree_id = request.tree_id;
+  token->set_deadline_after(request.timeout_seconds);
   if (opts_.debug_solve_delay_seconds > 0.0) {
     // Fault injection for the serving tests: hold the worker (and thus
     // the request's in-flight window) for a deterministic interval,
@@ -634,24 +573,19 @@ AnalysisResult AnalysisEngine::execute(AnalysisRequest request,
     if (!request.tree_id.empty()) {
       if (!token->cancelled()) run_resource(request, token, result);
     } else {
-      // Stateless path. A delta makes `tree` the base: the effective
-      // analysed tree is base + delta, and prepared_for() delta-matches
-      // the base's cache entry before falling back to a cold prepare.
-      ft::FaultTree base;
-      const bool has_delta = request.delta && !request.delta->empty();
-      if (has_delta) {
-        base = request.tree;
-        request.tree = ft::apply_delta(base, *request.delta);
+      // Stateless path: an edited inline tree takes the ordinary cache
+      // lookup.
+      if (request.delta && !request.delta->empty()) {
+        request.tree = ft::apply_delta(request.tree, *request.delta);
       }
       request.tree.validate();
-      const ft::FaultTree* base_ptr = has_delta ? &base : nullptr;
       if (!token->cancelled()) {
         switch (request.kind) {
           case AnalysisKind::Mpmcs:
-            run_mpmcs(request, base_ptr, token, result);
+            run_mpmcs(request, token, result);
             break;
           case AnalysisKind::TopK:
-            run_top_k(request, base_ptr, token, result);
+            run_top_k(request, token, result);
             break;
           case AnalysisKind::Importance:
             run_importance(request.tree, token, result);
@@ -662,6 +596,9 @@ AnalysisResult AnalysisEngine::execute(AnalysisRequest request,
         }
       }
     }
+  } catch (const ft::DeltaError& e) {
+    result.refusal = Refusal::BadDelta;
+    result.error = e.what();
   } catch (const std::exception& e) {
     result.ok = false;
     result.error = e.what();

@@ -60,18 +60,30 @@ struct AnalysisRequest {
   /// prepared artefact under the resource lock; the resource's pipeline
   /// configuration (fixed at creation) overrides `pipeline`.
   std::string tree_id;
+  /// With `tree_id`: the resource revision the request expects,
+  /// "<tree_id>-v<version>". Another revision refuses the request
+  /// (Refusal::EtagConflict), judged under the same hold of the resource
+  /// lock as the edit. Empty = any revision.
+  std::string etag;
   /// Edit to apply before analysing. With `tree_id`: mutates the
   /// resource in place — its artefact is patched (sessions rebased,
-  /// dirty strata re-prepared) and its version bumped. Without: `tree`
-  /// is the *base*; the effective tree is apply_delta(tree, delta) and
-  /// the engine delta-matches the base's cache entry (deriving a patched
-  /// artefact) before falling back to a cold prepare.
+  /// dirty strata re-prepared) and its version bumped. Without: the
+  /// analysed tree is apply_delta(tree, delta). A delta that does not
+  /// apply refuses the request (Refusal::BadDelta).
   std::optional<ft::TreeDelta> delta;
   AnalysisKind kind = AnalysisKind::Mpmcs;
   std::size_t top_k = 3;  ///< TopK only.
   core::PipelineOptions pipeline;
-  /// Per-request wall-clock cap; 0 = the engine default.
+  /// Per-request wall-clock cap; 0 = none.
   double timeout_seconds = 0.0;
+};
+
+/// Why the engine refused a request before analysing it.
+enum class Refusal : std::uint8_t {
+  None,
+  BadDelta,      ///< The delta does not apply to the tree.
+  UnknownTree,   ///< No resource has the request's `tree_id`.
+  EtagConflict,  ///< The resource is not at the request's `etag`.
 };
 
 struct QuantitativeSummary {
@@ -89,19 +101,23 @@ struct AnalysisResult {
   bool cache_hit = false;  ///< Step 1-4 artefacts came from the cache.
   bool memoized = false;   ///< Whole solution reused (implies cache_hit).
   std::string error;       ///< Parse/validation/analysis failure, if any.
+  /// Set when the request was refused; `error` then says why, and a
+  /// resource the request named is untouched.
+  Refusal refusal = Refusal::None;
   double seconds = 0.0;    ///< Wall clock inside the worker.
-  /// Delta lineage: set when the request carried a delta that was
-  /// applied (resource mutation or cache delta-match); `delta` then says
-  /// how much of the artefact survived the edit.
+  /// Delta lineage: set when the request's delta edited its resource;
+  /// `delta` then says how much of the artefact survived the edit.
   bool delta_applied = false;
   core::DeltaApplication delta;
-  std::string tree_id;            ///< Resolved resource, when one was used.
-  std::uint64_t tree_version = 0; ///< Resource version after the request.
+  std::string tree_id;  ///< The request's resource, when it named one.
+  /// The resource's version after the request (the current one when the
+  /// request was refused for its etag).
+  std::uint64_t tree_version = 0;
 
   core::MpmcsSolution mpmcs;             ///< Mpmcs.
   /// Resource Mpmcs requests: the names of `mpmcs.cut`'s events, resolved
-  /// under the resource lock so the caller needs no copy of the tree to
-  /// print the answer.
+  /// under the resource lock that also took the edit, so the caller needs
+  /// no copy of the tree to print the answer.
   std::vector<std::string> cut_names;
   std::vector<core::MpmcsSolution> top;  ///< TopK.
   std::vector<analysis::EventImportance> importance;  ///< Importance.
@@ -118,8 +134,6 @@ struct EngineOptions {
   /// Distinct optimal cuts of equal cost may tie, so disable this when
   /// every request must independently exercise the solver.
   bool memoize_results = true;
-  /// Default per-request timeout; 0 = none.
-  double default_timeout_seconds = 0.0;
   /// Cap on the pool-wide incremental-session footprint: after each
   /// request the cache evicts LRU session-carrying entries until the
   /// total estimate is back under. Complements the per-session cap
@@ -141,11 +155,10 @@ struct EngineOptions {
   std::size_t watchdog_stall_intervals = 3;
   /// Warm-session self-reset: a warm re-solve on a tree resource gets a
   /// sub-deadline of `warm_reset_multiple` x the resource's EWMA cold-solve
-  /// estimate (floored at `warm_reset_floor_seconds`); tripping it abandons
-  /// the rebased session and re-descends cold instead of letting a
-  /// regressed warm path burn the whole request deadline. 0 disables.
+  /// estimate (floored at 50 ms); tripping it abandons the rebased session
+  /// and re-descends cold instead of letting a regressed warm path burn
+  /// the whole request deadline. 0 disables.
   double warm_reset_multiple = 8.0;
-  double warm_reset_floor_seconds = 0.05;
 };
 
 struct EngineStats {
@@ -155,7 +168,6 @@ struct EngineStats {
   std::uint64_t failed = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t delta_hits = 0;  ///< Cache delta-matches (derived entries).
   std::uint64_t memo_hits = 0;
   std::uint64_t pool_steals = 0;
   std::uint64_t session_memory_bytes = 0;  ///< Current pool-wide estimate.
@@ -234,21 +246,17 @@ class AnalysisEngine {
   /// in-flight request). Returns false for an unknown id.
   bool release_tree(const std::string& id);
 
-  std::optional<TreeResourceInfo> tree_info(const std::string& id) const;
-  /// The resource's current tree in the parser's text format (the GET
-  /// representation); nullopt for an unknown id.
-  std::optional<std::string> tree_text(const std::string& id) const;
+  /// The resource's counters; nullopt for an unknown id. A non-null
+  /// `text` receives its current tree in the parser's text format (the GET
+  /// representation and the journal's post-image), read under the same
+  /// hold of the resource lock as the counters.
+  std::optional<TreeResourceInfo> tree_info(const std::string& id,
+                                            std::string* text = nullptr) const;
   /// Copy of the resource's current tree (callers render cut-set event
   /// names from it); nullopt for an unknown id. Events are only ever
   /// appended by edits, so a snapshot taken after a solve can name every
   /// event index that solve produced.
   std::optional<ft::FaultTree> tree_snapshot(const std::string& id) const;
-  /// Dry-run delta validation against the resource's current tree, in
-  /// place under the resource lock (no tree copy — the serving hot path
-  /// calls this per PATCH). Returns false for an unknown id; throws
-  /// ft::DeltaError exactly when applying the delta would.
-  bool validate_delta(const std::string& id,
-                      const ft::TreeDelta& delta) const;
   std::vector<TreeResourceInfo> list_trees() const;
   std::size_t num_trees() const;
 
@@ -262,10 +270,9 @@ class AnalysisEngine {
   EngineStats stats() const;
 
  private:
-  /// One registered mutable tree: the current tree, its exclusively
-  /// owned prepared artefact, and the per-configuration solution memo
-  /// (cleared on every edit — the stratum-level memo inside the artefact
-  /// is what survives across edits). `mutex` linearizes edits and solves
+  /// One registered mutable tree: the current tree and its exclusively
+  /// owned prepared artefact (whose frontier modules keep their proven
+  /// optima across edits elsewhere). `mutex` linearizes edits and solves
   /// per resource; different resources run concurrently.
   struct TreeResource {
     mutable std::mutex mutex;
@@ -275,7 +282,6 @@ class AnalysisEngine {
     std::uint64_t version = 1;
     std::uint64_t edits = 0;
     std::uint64_t last_used = 0;
-    std::unordered_map<std::string, core::MpmcsSolution> solutions;
     /// Set by the watchdog (outside `mutex` — the wedged solve holds it);
     /// the next solve observes it and rebuilds the artefact cold.
     std::atomic<bool> quarantined{false};
@@ -301,22 +307,20 @@ class AnalysisEngine {
   class WatchScope;
 
   AnalysisResult execute(AnalysisRequest request, util::CancelTokenPtr token);
-  /// Cache lookup-or-build of the Step 1-4/3.5 artefact for the
-  /// (effective) request tree; sets result.cache_hit on an exact hit.
-  /// When the request carried a delta, `base` is the pre-delta tree and
-  /// a resident base entry is delta-matched: the artefact is derived
-  /// from it (sharing untouched pieces) instead of cold-prepared.
+  /// The registered resource `id`, or null.
+  std::shared_ptr<TreeResource> resource(const std::string& id) const;
+  /// Cache lookup-or-build of the Step 1-4/3.5 artefact for the request
+  /// tree; sets result.cache_hit on a hit.
   PreparedTreePtr prepared_for(const core::MpmcsPipeline& pipeline,
                                const AnalysisRequest& request,
-                               const ft::FaultTree* base,
                                AnalysisResult& result);
-  void run_mpmcs(const AnalysisRequest& request, const ft::FaultTree* base,
-                 util::CancelTokenPtr token, AnalysisResult& result);
-  void run_top_k(const AnalysisRequest& request, const ft::FaultTree* base,
-                 util::CancelTokenPtr token, AnalysisResult& result);
-  /// The tree_id path: resolve the resource, apply any delta under its
-  /// lock (patching the artefact in place), then run the analysis on its
-  /// current state.
+  void run_mpmcs(const AnalysisRequest& request, util::CancelTokenPtr token,
+                 AnalysisResult& result);
+  void run_top_k(const AnalysisRequest& request, util::CancelTokenPtr token,
+                 AnalysisResult& result);
+  /// The tree_id path, in one hold of the resource lock: check the etag,
+  /// apply any delta (patching the artefact in place), then run the
+  /// analysis on the resource's current state.
   void run_resource(const AnalysisRequest& request, util::CancelTokenPtr token,
                     AnalysisResult& result);
   void run_importance(const ft::FaultTree& tree, util::CancelTokenPtr token,

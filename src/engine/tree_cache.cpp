@@ -33,9 +33,6 @@ std::string structural_key(const ft::FaultTree& tree,
   // Vote-gate lowering shapes the CNF and the cardinality metadata the
   // session engines rely on: a different mode is a different artefact.
   key.push_back(static_cast<char>('0' + static_cast<int>(opts.card_lowering)));
-  if (opts.card_lowering == logic::CardinalityLowering::Auto) {
-    append_u32(key, opts.card_totalizer_threshold);
-  }
   // Incremental sessions ride with the artefact; flipping the mode must
   // invalidate the entry (an incremental-off artefact has no session and
   // would silently pin the cached hot path to stateless solving).
@@ -50,20 +47,9 @@ std::string structural_key(const ft::FaultTree& tree,
   // prepares it once per side. The solver choice is otherwise
   // deliberately NOT part of the key.
   key.push_back(opts.solver == core::SolverChoice::Auto ? 'T' : 't');
-  // Step 3.5 configuration: a differently-preprocessed instance is a
-  // different artefact (the reconstructor travels with it).
+  // Step 3.5: a preprocessed instance is a different artefact (the
+  // reconstructor travels with it).
   key.push_back(opts.preprocess ? 'Z' : 'z');
-  if (opts.preprocess) {
-    const preprocess::PreprocessOptions& pp = opts.preprocess_opts;
-    key.push_back(static_cast<char>((pp.subsumption ? 1 : 0) |
-                                    (pp.equivalences ? 2 : 0) |
-                                    (pp.bve ? 4 : 0) |
-                                    (pp.bce ? 8 : 0)));
-    append_u32(key, pp.max_rounds);
-    append_u32(key, pp.bve_occurrence_cap);
-    append_u32(key, pp.bve_clause_growth);
-    append_f64(key, pp.bve_literal_growth);
-  }
   append_u32(key, static_cast<std::uint32_t>(tree.num_nodes()));
   append_u32(key, static_cast<std::uint32_t>(tree.num_events()));
   append_u32(key, tree.top());
@@ -85,8 +71,7 @@ std::string structural_key(const ft::FaultTree& tree,
 }
 
 std::string outcome_key(const core::PipelineOptions& opts) {
-  return std::string(core::solver_choice_name(opts.solver)) +
-         (opts.shrink_to_minimal ? "|s" : "|-");
+  return core::solver_choice_name(opts.solver);
 }
 
 PreparedTreePtr TreeCache::find(const std::string& key) {
@@ -104,15 +89,6 @@ PreparedTreePtr TreeCache::find(const std::string& key) {
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.value;
-}
-
-PreparedTreePtr TreeCache::find_base(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  delta_hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second.value;
 }
 

@@ -12,7 +12,7 @@
 // shape, gate types/thresholds, event indices and probability bit
 // patterns, plus the transformation options that shape the instance
 // (weight scale, vote-gate lowering, incremental sessions, the module
-// pass, the Step 3.5 preprocessing configuration). Event/gate *names* are
+// pass, Step 3.5 on or off). Event/gate *names* are
 // excluded — renaming every node of a tree yields the same artefacts.
 // Which optimal cut a solve returns is further keyed by outcome_key.
 #pragma once
@@ -62,10 +62,10 @@ using PreparedTreePtr = std::shared_ptr<const PreparedTree>;
 std::string structural_key(const ft::FaultTree& tree,
                            const core::PipelineOptions& opts);
 
-/// The solver configuration that decides which optimal cut comes back —
-/// the solver choice and the shrink pass. It keys the memoized solutions
-/// of a PreparedTree (top-k appends k) and, after the structural key, the
-/// service's coalescing of identical in-flight requests.
+/// The solver configuration that decides which optimal cut comes back:
+/// the solver choice. It keys the memoized solutions of a PreparedTree
+/// (top-k appends k) and, after the structural key, the service's
+/// coalescing of identical in-flight requests.
 std::string outcome_key(const core::PipelineOptions& opts);
 
 /// Thread-safe LRU cache over prepared trees.
@@ -75,14 +75,6 @@ class TreeCache {
 
   /// Returns the entry for `key` (refreshing its recency), or null.
   PreparedTreePtr find(const std::string& key);
-
-  /// Delta-match probe: like find(), but for looking up the *base* entry
-  /// of a mutated tree (the engine patches it via
-  /// MpmcsPipeline::derive_prepared instead of cold-preparing the edited
-  /// tree). Counted separately — a base hit is a successful delta match,
-  /// not an exact-key hit, and a base miss is not an extra miss (the
-  /// exact lookup already recorded one).
-  PreparedTreePtr find_base(const std::string& key);
 
   /// Inserts `key` and returns the resident entry. When another thread
   /// raced the build and inserted first, the *existing* entry wins (so
@@ -110,9 +102,6 @@ class TreeCache {
   std::size_t capacity() const noexcept { return capacity_; }
   std::uint64_t hits() const noexcept { return hits_.load(); }
   std::uint64_t misses() const noexcept { return misses_.load(); }
-  /// Successful delta matches (find_base hits that seeded a derived
-  /// artefact).
-  std::uint64_t delta_hits() const noexcept { return delta_hits_.load(); }
   std::uint64_t session_evictions() const noexcept {
     return session_evictions_.load();
   }
@@ -129,7 +118,6 @@ class TreeCache {
   std::list<std::string> lru_;  // front = most recent
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> delta_hits_{0};
   std::atomic<std::uint64_t> session_evictions_{0};
 };
 

@@ -142,9 +142,16 @@ FaultTree apply_delta(const FaultTree& tree, const TreeDelta& delta) {
   try {
     for (const DeltaOp& op : delta.ops) {
       switch (op.kind) {
-        case DeltaOpKind::WeightUpdate:
-          out.set_event_probability(event_target(out, op), op.probability);
+        case DeltaOpKind::WeightUpdate: {
+          const EventIndex e = event_target(out, op);
+          if (!(op.probability >= 0.0 && op.probability <= 1.0)) {
+            throw DeltaError("probability of '" + op.target +
+                             "' out of [0,1]: " +
+                             std::to_string(op.probability));
+          }
+          out.set_event_probability(e, op.probability);
           break;
+        }
         case DeltaOpKind::EventToggle:
           out.set_event_enabled(event_target(out, op), op.enabled);
           break;
@@ -158,24 +165,6 @@ FaultTree apply_delta(const FaultTree& tree, const TreeDelta& delta) {
     throw DeltaError(e.what());
   }
   return out;
-}
-
-void validate_delta(const FaultTree& tree, const TreeDelta& delta) {
-  if (!delta.weight_only()) {
-    // A splice can introduce nodes that later ops legitimately target;
-    // only the full application decides those. Structural edits pay a
-    // cold re-prepare anyway — the dry-run copy is noise there.
-    apply_delta(tree, delta);
-    return;
-  }
-  for (const DeltaOp& op : delta.ops) {
-    event_target(tree, op);
-    if (op.kind == DeltaOpKind::WeightUpdate &&
-        !(op.probability >= 0.0 && op.probability <= 1.0)) {
-      throw DeltaError("probability of '" + op.target + "' out of [0,1]: " +
-                       std::to_string(op.probability));
-    }
-  }
 }
 
 std::vector<EventIndex> touched_events(const FaultTree& tree,

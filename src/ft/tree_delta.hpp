@@ -66,16 +66,9 @@ struct TreeDelta {
 /// nodes keep their indices; splices may append new nodes (and leave the
 /// replaced subtree's old nodes unreachable — they are ignored by
 /// formula conversion and solving). Throws DeltaError on unknown targets,
-/// type mismatches, or a resulting tree that fails validation.
+/// type mismatches, probabilities outside [0,1], or a resulting tree
+/// that fails validation.
 FaultTree apply_delta(const FaultTree& tree, const TreeDelta& delta);
-
-/// Checks that `delta` would apply cleanly to `tree` without building
-/// the result. Exact and O(ops) for weight-only deltas (targets must
-/// name enabled-or-disabled basic events, probabilities must lie in
-/// [0,1]); deltas containing a SubtreeReplace fall back to a full
-/// apply_delta dry run, since later ops may target nodes an earlier
-/// splice introduces. Throws DeltaError exactly when apply_delta would.
-void validate_delta(const FaultTree& tree, const TreeDelta& delta);
 
 /// Events whose effective probability the weight/toggle ops change
 /// (sorted, deduplicated). SubtreeReplace ops are ignored here — callers

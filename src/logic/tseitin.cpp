@@ -16,24 +16,18 @@ const char* cardinality_lowering_name(CardinalityLowering mode) noexcept {
   return "?";
 }
 
-bool lowers_to_totalizer(CardinalityLowering mode, std::uint32_t threshold,
-                         std::uint32_t k, std::size_t n) noexcept {
+bool lowers_to_totalizer(CardinalityLowering mode, std::uint32_t k,
+                         std::size_t n) noexcept {
   switch (mode) {
     case CardinalityLowering::Expand: return false;
     case CardinalityLowering::Totalizer: return true;
     case CardinalityLowering::Auto:
-      return static_cast<std::uint64_t>(k) * n >= threshold;
+      return static_cast<std::uint64_t>(k) * n >= 10;
   }
   return false;
 }
 
 namespace {
-
-bool use_totalizer(const TseitinOptions& opts, std::uint32_t k,
-                   std::size_t n) {
-  return lowers_to_totalizer(opts.card_lowering,
-                             opts.card_totalizer_threshold, k, n);
-}
 
 /// Reachable nodes in topological (children-first) order, iteratively.
 std::vector<NodeId> topo_order(const FormulaStore& store, NodeId root) {
@@ -90,7 +84,7 @@ TseitinResult tseitin(FormulaStore& store, NodeId root, bool assert_root,
   // Voting gates below the totalizer policy are expanded to shared AND/OR
   // structure; the rest stay AtLeast nodes and get counting networks.
   root = store.lower_at_least(root, [&opts](std::uint32_t k, std::size_t n) {
-    return !use_totalizer(opts, k, n);
+    return !lowers_to_totalizer(opts.card_lowering, k, n);
   });
 
   TseitinResult res;

@@ -40,13 +40,16 @@ enum class CardinalityLowering : std::uint8_t {
 const char* cardinality_lowering_name(CardinalityLowering mode) noexcept;
 
 /// The lowering policy: whether an AtLeast(k) gate over n inputs is
-/// encoded as a totalizer network under `mode`/`threshold`. Exposed so
-/// other layers (e.g. the pipeline's preprocessing profile) share the
-/// exact decision rule instead of re-deriving it. Note tseitin applies
-/// it to *post-fold* gate dimensions (constant children removed, k==1/n
-/// rewritten away by FormulaStore::at_least).
-bool lowers_to_totalizer(CardinalityLowering mode, std::uint32_t threshold,
-                         std::uint32_t k, std::size_t n) noexcept;
+/// encoded as a totalizer network under `mode`. Auto picks the totalizer
+/// once n*k reaches 10: below it the expanded network is comparable in
+/// size and interacts well with preprocessing, and 10 makes every wide
+/// vote (n >= 5) cardinality-native. Exposed so other layers (e.g. the
+/// pipeline's preprocessing profile) share the exact decision rule
+/// instead of re-deriving it. Note tseitin applies it to *post-fold* gate
+/// dimensions (constant children removed, k==1/n rewritten away by
+/// FormulaStore::at_least).
+bool lowers_to_totalizer(CardinalityLowering mode, std::uint32_t k,
+                         std::size_t n) noexcept;
 
 struct TseitinOptions {
   /// If true, emit only the clause direction implied by each gate's
@@ -58,11 +61,6 @@ struct TseitinOptions {
   /// clauses are auxiliary definitions, so omitting the unused half
   /// preserves the model projection onto input variables.
   CardinalityLowering card_lowering = CardinalityLowering::Auto;
-  /// Auto mode encodes AtLeast(k) over n inputs as a totalizer when
-  /// n*k >= this; below it the expanded network is comparable in size
-  /// and interacts well with preprocessing. The default (10) makes every
-  /// wide vote (n >= 5) cardinality-native.
-  std::uint32_t card_totalizer_threshold = 10;
 };
 
 struct TseitinResult {

@@ -119,6 +119,20 @@ std::string read_file(const std::string& path) {
   return data;
 }
 
+/// Makes `e` the live post-image of its resource unless `live` already
+/// holds a newer one: concurrent edits of one resource may append their
+/// post-images out of version order.
+void keep_newest(std::map<std::string, JournalEntry>& live, JournalEntry e) {
+  const auto it = live.find(e.id);
+  if (it == live.end()) {
+    live.emplace(e.id, std::move(e));
+    return;
+  }
+  // Patch post-images omit the solver; the create record set it.
+  if (e.solver.empty()) e.solver = it->second.solver;
+  if (e.version >= it->second.version) it->second = std::move(e);
+}
+
 /// Applies framed records from `data` to `live` in order. Returns the
 /// byte offset just past the last intact record (replay stops at the
 /// first short frame, CRC mismatch, oversized length, or malformed
@@ -150,12 +164,7 @@ std::size_t apply_records(const std::string& data,
       e.tree_text = doc.get_string("tree", "");
       e.version = static_cast<std::uint64_t>(doc.get_number("version", 1));
       e.edits = static_cast<std::uint64_t>(doc.get_number("edits", 0));
-      if (e.solver.empty()) {
-        // Patch post-images omit the solver; the create record set it.
-        const auto it = live.find(id);
-        if (it != live.end()) e.solver = it->second.solver;
-      }
-      live[id] = std::move(e);
+      keep_newest(live, std::move(e));
     } else if (op == "del") {
       live.erase(id);
     } else {
@@ -226,7 +235,7 @@ void TreeJournal::record_put(const JournalEntry& entry) {
   }
   append_payload(put_payload(e));
   std::lock_guard<std::mutex> lock(write_mutex_);
-  live_[e.id] = std::move(e);
+  keep_newest(live_, std::move(e));
   if (log_bytes_ >= opts_.compact_threshold_bytes) compact_locked();
 }
 

@@ -73,9 +73,11 @@ class TreeJournal {
   std::vector<JournalEntry> recover();
   const JournalRecoverStats& recover_stats() const noexcept { return stats_; }
 
-  /// Durably records the post-image of a create or patch. Throws
-  /// std::runtime_error on I/O failure — the caller must fail the request
-  /// rather than acknowledge an unpersisted mutation.
+  /// Durably records the post-image of a create or patch. Replay keeps
+  /// each resource's highest version, whatever order its records were
+  /// appended in. Throws std::runtime_error on I/O failure — the caller
+  /// must fail the request rather than acknowledge an unpersisted
+  /// mutation.
   void record_put(const JournalEntry& entry);
   void record_delete(const std::string& id);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "format/format.hpp"
@@ -92,25 +93,14 @@ std::string make_etag(const std::string& id, std::uint64_t version) {
   return id + "-v" + std::to_string(version);
 }
 
-/// Validated tenant for body-optional requests (GET/DELETE on tree
-/// resources). An empty body means the default tenant; a malformed one
-/// sets `error` and returns empty.
-std::string tenant_from_body(const std::string& body, std::string* error) {
-  if (body.find_first_not_of(" \t\r\n") == std::string::npos) return "default";
-  try {
-    const util::JsonValue doc = util::JsonValue::parse(body);
-    if (!doc.is_object()) {
-      throw util::JsonError(0, "request body must be a JSON object");
-    }
-    std::string tenant = doc.get_string("tenant", "default");
-    if (tenant.empty() || tenant.size() > 128) {
-      throw util::JsonError(0, "tenant must be 1..128 bytes");
-    }
-    return tenant;
-  } catch (const std::exception& e) {
-    *error = e.what();
-    return std::string();
-  }
+HttpResponse shutting_down() {
+  return error_response(503, "shutting_down", "server is draining");
+}
+
+/// The 404 of a tree resource that does not exist or that another tenant
+/// owns: the two answer alike.
+HttpResponse unknown_tree(const std::string& id) {
+  return error_response(404, "not_found", "unknown tree id \"" + id + "\"");
 }
 
 /// The re-solve lineage the mutation path reports: how much of the
@@ -159,6 +149,16 @@ std::string tenant_json(const std::string& name, const TenantCounters& t,
 }
 
 }  // namespace
+
+struct SolveService::Body {
+  std::string tenant = "default";
+  ft::FaultTree tree;
+  core::PipelineOptions pipeline;
+  std::size_t top_k = 3;
+  double deadline_seconds = 0.0;
+  std::string etag;
+  ft::TreeDelta delta;
+};
 
 SolveService::SolveService(ServiceOptions opts)
     : opts_(std::move(opts)),
@@ -357,58 +357,16 @@ HttpResponse SolveService::handle_failz(const HttpRequest& request) {
 HttpResponse SolveService::handle_solve(const HttpRequest& request,
                                         AnalysisKind kind) {
   util::Timer arrival;
-  TenantCounters& anon = stats_.global();
-  anon.requests.fetch_add(1, std::memory_order_relaxed);
-
-  // --- parse & validate the request (no engine resources yet) ----------
-  std::string tenant_name = "default";
-  ft::FaultTree tree;
-  core::PipelineOptions popts = opts_.pipeline;
-  std::size_t top_k = 3;
-  double deadline_seconds = opts_.default_deadline_seconds;
+  stats_.global().requests.fetch_add(1, std::memory_order_relaxed);
+  Body body;
   try {
-    const util::JsonValue doc = util::JsonValue::parse(request.body);
-    if (!doc.is_object()) {
-      throw util::JsonError(0, "request body must be a JSON object");
-    }
-    tenant_name = doc.get_string("tenant", "default");
-    if (tenant_name.empty() || tenant_name.size() > 128) {
-      throw util::JsonError(0, "tenant must be 1..128 bytes");
-    }
-    const std::string tree_text = doc.get_string("tree", "");
-    if (tree_text.empty()) {
-      throw util::JsonError(0, "missing required member \"tree\"");
-    }
-    tree = parse_tree_text(tree_text, doc.get_string("format", "auto"));
-    tree.validate();
-    // The journal and GET keep trees as Galileo text.
-    format::check_galileo_names(tree);
-    const std::string solver = doc.get_string("solver", "");
-    if (!solver.empty() && !core::parse_solver_choice(solver, &popts.solver)) {
-      throw util::JsonError(0, "unknown solver \"" + solver + "\"");
-    }
-    if (kind == AnalysisKind::TopK) {
-      const double k = doc.get_number("k", 3.0);
-      if (!(k >= 1.0) ||
-          k > static_cast<double>(opts_.max_top_k)) {
-        throw util::JsonError(0, "k must be in [1, " +
-                                     std::to_string(opts_.max_top_k) + "]");
-      }
-      top_k = static_cast<std::size_t>(k);
-    }
-    const double deadline_ms = doc.get_number("deadline_ms", -1.0);
-    if (deadline_ms >= 0.0) {
-      deadline_seconds =
-          std::min(deadline_ms / 1e3, opts_.max_deadline_seconds);
-    } else if (doc.find("deadline_ms") != nullptr) {
-      throw util::JsonError(0, "deadline_ms must be >= 0");
-    }
+    body = read_body(request.body, kind == AnalysisKind::TopK
+                                       ? Endpoint::TopK
+                                       : Endpoint::Solve);
   } catch (const std::exception& e) {
-    anon.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    return error_response(400, "bad_request", e.what());
+    return bad_request(e.what());
   }
-
-  TenantCounters& tenant = stats_.tenant(tenant_name);
+  TenantCounters& tenant = stats_.tenant(body.tenant);
   tenant.requests.fetch_add(1, std::memory_order_relaxed);
 
   // --- coalescing: join a structurally identical in-flight solve -------
@@ -416,12 +374,12 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
   // probabilities + transformation options; names excluded) with the
   // outcome-shaping solver configuration and the analysis kind, so two
   // coalesced requests are guaranteed the same answer.
-  std::string key = engine::structural_key(tree, popts);
+  std::string key = engine::structural_key(body.tree, body.pipeline);
   key.push_back('|');
   key.push_back(kind == AnalysisKind::TopK ? 'K' : 'M');
-  key += std::to_string(kind == AnalysisKind::TopK ? top_k : 0);
+  key += std::to_string(kind == AnalysisKind::TopK ? body.top_k : 0);
   key.push_back('|');
-  key += engine::outcome_key(popts);
+  key += engine::outcome_key(body.pipeline);
 
   // Join-or-lead is decided and committed under one hold of the flights
   // lock — a window between "no flight found" and "flight published"
@@ -436,59 +394,14 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
     if (it != flights_.end()) {
       flight = it->second;
     } else {
-      if (draining_.load(std::memory_order_relaxed)) {
-        return error_response(503, "shutting_down", "server is draining");
-      }
-      const std::size_t global_depth =
-          outstanding_.load(std::memory_order_relaxed);
-      if (global_depth >= opts_.global_queue_limit) {
-        anon.rejected_capacity.fetch_add(1, std::memory_order_relaxed);
-        tenant.rejected_capacity.fetch_add(1, std::memory_order_relaxed);
-        return error_response(
-            503, "over_capacity",
-            "global queue is full (" + std::to_string(global_depth) +
-                " outstanding)");
-      }
-      const auto tenant_depth = static_cast<std::size_t>(
-          std::max<std::int64_t>(0, tenant.outstanding.load()));
-      if (tenant_depth >= opts_.tenant_queue_limit) {
-        anon.rejected_quota.fetch_add(1, std::memory_order_relaxed);
-        tenant.rejected_quota.fetch_add(1, std::memory_order_relaxed);
-        return error_response(429, "over_quota",
-                              "tenant \"" + tenant_name + "\" has " +
-                                  std::to_string(tenant_depth) +
-                                  " requests outstanding");
-      }
-      if (deadline_seconds > 0.0) {
-        // Deadline-aware shedding: solving a request that cannot finish
-        // in time wastes a worker AND still fails the client — reject
-        // early.
-        const double estimated_wait =
-            (static_cast<double>(global_depth) /
-                 static_cast<double>(engine_.num_threads()) +
-             1.0) *
-            service_estimate();
-        if (estimated_wait > deadline_seconds) {
-          anon.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
-          tenant.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
-          return error_response(
-              503, "deadline_unmeetable",
-              "estimated wait " + util::format_double(estimated_wait) +
-                  "s exceeds the " + util::format_double(deadline_seconds) +
-                  "s deadline");
-        }
-      }
-
-      outstanding_.fetch_add(1, std::memory_order_relaxed);
-      tenant.outstanding.fetch_add(1, std::memory_order_relaxed);
-
+      if (auto refused = admit(body, tenant)) return *refused;
       AnalysisRequest areq;
-      areq.id = tenant_name;
-      areq.tree = tree;  // the engine takes its own copy
+      areq.id = body.tenant;
+      areq.tree = body.tree;  // the engine takes its own copy
       areq.kind = kind;
-      areq.top_k = top_k;
-      areq.pipeline = popts;
-      areq.timeout_seconds = deadline_seconds;
+      areq.top_k = body.top_k;
+      areq.pipeline = body.pipeline;
+      areq.timeout_seconds = body.deadline_seconds;
       flight = std::make_shared<Flight>();
       flight->future = engine_.submit(std::move(areq)).share();
       flights_.emplace(key, flight);
@@ -499,10 +412,10 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
   // --- wait for the shared result ---------------------------------------
   AnalysisResult result;
   bool timed_out = false;
-  if (!leader && deadline_seconds > 0.0) {
+  if (!leader && body.deadline_seconds > 0.0) {
     // Followers observe their own deadline; the flight keeps running for
     // everyone else.
-    const double remaining = deadline_seconds - arrival.seconds();
+    const double remaining = body.deadline_seconds - arrival.seconds();
     if (remaining <= 0.0 ||
         flight->future.wait_for(std::chrono::duration<double>(remaining)) !=
             std::future_status::ready) {
@@ -516,151 +429,261 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
       std::lock_guard<std::mutex> lock(flights_mutex_);
       flights_.erase(key);
     }
-    outstanding_.fetch_sub(1, std::memory_order_relaxed);
-    tenant.outstanding.fetch_sub(1, std::memory_order_relaxed);
-    if (result.ok && !result.memoized) {
-      observe_service_time(result.seconds);
-      anon.engine_solves.fetch_add(1, std::memory_order_relaxed);
-      tenant.engine_solves.fetch_add(1, std::memory_order_relaxed);
-    }
+    release(tenant, result);
   } else {
-    anon.coalesced.fetch_add(1, std::memory_order_relaxed);
-    tenant.coalesced.fetch_add(1, std::memory_order_relaxed);
+    count(tenant, &TenantCounters::coalesced);
   }
+  return answer(body, tenant, arrival, result, timed_out, [&](bool optimal) {
+    std::string m = std::string("\"kind\": \"") +
+                    analysis_kind_name(result.kind) + "\", ";
+    if (!optimal) return m;
+    m += std::string("\"cacheHit\": ") +
+         (result.cache_hit ? "true" : "false") + ", ";
+    m += std::string("\"memoized\": ") +
+         (result.memoized ? "true" : "false") + ", ";
+    m += std::string("\"coalesced\": ") + (leader ? "false" : "true") + ", ";
+    return m;
+  });
+}
 
-  // --- render -----------------------------------------------------------
+SolveService::Body SolveService::read_body(const std::string& text,
+                                           Endpoint endpoint) const {
+  Body body;
+  body.pipeline = opts_.pipeline;
+  body.deadline_seconds = opts_.default_deadline_seconds;
+  // A tree resource's GET and DELETE, and the listing, take an optional
+  // body: a blank one means the default tenant.
+  if (endpoint == Endpoint::Tree &&
+      text.find_first_not_of(" \t\r\n") == std::string::npos) {
+    return body;
+  }
+  const util::JsonValue doc = util::JsonValue::parse(text);
+  if (!doc.is_object()) {
+    throw util::JsonError(0, "request body must be a JSON object");
+  }
+  body.tenant = doc.get_string("tenant", "default");
+  if (body.tenant.empty() || body.tenant.size() > 128) {
+    throw util::JsonError(0, "tenant must be 1..128 bytes");
+  }
+  if (endpoint == Endpoint::Solve || endpoint == Endpoint::TopK ||
+      endpoint == Endpoint::Create) {
+    const std::string tree_text = doc.get_string("tree", "");
+    if (tree_text.empty()) {
+      throw util::JsonError(0, "missing required member \"tree\"");
+    }
+    body.tree = parse_tree_text(tree_text, doc.get_string("format", "auto"));
+    body.tree.validate();
+    // The journal and GET keep trees as Galileo text.
+    format::check_galileo_names(body.tree);
+    const std::string solver = doc.get_string("solver", "");
+    if (!solver.empty() &&
+        !core::parse_solver_choice(solver, &body.pipeline.solver)) {
+      throw util::JsonError(0, "unknown solver \"" + solver + "\"");
+    }
+  }
+  if (endpoint == Endpoint::TopK) {
+    const double k = doc.get_number("k", 3.0);
+    if (!(k >= 1.0) || k > static_cast<double>(opts_.max_top_k)) {
+      throw util::JsonError(
+          0, "k must be in [1, " + std::to_string(opts_.max_top_k) + "]");
+    }
+    body.top_k = static_cast<std::size_t>(k);
+  }
+  if (endpoint == Endpoint::Patch) {
+    body.etag = doc.get_string("etag", "");
+    const util::JsonValue* d = doc.find("delta");
+    if (d == nullptr) {
+      throw util::JsonError(0, "missing required member \"delta\"");
+    }
+    body.delta = ft::parse_tree_delta(*d);
+    if (body.delta.empty()) {
+      throw util::JsonError(0, "delta must contain at least one op");
+    }
+  }
+  if (endpoint == Endpoint::Solve || endpoint == Endpoint::TopK ||
+      endpoint == Endpoint::Patch) {
+    const double deadline_ms = doc.get_number("deadline_ms", -1.0);
+    if (deadline_ms >= 0.0) {
+      body.deadline_seconds =
+          std::min(deadline_ms / 1e3, opts_.max_deadline_seconds);
+    } else if (doc.find("deadline_ms") != nullptr) {
+      throw util::JsonError(0, "deadline_ms must be >= 0");
+    }
+  }
+  return body;
+}
+
+HttpResponse SolveService::bad_request(const std::string& message) {
+  stats_.global().bad_requests.fetch_add(1, std::memory_order_relaxed);
+  return error_response(400, "bad_request", message);
+}
+
+void SolveService::count(TenantCounters& tenant,
+                         std::atomic<std::uint64_t> TenantCounters::*counter) {
+  (stats_.global().*counter).fetch_add(1, std::memory_order_relaxed);
+  (tenant.*counter).fetch_add(1, std::memory_order_relaxed);
+}
+
+std::optional<HttpResponse> SolveService::admit(const Body& body,
+                                                TenantCounters& tenant) {
+  if (draining_.load(std::memory_order_relaxed)) return shutting_down();
+  const std::size_t global_depth = outstanding_.load(std::memory_order_relaxed);
+  if (global_depth >= opts_.global_queue_limit) {
+    count(tenant, &TenantCounters::rejected_capacity);
+    return error_response(503, "over_capacity",
+                          "global queue is full (" +
+                              std::to_string(global_depth) + " outstanding)");
+  }
+  const auto tenant_depth = static_cast<std::size_t>(
+      std::max<std::int64_t>(0, tenant.outstanding.load()));
+  if (tenant_depth >= opts_.tenant_queue_limit) {
+    count(tenant, &TenantCounters::rejected_quota);
+    return error_response(429, "over_quota",
+                          "tenant \"" + body.tenant + "\" has " +
+                              std::to_string(tenant_depth) +
+                              " requests outstanding");
+  }
+  if (body.deadline_seconds > 0.0) {
+    // Deadline-aware shedding: solving a request that cannot finish in
+    // time wastes a worker AND still fails the client — reject early.
+    const double estimated_wait =
+        (static_cast<double>(global_depth) /
+             static_cast<double>(engine_.num_threads()) +
+         1.0) *
+        service_estimate();
+    if (estimated_wait > body.deadline_seconds) {
+      count(tenant, &TenantCounters::rejected_deadline);
+      return error_response(
+          503, "deadline_unmeetable",
+          "estimated wait " + util::format_double(estimated_wait) +
+              "s exceeds the " + util::format_double(body.deadline_seconds) +
+              "s deadline");
+    }
+  }
+  outstanding_.fetch_add(1, std::memory_order_relaxed);
+  tenant.outstanding.fetch_add(1, std::memory_order_relaxed);
+  return std::nullopt;
+}
+
+void SolveService::release(TenantCounters& tenant,
+                           const AnalysisResult& result) {
+  outstanding_.fetch_sub(1, std::memory_order_relaxed);
+  tenant.outstanding.fetch_sub(1, std::memory_order_relaxed);
+  if (result.ok && !result.memoized) {
+    observe_service_time(result.seconds);
+    count(tenant, &TenantCounters::engine_solves);
+  }
+}
+
+HttpResponse SolveService::answer(
+    const Body& body, TenantCounters& tenant, const util::Timer& arrival,
+    const AnalysisResult& result, bool timed_out,
+    const std::function<std::string(bool optimal)>& members) {
   const auto finish_latency = [&] {
     const double seconds = arrival.seconds();
-    anon.latency.record_seconds(seconds);
+    stats_.global().latency.record_seconds(seconds);
     tenant.latency.record_seconds(seconds);
     return seconds;
   };
-
+  switch (result.refusal) {
+    case engine::Refusal::None:
+      break;
+    case engine::Refusal::BadDelta:
+      count(tenant, &TenantCounters::bad_requests);
+      return error_response(400, "bad_request", result.error);
+    case engine::Refusal::UnknownTree:
+      // Deleted or evicted after the owner check.
+      finish_latency();
+      return error_response(404, "not_found", result.error);
+    case engine::Refusal::EtagConflict:
+      etag_conflicts_.fetch_add(1, std::memory_order_relaxed);
+      return error_response(409, "etag_conflict", result.error);
+  }
   // Graceful degradation: an MPMCS solve that ends without an optimality
   // proof but carries a feasible incumbent — deadline expiry, or an
   // anytime solver exhausting its bound-encoding budget — answers 200
   // with the incumbent and its certified optimality bound instead of a
   // bare 504/500. Followers that timed out locally (`timed_out`) never
   // fetched the result, so they still 504.
-  if (!timed_out && !result.ok && result.error.empty() &&
-      kind == AnalysisKind::Mpmcs && result.mpmcs.approximate &&
-      !result.mpmcs.cut.empty()) {
-    anon.degraded.fetch_add(1, std::memory_order_relaxed);
-    tenant.degraded.fetch_add(1, std::memory_order_relaxed);
-    anon.ok.fetch_add(1, std::memory_order_relaxed);
-    tenant.ok.fetch_add(1, std::memory_order_relaxed);
-    std::string body = "{\"ok\": true, \"status\": \"approximate\", ";
-    body += "\"tenant\": \"" + util::json_escape(tenant_name) + "\", ";
-    body += std::string("\"kind\": \"") +
-            analysis_kind_name(result.kind) + "\", ";
-    body += "\"seconds\": " + util::format_double(finish_latency()) + ", ";
-    body += "\"solution\": " +
-            solution_json(result.mpmcs.cut.names(tree), result.mpmcs) + "}";
-    HttpResponse r;
-    r.body = std::move(body);
-    return r;
-  }
-  if (timed_out || result.cancelled) {
+  const bool approximate = !timed_out && !result.ok && result.error.empty() &&
+                           result.kind == AnalysisKind::Mpmcs &&
+                           result.mpmcs.approximate &&
+                           !result.mpmcs.cut.empty();
+  if (!approximate && (timed_out || result.cancelled)) {
     finish_latency();
-    anon.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    tenant.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    return error_response(504, "deadline_exceeded",
-                          cancelled_message(deadline_seconds, "solve"));
+    count(tenant, &TenantCounters::deadline_exceeded);
+    return error_response(
+        504, "deadline_exceeded",
+        cancelled_message(body.deadline_seconds,
+                          result.tree_id.empty() ? "solve" : "re-solve"));
   }
-  if (!result.ok) {
+  if (!approximate && !result.ok) {
     finish_latency();
-    anon.errors.fetch_add(1, std::memory_order_relaxed);
-    tenant.errors.fetch_add(1, std::memory_order_relaxed);
+    count(tenant, &TenantCounters::errors);
     return error_response(500, "internal",
                           result.error.empty() ? "analysis failed"
                                                : result.error);
   }
-
-  if (result.cache_hit) {
-    anon.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    tenant.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (result.memoized) {
-    anon.memo_hits.fetch_add(1, std::memory_order_relaxed);
-    tenant.memo_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  anon.ok.fetch_add(1, std::memory_order_relaxed);
-  tenant.ok.fetch_add(1, std::memory_order_relaxed);
-
-  std::string body = "{\"ok\": true, \"status\": \"optimal\", ";
-  body += "\"tenant\": \"" + util::json_escape(tenant_name) + "\", ";
-  body += std::string("\"kind\": \"") + analysis_kind_name(result.kind) +
-          "\", ";
-  body += std::string("\"cacheHit\": ") +
-          (result.cache_hit ? "true" : "false") + ", ";
-  body += std::string("\"memoized\": ") +
-          (result.memoized ? "true" : "false") + ", ";
-  body += std::string("\"coalesced\": ") + (leader ? "false" : "true") + ", ";
-  body += "\"seconds\": " + util::format_double(finish_latency()) + ", ";
-  if (kind == AnalysisKind::TopK) {
-    body += "\"top\": [";
-    for (std::size_t i = 0; i < result.top.size(); ++i) {
-      if (i > 0) body += ", ";
-      body += solution_json(result.top[i].cut.names(tree), result.top[i]);
-    }
-    body += "]}";
+  if (approximate) {
+    count(tenant, &TenantCounters::degraded);
   } else {
-    body += "\"solution\": " +
-            solution_json(result.mpmcs.cut.names(tree), result.mpmcs) + "}";
+    if (result.cache_hit) count(tenant, &TenantCounters::cache_hits);
+    if (result.memoized) count(tenant, &TenantCounters::memo_hits);
+  }
+  count(tenant, &TenantCounters::ok);
+
+  // A resource's cut comes named by the engine; an inline one takes this
+  // request's own names (a coalesced follower's may differ from the
+  // leader's).
+  const auto solution = [&](const core::MpmcsSolution& sol) {
+    return solution_json(
+        result.tree_id.empty() ? sol.cut.names(body.tree) : result.cut_names,
+        sol);
+  };
+  std::string j = approximate
+                      ? "{\"ok\": true, \"status\": \"approximate\", "
+                      : "{\"ok\": true, \"status\": \"optimal\", ";
+  j += "\"tenant\": \"" + util::json_escape(body.tenant) + "\", ";
+  j += members(!approximate);
+  j += "\"seconds\": " + util::format_double(finish_latency()) + ", ";
+  if (result.kind == AnalysisKind::TopK) {
+    j += "\"top\": [";
+    for (std::size_t i = 0; i < result.top.size(); ++i) {
+      if (i > 0) j += ", ";
+      j += solution(result.top[i]);
+    }
+    j += "]}";
+  } else {
+    j += "\"solution\": " + solution(result.mpmcs) + "}";
   }
   HttpResponse r;
-  r.body = std::move(body);
+  r.body = std::move(j);
   return r;
 }
 
-std::optional<std::string> SolveService::tree_owner(
-    const std::string& id) const {
+std::optional<HttpResponse> SolveService::unless_owned(
+    const std::string& id, const std::string& tenant) const {
   std::lock_guard<std::mutex> lock(trees_mutex_);
   const auto it = tree_owners_.find(id);
-  if (it == tree_owners_.end()) return std::nullopt;
-  return it->second;
+  if (it != tree_owners_.end() && it->second == tenant) return std::nullopt;
+  return unknown_tree(id);
 }
 
 HttpResponse SolveService::handle_tree_create(const HttpRequest& request) {
   util::Timer arrival;
-  TenantCounters& anon = stats_.global();
-  anon.requests.fetch_add(1, std::memory_order_relaxed);
-
-  std::string tenant_name = "default";
-  ft::FaultTree tree;
-  core::PipelineOptions popts = opts_.pipeline;
+  stats_.global().requests.fetch_add(1, std::memory_order_relaxed);
+  Body body;
   try {
-    const util::JsonValue doc = util::JsonValue::parse(request.body);
-    if (!doc.is_object()) {
-      throw util::JsonError(0, "request body must be a JSON object");
-    }
-    tenant_name = doc.get_string("tenant", "default");
-    if (tenant_name.empty() || tenant_name.size() > 128) {
-      throw util::JsonError(0, "tenant must be 1..128 bytes");
-    }
-    const std::string tree_text = doc.get_string("tree", "");
-    if (tree_text.empty()) {
-      throw util::JsonError(0, "missing required member \"tree\"");
-    }
-    tree = parse_tree_text(tree_text, doc.get_string("format", "auto"));
-    tree.validate();
-    // The journal and GET keep trees as Galileo text.
-    format::check_galileo_names(tree);
-    const std::string solver = doc.get_string("solver", "");
-    if (!solver.empty() && !core::parse_solver_choice(solver, &popts.solver)) {
-      throw util::JsonError(0, "unknown solver \"" + solver + "\"");
-    }
+    body = read_body(request.body, Endpoint::Create);
   } catch (const std::exception& e) {
-    anon.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    return error_response(400, "bad_request", e.what());
+    return bad_request(e.what());
   }
-
-  TenantCounters& tenant = stats_.tenant(tenant_name);
+  TenantCounters& tenant = stats_.tenant(body.tenant);
   tenant.requests.fetch_add(1, std::memory_order_relaxed);
 
-  if (draining_.load(std::memory_order_relaxed)) {
-    return error_response(503, "shutting_down", "server is draining");
-  }
+  // The create prepares on this thread, outside the engine's queue: of
+  // the admission gate it meets only the drain.
+  if (draining_.load(std::memory_order_relaxed)) return shutting_down();
 
   // Quota and eviction run under the ownership lock; the create itself
   // (an eager engine prepare — the expensive part) runs outside it, so a
@@ -670,13 +693,12 @@ HttpResponse SolveService::handle_tree_create(const HttpRequest& request) {
     std::lock_guard<std::mutex> lock(trees_mutex_);
     std::size_t owned = 0;
     for (const auto& [id, owner] : tree_owners_) {
-      if (owner == tenant_name) ++owned;
+      if (owner == body.tenant) ++owned;
     }
     if (owned >= opts_.tenant_tree_limit) {
-      anon.rejected_quota.fetch_add(1, std::memory_order_relaxed);
-      tenant.rejected_quota.fetch_add(1, std::memory_order_relaxed);
+      count(tenant, &TenantCounters::rejected_quota);
       return error_response(429, "over_quota",
-                            "tenant \"" + tenant_name + "\" owns " +
+                            "tenant \"" + body.tenant + "\" owns " +
                                 std::to_string(owned) + " trees (limit " +
                                 std::to_string(opts_.tenant_tree_limit) +
                                 ")");
@@ -705,29 +727,27 @@ HttpResponse SolveService::handle_tree_create(const HttpRequest& request) {
 
   std::string id;
   try {
-    id = engine_.create_tree(std::move(tree), popts);
+    id = engine_.create_tree(std::move(body.tree), body.pipeline);
   } catch (const std::exception& e) {
-    anon.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    tenant.bad_requests.fetch_add(1, std::memory_order_relaxed);
+    count(tenant, &TenantCounters::bad_requests);
     return error_response(400, "bad_request", e.what());
   }
   {
     std::lock_guard<std::mutex> lock(trees_mutex_);
-    tree_owners_.emplace(id, tenant_name);
+    tree_owners_.emplace(id, body.tenant);
   }
+  JournalEntry je;
+  const auto info =
+      engine_.tree_info(id, journal_.enabled() ? &je.tree_text : nullptr);
   // Durability before acknowledgement: the 201 promises the resource
   // survives a crash, so the journal append (and its fsync) must land
   // first. On journal failure the create is rolled back — the client
   // sees 503 and retries against a consistent store.
   if (journal_.enabled()) {
     try {
-      JournalEntry je;
       je.id = id;
-      je.tenant = tenant_name;
-      je.solver = core::solver_choice_name(popts.solver);
-      je.tree_text = engine_.tree_text(id).value_or("");
-      je.version = 1;
-      je.edits = 0;
+      je.tenant = body.tenant;
+      je.solver = core::solver_choice_name(body.pipeline.solver);
       journal_.record_put(je);
     } catch (const std::exception& e) {
       engine_.release_tree(id);
@@ -735,121 +755,103 @@ HttpResponse SolveService::handle_tree_create(const HttpRequest& request) {
         std::lock_guard<std::mutex> lock(trees_mutex_);
         tree_owners_.erase(id);
       }
-      anon.errors.fetch_add(1, std::memory_order_relaxed);
-      tenant.errors.fetch_add(1, std::memory_order_relaxed);
+      count(tenant, &TenantCounters::errors);
       return error_response(503, "persistence_failed", e.what());
     }
   }
   trees_created_.fetch_add(1, std::memory_order_relaxed);
 
-  const auto info = engine_.tree_info(id);
-  anon.ok.fetch_add(1, std::memory_order_relaxed);
-  tenant.ok.fetch_add(1, std::memory_order_relaxed);
+  count(tenant, &TenantCounters::ok);
   const double seconds = arrival.seconds();
-  anon.latency.record_seconds(seconds);
+  stats_.global().latency.record_seconds(seconds);
   tenant.latency.record_seconds(seconds);
 
-  std::string body = "{\"ok\": true, ";
-  body += "\"tenant\": \"" + util::json_escape(tenant_name) + "\", ";
-  body += "\"id\": \"" + util::json_escape(id) + "\", ";
-  body += "\"etag\": \"" + util::json_escape(make_etag(id, 1)) + "\", ";
-  body += "\"version\": 1, ";
-  body += "\"events\": " + std::to_string(info ? info->events : 0) + ", ";
-  body += "\"nodes\": " + std::to_string(info ? info->nodes : 0) + ", ";
-  body += "\"seconds\": " + util::format_double(seconds) + "}";
+  std::string j = "{\"ok\": true, ";
+  j += "\"tenant\": \"" + util::json_escape(body.tenant) + "\", ";
+  j += "\"id\": \"" + util::json_escape(id) + "\", ";
+  j += "\"etag\": \"" + util::json_escape(make_etag(id, 1)) + "\", ";
+  j += "\"version\": 1, ";
+  j += "\"events\": " + std::to_string(info ? info->events : 0) + ", ";
+  j += "\"nodes\": " + std::to_string(info ? info->nodes : 0) + ", ";
+  j += "\"seconds\": " + util::format_double(seconds) + "}";
   HttpResponse r;
   r.status = 201;
-  r.body = std::move(body);
+  r.body = std::move(j);
   return r;
 }
 
 HttpResponse SolveService::handle_tree_list(const HttpRequest& request) {
-  std::string parse_error;
-  const std::string tenant_name =
-      tenant_from_body(request.body, &parse_error);
-  if (tenant_name.empty()) {
-    stats_.global().bad_requests.fetch_add(1, std::memory_order_relaxed);
-    return error_response(400, "bad_request", parse_error);
+  Body body;
+  try {
+    body = read_body(request.body, Endpoint::Tree);
+  } catch (const std::exception& e) {
+    return bad_request(e.what());
   }
   std::vector<std::string> ids;
   {
     std::lock_guard<std::mutex> lock(trees_mutex_);
     for (const auto& [id, owner] : tree_owners_) {
-      if (owner == tenant_name) ids.push_back(id);
+      if (owner == body.tenant) ids.push_back(id);
     }
   }
-  std::string body = "{\"ok\": true, \"tenant\": \"" +
-                     util::json_escape(tenant_name) + "\", \"trees\": [";
+  std::string j = "{\"ok\": true, \"tenant\": \"" +
+                  util::json_escape(body.tenant) + "\", \"trees\": [";
   bool sep = false;
   for (const std::string& id : ids) {
     const auto info = engine_.tree_info(id);
     if (!info) continue;  // raced a delete/eviction
-    if (sep) body += ", ";
+    if (sep) j += ", ";
     sep = true;
-    body += "{\"id\": \"" + util::json_escape(id) + "\", ";
-    body += "\"etag\": \"" +
-            util::json_escape(make_etag(id, info->version)) + "\", ";
-    body += "\"version\": " + std::to_string(info->version) + ", ";
-    body += "\"edits\": " + std::to_string(info->edits) + ", ";
-    body += "\"events\": " + std::to_string(info->events) + ", ";
-    body += "\"nodes\": " + std::to_string(info->nodes) + "}";
+    j += "{\"id\": \"" + util::json_escape(id) + "\", ";
+    j += "\"etag\": \"" + util::json_escape(make_etag(id, info->version)) +
+         "\", ";
+    j += "\"version\": " + std::to_string(info->version) + ", ";
+    j += "\"edits\": " + std::to_string(info->edits) + ", ";
+    j += "\"events\": " + std::to_string(info->events) + ", ";
+    j += "\"nodes\": " + std::to_string(info->nodes) + "}";
   }
-  body += "]}";
+  j += "]}";
   HttpResponse r;
-  r.body = std::move(body);
+  r.body = std::move(j);
   return r;
 }
 
 HttpResponse SolveService::handle_tree_get(const HttpRequest& request,
                                            const std::string& id) {
-  std::string parse_error;
-  const std::string tenant_name =
-      tenant_from_body(request.body, &parse_error);
-  if (tenant_name.empty()) {
-    stats_.global().bad_requests.fetch_add(1, std::memory_order_relaxed);
-    return error_response(400, "bad_request", parse_error);
+  Body body;
+  try {
+    body = read_body(request.body, Endpoint::Tree);
+  } catch (const std::exception& e) {
+    return bad_request(e.what());
   }
-  const auto owner = tree_owner(id);
-  if (!owner || *owner != tenant_name) {
-    return error_response(404, "not_found", "unknown tree id \"" + id + "\"");
-  }
-  const auto info = engine_.tree_info(id);
-  const auto text = engine_.tree_text(id);
-  if (!info || !text) {
-    return error_response(404, "not_found", "unknown tree id \"" + id + "\"");
-  }
-  std::string body = "{\"ok\": true, ";
-  body += "\"tenant\": \"" + util::json_escape(tenant_name) + "\", ";
-  body += "\"id\": \"" + util::json_escape(id) + "\", ";
-  body += "\"etag\": \"" +
-          util::json_escape(make_etag(id, info->version)) + "\", ";
-  body += "\"version\": " + std::to_string(info->version) + ", ";
-  body += "\"edits\": " + std::to_string(info->edits) + ", ";
-  body += "\"events\": " + std::to_string(info->events) + ", ";
-  body += "\"nodes\": " + std::to_string(info->nodes) + ", ";
-  body += "\"tree\": \"" + util::json_escape(*text) + "\"}";
+  if (auto refused = unless_owned(id, body.tenant)) return *refused;
+  std::string text;
+  const auto info = engine_.tree_info(id, &text);
+  if (!info) return unknown_tree(id);
+  std::string j = "{\"ok\": true, ";
+  j += "\"tenant\": \"" + util::json_escape(body.tenant) + "\", ";
+  j += "\"id\": \"" + util::json_escape(id) + "\", ";
+  j += "\"etag\": \"" + util::json_escape(make_etag(id, info->version)) +
+       "\", ";
+  j += "\"version\": " + std::to_string(info->version) + ", ";
+  j += "\"edits\": " + std::to_string(info->edits) + ", ";
+  j += "\"events\": " + std::to_string(info->events) + ", ";
+  j += "\"nodes\": " + std::to_string(info->nodes) + ", ";
+  j += "\"tree\": \"" + util::json_escape(text) + "\"}";
   HttpResponse r;
-  r.body = std::move(body);
+  r.body = std::move(j);
   return r;
 }
 
 HttpResponse SolveService::handle_tree_delete(const HttpRequest& request,
                                               const std::string& id) {
-  std::string parse_error;
-  const std::string tenant_name =
-      tenant_from_body(request.body, &parse_error);
-  if (tenant_name.empty()) {
-    stats_.global().bad_requests.fetch_add(1, std::memory_order_relaxed);
-    return error_response(400, "bad_request", parse_error);
+  Body body;
+  try {
+    body = read_body(request.body, Endpoint::Tree);
+  } catch (const std::exception& e) {
+    return bad_request(e.what());
   }
-  {
-    std::lock_guard<std::mutex> lock(trees_mutex_);
-    const auto it = tree_owners_.find(id);
-    if (it == tree_owners_.end() || it->second != tenant_name) {
-      return error_response(404, "not_found",
-                            "unknown tree id \"" + id + "\"");
-    }
-  }
+  if (auto refused = unless_owned(id, body.tenant)) return *refused;
   // Journal before the in-memory delete: an acknowledged deletion must
   // not resurrect on restart. Failure leaves the resource intact (503).
   try {
@@ -862,251 +864,79 @@ HttpResponse SolveService::handle_tree_delete(const HttpRequest& request,
     tree_owners_.erase(id);
   }
   engine_.release_tree(id);
-  std::string body = "{\"ok\": true, \"id\": \"" + util::json_escape(id) +
-                     "\", \"deleted\": true}";
   HttpResponse r;
-  r.body = std::move(body);
+  r.body = "{\"ok\": true, \"id\": \"" + util::json_escape(id) +
+           "\", \"deleted\": true}";
   return r;
 }
 
 HttpResponse SolveService::handle_tree_patch(const HttpRequest& request,
                                              const std::string& id) {
   util::Timer arrival;
-  TenantCounters& anon = stats_.global();
-  anon.requests.fetch_add(1, std::memory_order_relaxed);
-
-  std::string tenant_name = "default";
-  std::string etag;
-  ft::TreeDelta delta;
-  double deadline_seconds = opts_.default_deadline_seconds;
+  stats_.global().requests.fetch_add(1, std::memory_order_relaxed);
+  Body body;
   try {
-    const util::JsonValue doc = util::JsonValue::parse(request.body);
-    if (!doc.is_object()) {
-      throw util::JsonError(0, "request body must be a JSON object");
-    }
-    tenant_name = doc.get_string("tenant", "default");
-    if (tenant_name.empty() || tenant_name.size() > 128) {
-      throw util::JsonError(0, "tenant must be 1..128 bytes");
-    }
-    etag = doc.get_string("etag", "");
-    const util::JsonValue* d = doc.find("delta");
-    if (d == nullptr) {
-      throw util::JsonError(0, "missing required member \"delta\"");
-    }
-    delta = ft::parse_tree_delta(*d);
-    if (delta.empty()) {
-      throw util::JsonError(0, "delta must contain at least one op");
-    }
-    const double deadline_ms = doc.get_number("deadline_ms", -1.0);
-    if (deadline_ms >= 0.0) {
-      deadline_seconds =
-          std::min(deadline_ms / 1e3, opts_.max_deadline_seconds);
-    } else if (doc.find("deadline_ms") != nullptr) {
-      throw util::JsonError(0, "deadline_ms must be >= 0");
-    }
+    body = read_body(request.body, Endpoint::Patch);
   } catch (const std::exception& e) {
-    anon.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    return error_response(400, "bad_request", e.what());
+    return bad_request(e.what());
   }
-
-  TenantCounters& tenant = stats_.tenant(tenant_name);
+  TenantCounters& tenant = stats_.tenant(body.tenant);
   tenant.requests.fetch_add(1, std::memory_order_relaxed);
+  if (auto refused = unless_owned(id, body.tenant)) return *refused;
 
-  const auto owner = tree_owner(id);
-  if (!owner || *owner != tenant_name) {
-    return error_response(404, "not_found", "unknown tree id \"" + id + "\"");
-  }
-
-  // Optimistic concurrency: a client that sends the etag it last saw
-  // loses deterministically (409) when any other edit landed in between.
-  // Omitting the etag opts out — last-writer-wins.
-  if (!etag.empty()) {
-    const auto info = engine_.tree_info(id);
-    const std::string current =
-        info ? make_etag(id, info->version) : std::string();
-    if (etag != current) {
-      etag_conflicts_.fetch_add(1, std::memory_order_relaxed);
-      return error_response(409, "etag_conflict",
-                            "etag \"" + etag +
-                                "\" does not match current \"" + current +
-                                "\"");
-    }
-  }
-
-  // Cheap semantic pre-validation (unknown targets, type mismatches,
-  // invalid result trees) so client mistakes answer 400, not a 500 from
-  // deep inside the engine. A concurrent edit can invalidate the check —
-  // the engine then reports the failure and we answer 500. Weight-only
-  // deltas validate in place under the resource lock (no tree copy —
-  // this is the PATCH hot path).
-  try {
-    engine_.validate_delta(id, delta);
-  } catch (const std::exception& e) {
-    anon.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    tenant.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    return error_response(400, "bad_request", e.what());
-  }
-
-  // Admission control: same gates as /v1/solve, but NO coalescing —
-  // edits are effectful, every one must run.
-  if (draining_.load(std::memory_order_relaxed)) {
-    return error_response(503, "shutting_down", "server is draining");
-  }
-  const std::size_t global_depth =
-      outstanding_.load(std::memory_order_relaxed);
-  if (global_depth >= opts_.global_queue_limit) {
-    anon.rejected_capacity.fetch_add(1, std::memory_order_relaxed);
-    tenant.rejected_capacity.fetch_add(1, std::memory_order_relaxed);
-    return error_response(503, "over_capacity",
-                          "global queue is full (" +
-                              std::to_string(global_depth) +
-                              " outstanding)");
-  }
-  const auto tenant_depth = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, tenant.outstanding.load()));
-  if (tenant_depth >= opts_.tenant_queue_limit) {
-    anon.rejected_quota.fetch_add(1, std::memory_order_relaxed);
-    tenant.rejected_quota.fetch_add(1, std::memory_order_relaxed);
-    return error_response(429, "over_quota",
-                          "tenant \"" + tenant_name + "\" has " +
-                              std::to_string(tenant_depth) +
-                              " requests outstanding");
-  }
-  if (deadline_seconds > 0.0) {
-    const double estimated_wait =
-        (static_cast<double>(global_depth) /
-             static_cast<double>(engine_.num_threads()) +
-         1.0) *
-        service_estimate();
-    if (estimated_wait > deadline_seconds) {
-      anon.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
-      tenant.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
-      return error_response(
-          503, "deadline_unmeetable",
-          "estimated wait " + util::format_double(estimated_wait) +
-              "s exceeds the " + util::format_double(deadline_seconds) +
-              "s deadline");
-    }
-  }
-
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
-  tenant.outstanding.fetch_add(1, std::memory_order_relaxed);
-
+  // The same gate as /v1/solve, but NO coalescing — edits are effectful,
+  // every one must run. The engine then judges the etag and the delta
+  // under the resource lock that takes the edit: a client that sends the
+  // etag it last saw loses deterministically (409) when any other edit
+  // landed in between, and omitting the etag opts out (last-writer-wins).
+  if (auto refused = admit(body, tenant)) return *refused;
   AnalysisRequest areq;
-  areq.id = tenant_name;
+  areq.id = body.tenant;
   areq.tree_id = id;
-  areq.delta = std::move(delta);
+  areq.etag = body.etag;
+  areq.delta = std::move(body.delta);
   areq.kind = AnalysisKind::Mpmcs;
   areq.pipeline = opts_.pipeline;  // the resource's config wins anyway
-  areq.timeout_seconds = deadline_seconds;
-  AnalysisResult result = engine_.submit(std::move(areq)).get();
-
-  outstanding_.fetch_sub(1, std::memory_order_relaxed);
-  tenant.outstanding.fetch_sub(1, std::memory_order_relaxed);
-  if (result.ok && !result.memoized) {
-    observe_service_time(result.seconds);
-    anon.engine_solves.fetch_add(1, std::memory_order_relaxed);
-    tenant.engine_solves.fetch_add(1, std::memory_order_relaxed);
-  }
+  areq.timeout_seconds = body.deadline_seconds;
+  const AnalysisResult result = engine_.submit(std::move(areq)).get();
+  release(tenant, result);
 
   // The edit mutates the resource BEFORE the solve runs, so the post-image
   // must be journaled whenever the delta landed — even if the solve then
   // timed out or failed. Otherwise a restart would revert an edit the
-  // client can already observe via GET. Solver omitted: the journal
-  // inherits it from the live (create) entry.
+  // client can already observe via GET. Text, version and edit count come
+  // from one hold of the resource lock, so a concurrent edit can only make
+  // the record newer, and replay keeps each resource's newest record.
+  // Solver omitted: the journal inherits it from the live (create) entry.
   if (result.delta_applied && journal_.enabled()) {
     try {
       JournalEntry je;
       je.id = id;
-      je.tenant = tenant_name;
-      je.tree_text = engine_.tree_text(id).value_or("");
-      je.version = result.tree_version;
-      const auto info = engine_.tree_info(id);
-      je.edits = info ? info->edits : 0;
-      journal_.record_put(je);
+      je.tenant = body.tenant;
+      if (const auto info = engine_.tree_info(id, &je.tree_text)) {
+        je.version = info->version;
+        je.edits = info->edits;
+        journal_.record_put(je);
+      }
     } catch (const std::exception&) {
       // The in-memory edit already happened and cannot be unwound here;
       // surviving journal records still replay cleanly (post-images).
     }
   }
-
-  const auto finish_latency = [&] {
-    const double seconds = arrival.seconds();
-    anon.latency.record_seconds(seconds);
-    tenant.latency.record_seconds(seconds);
-    return seconds;
-  };
-
-  // Same graceful degradation as /v1/solve: a proof-less re-solve whose
-  // incumbent survived (deadline expiry or anytime-budget exhaustion)
-  // answers 200-approximate with its certified gap.
-  if (!result.ok && result.error.empty() && result.mpmcs.approximate &&
-      !result.mpmcs.cut.empty()) {
-    anon.degraded.fetch_add(1, std::memory_order_relaxed);
-    tenant.degraded.fetch_add(1, std::memory_order_relaxed);
-    anon.ok.fetch_add(1, std::memory_order_relaxed);
-    tenant.ok.fetch_add(1, std::memory_order_relaxed);
-    std::string body = "{\"ok\": true, \"status\": \"approximate\", ";
-    body += "\"tenant\": \"" + util::json_escape(tenant_name) + "\", ";
-    body += "\"id\": \"" + util::json_escape(id) + "\", ";
-    body += "\"etag\": \"" +
-            util::json_escape(make_etag(id, result.tree_version)) + "\", ";
-    body += "\"version\": " + std::to_string(result.tree_version) + ", ";
-    body += std::string("\"deltaApplied\": ") +
-            (result.delta_applied ? "true" : "false") + ", ";
-    body += "\"delta\": " + delta_application_json(result.delta) + ", ";
-    body += "\"seconds\": " + util::format_double(finish_latency()) + ", ";
-    body += "\"solution\": " +
-            solution_json(result.cut_names, result.mpmcs) + "}";
-    HttpResponse r;
-    r.body = std::move(body);
-    return r;
-  }
-  if (result.cancelled) {
-    finish_latency();
-    anon.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    tenant.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    return error_response(504, "deadline_exceeded",
-                          cancelled_message(deadline_seconds, "re-solve"));
-  }
-  if (!result.ok) {
-    finish_latency();
-    if (result.error.find("unknown tree id") != std::string::npos) {
-      // The resource was deleted/evicted between the ownership check and
-      // the engine run.
-      return error_response(404, "not_found", result.error);
+  return answer(body, tenant, arrival, result, false, [&](bool optimal) {
+    std::string m = "\"id\": \"" + util::json_escape(id) + "\", ";
+    m += "\"etag\": \"" +
+         util::json_escape(make_etag(id, result.tree_version)) + "\", ";
+    m += "\"version\": " + std::to_string(result.tree_version) + ", ";
+    m += std::string("\"deltaApplied\": ") +
+         (result.delta_applied ? "true" : "false") + ", ";
+    m += "\"delta\": " + delta_application_json(result.delta) + ", ";
+    if (optimal) {
+      m += std::string("\"memoized\": ") +
+           (result.memoized ? "true" : "false") + ", ";
     }
-    anon.errors.fetch_add(1, std::memory_order_relaxed);
-    tenant.errors.fetch_add(1, std::memory_order_relaxed);
-    return error_response(500, "internal",
-                          result.error.empty() ? "analysis failed"
-                                               : result.error);
-  }
-
-  if (result.memoized) {
-    anon.memo_hits.fetch_add(1, std::memory_order_relaxed);
-    tenant.memo_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  anon.ok.fetch_add(1, std::memory_order_relaxed);
-  tenant.ok.fetch_add(1, std::memory_order_relaxed);
-
-  std::string body = "{\"ok\": true, \"status\": \"optimal\", ";
-  body += "\"tenant\": \"" + util::json_escape(tenant_name) + "\", ";
-  body += "\"id\": \"" + util::json_escape(id) + "\", ";
-  body += "\"etag\": \"" +
-          util::json_escape(make_etag(id, result.tree_version)) + "\", ";
-  body += "\"version\": " + std::to_string(result.tree_version) + ", ";
-  body += std::string("\"deltaApplied\": ") +
-          (result.delta_applied ? "true" : "false") + ", ";
-  body += "\"delta\": " + delta_application_json(result.delta) + ", ";
-  body += std::string("\"memoized\": ") +
-          (result.memoized ? "true" : "false") + ", ";
-  body += "\"seconds\": " + util::format_double(finish_latency()) + ", ";
-  body += "\"solution\": " + solution_json(result.cut_names, result.mpmcs) +
-          "}";
-  HttpResponse r;
-  r.body = std::move(body);
-  return r;
+    return m;
+  });
 }
 
 std::string SolveService::statsz_json() {
@@ -1120,7 +950,6 @@ std::string SolveService::statsz_json() {
   j += "\"failed\": " + std::to_string(es.failed) + ", ";
   j += "\"cacheHits\": " + std::to_string(es.cache_hits) + ", ";
   j += "\"cacheMisses\": " + std::to_string(es.cache_misses) + ", ";
-  j += "\"deltaHits\": " + std::to_string(es.delta_hits) + ", ";
   j += "\"memoHits\": " + std::to_string(es.memo_hits) + ", ";
   j += "\"sessionMemoryBytes\": " + std::to_string(es.session_memory_bytes) +
        ", ";

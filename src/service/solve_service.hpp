@@ -11,10 +11,12 @@
 //     result out; each requester renders the answer with its own event
 //     names. A monitoring fleet hammering the same plant model costs one
 //     solve, not N.
-//   * Per-tenant admission control — bounded per-tenant and global
-//     outstanding-work queues. A flooding tenant exhausts its own quota
-//     (429) long before it can starve the global queue (503); shed
-//     requests cost a JSON parse, not a solve.
+//   * Per-tenant admission control — one gate for every request the
+//     engine queues (solves, top-k and edits): a draining server (503),
+//     then bounded global (503) and per-tenant (429) outstanding-work
+//     queues. A flooding tenant exhausts its own quota long before it
+//     can starve the global queue; shed requests cost a JSON parse, not a
+//     solve.
 //   * Deadline-aware scheduling — requests carry `deadline_ms`; ones the
 //     queue cannot meet (estimated wait from queue depth x an EWMA of
 //     recent solve times) are rejected up front with 503 instead of
@@ -28,10 +30,12 @@
 //     (eagerly prepared by the engine); PATCH applies a TreeDelta and
 //     re-solves against the patched artefact (sessions rebased, only
 //     dirty strata re-prepared) instead of re-preparing from scratch.
-//     Edits are etag-guarded ("<id>-v<version>"; stale etag = 409), trees
-//     are tenant-owned (a foreign id answers 404, indistinguishable from
-//     absent), per-tenant creation is quota-bounded (429) and the global
-//     pool is LRU-evicted at capacity.
+//     A PATCH is read, checked against its owner, admitted, and then the
+//     engine judges its etag ("<id>-v<version>"; stale etag = 409) and
+//     its delta (400) under the same hold of the resource lock that
+//     applies the edit and re-solves. Trees are tenant-owned (a foreign id
+//     answers 404, indistinguishable from absent), per-tenant creation is
+//     quota-bounded (429) and the global pool is LRU-evicted at capacity.
 //
 // Endpoints (JSON in/out, schema shared with the batch CLI):
 //   POST /v1/solve        {"tenant", "tree", "solver"?, "deadline_ms"?}
@@ -51,6 +55,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -62,6 +67,7 @@
 #include "service/http_server.hpp"
 #include "service/journal.hpp"
 #include "service/stats.hpp"
+#include "util/timer.hpp"
 
 namespace fta::service {
 
@@ -147,6 +153,10 @@ class SolveService {
     std::shared_future<engine::AnalysisResult> future;
   };
   using FlightPtr = std::shared_ptr<Flight>;
+  /// The endpoints that read a request body, each with its own members.
+  enum class Endpoint : std::uint8_t { Solve, TopK, Create, Patch, Tree };
+  /// A request body's members, as read_body() checked them.
+  struct Body;
 
   HttpResponse handle_routed(const HttpRequest& request);
   HttpResponse handle_solve(const HttpRequest& request,
@@ -169,10 +179,42 @@ class SolveService {
                                  const std::string& id);
   HttpResponse handle_tree_delete(const HttpRequest& request,
                                   const std::string& id);
-  /// The resource's owning tenant, or nullopt when unknown. Ownership is
-  /// the visibility boundary: a wrong-tenant probe is answered exactly
-  /// like a missing id.
-  std::optional<std::string> tree_owner(const std::string& id) const;
+  /// The one tenant-and-owner check of GET, PATCH and DELETE on a tree:
+  /// the 404 unless `tenant` owns `id`. Ownership is the visibility
+  /// boundary: a wrong-tenant probe is answered exactly like a missing id.
+  std::optional<HttpResponse> unless_owned(const std::string& id,
+                                           const std::string& tenant) const;
+
+  /// The one body reader: a JSON object whose tenant is 1..128 bytes,
+  /// then the members `endpoint` takes, in one order — the tree (its
+  /// format, and names Galileo text can write) and the solver, k, the
+  /// etag and the delta, deadline_ms. For Endpoint::Tree (a tree's GET
+  /// and DELETE, and the listing) a blank body is the default tenant.
+  /// Throws on a defect, with the 400's message.
+  Body read_body(const std::string& text, Endpoint endpoint) const;
+  /// The 400 of an unreadable body, counted globally.
+  HttpResponse bad_request(const std::string& message);
+  /// Counts one event globally and for `tenant`.
+  void count(TenantCounters& tenant,
+             std::atomic<std::uint64_t> TenantCounters::*counter);
+  /// The one admission gate for work the engine queues: 503 while
+  /// draining, 503 when the global queue is full, 429 when the tenant's
+  /// is, and 503 when the estimated wait exceeds the body's deadline,
+  /// each refusal counted. An admitted request holds a queue slot until
+  /// release().
+  std::optional<HttpResponse> admit(const Body& body, TenantCounters& tenant);
+  /// Frees admit()'s slot; an engine run that solved feeds the
+  /// service-time estimate and the engineSolves counters.
+  void release(TenantCounters& tenant, const engine::AnalysisResult& result);
+  /// The one answer renderer for an engine result: a refusal (400, 404,
+  /// 409), the approximate 200, a 504 (deadline or cancellation;
+  /// `timed_out` for a follower that stopped waiting), a 500, or the
+  /// optimal 200, each counted. `members` renders the endpoint's own
+  /// members of the 200 that `optimal` names, placed after the tenant.
+  HttpResponse answer(const Body& body, TenantCounters& tenant,
+                      const util::Timer& arrival,
+                      const engine::AnalysisResult& result, bool timed_out,
+                      const std::function<std::string(bool optimal)>& members);
 
   /// EWMA of recent engine-run times (memo hits excluded) for the
   /// admission estimate.

@@ -7,6 +7,8 @@
 #include "engine/analysis_engine.hpp"
 #include "engine/tree_cache.hpp"
 #include "ft/builder.hpp"
+#include "ft/parser.hpp"
+#include "ft/tree_delta.hpp"
 #include "gen/generator.hpp"
 #include "sat/solver.hpp"
 #include "util/thread_pool.hpp"
@@ -493,6 +495,52 @@ TEST(AnalysisEngine, InvalidTreeReportsErrorNotCrash) {
   EXPECT_FALSE(result.cancelled);
   EXPECT_FALSE(result.error.empty());
   EXPECT_EQ(engine.stats().failed, 1u);
+}
+
+// An inline tree sent with a delta is analysed as apply_delta(tree,
+// delta), whether or not the unedited tree's artefact is cached.
+TEST(AnalysisEngine, InlineTreeWithDeltaAnswersTheEditedTree) {
+  const ft::FaultTree tree = ft::parse_fault_tree(
+      "toplevel TOP;\n"
+      "TOP or M1 M2 M3;\n"
+      "M1 and X1 Y1;\nX1 or a b;\nY1 or a c;\n"
+      "M2 and X2 Y2;\nX2 or d e;\nY2 or d f;\n"
+      "M3 and X3 Y3;\nX3 or g h;\nY3 or g i;\n"
+      "a prob=0.1; b prob=0.2; c prob=0.3;\n"
+      "d prob=0.1; e prob=0.05; f prob=0.02;\n"
+      "g prob=0.15; h prob=0.25; i prob=0.05;\n");
+  ft::TreeDelta weights;
+  weights.ops.push_back(ft::TreeDelta::weight("e", 0.9));
+  weights.ops.push_back(ft::TreeDelta::weight("d", 0.8));
+  ft::TreeDelta splice;
+  splice.ops.push_back(ft::TreeDelta::replace(
+      "X2", "toplevel r; r and d j; j prob=0.6;"));
+  const core::MpmcsPipeline cold_pipeline;
+  AnalysisEngine engine;
+  for (const bool base_cached : {false, true}) {
+    for (const ft::TreeDelta& delta : {weights, splice}) {
+      const std::string context =
+          std::string(delta.weight_only() ? "weight edit" : "splice") +
+          (base_cached ? ", base cached" : "");
+      if (base_cached) {
+        AnalysisRequest base;
+        base.id = "base";
+        base.tree = tree;
+        ASSERT_TRUE(engine.submit(std::move(base)).get().ok) << context;
+      }
+      AnalysisRequest req;
+      req.id = "edited";
+      req.tree = tree;
+      req.delta = delta;
+      const AnalysisResult result = engine.submit(std::move(req)).get();
+      ASSERT_TRUE(result.ok) << context << ": " << result.error;
+      const core::MpmcsSolution cold =
+          cold_pipeline.solve(ft::apply_delta(tree, delta));
+      ASSERT_EQ(cold.status, MaxSatStatus::Optimal) << context;
+      EXPECT_EQ(result.mpmcs.scaled_cost, cold.scaled_cost) << context;
+      EXPECT_EQ(result.mpmcs.cut, cold.cut) << context;
+    }
+  }
 }
 
 TEST(AnalysisEngine, TopKImportanceAndQuantitativeKinds) {

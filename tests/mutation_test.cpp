@@ -238,35 +238,6 @@ TEST(MutationDifferential, SingleModuleSpliceRepreparesOneStratum) {
   expect_same_optimum(next, warm, cold, opts.weight_scale, "module splice");
 }
 
-// derive_prepared patches a COPY: the (cache-shared) base artefact keeps
-// answering for the base tree, and the derived one for the edited tree.
-TEST(MutationDifferential, DerivedArtefactLeavesSharedBaseIntact) {
-  const core::PipelineOptions opts;
-  const core::MpmcsPipeline pipeline(opts);
-  const ft::FaultTree base_tree = modular_tree();
-  const core::PreparedInstance base = pipeline.prepare(base_tree);
-
-  ft::TreeDelta delta;
-  delta.ops.push_back(ft::TreeDelta::weight("e", 0.9));
-  delta.ops.push_back(ft::TreeDelta::weight("d", 0.8));
-  const ft::FaultTree next = ft::apply_delta(base_tree, delta);
-
-  core::DeltaApplication stats;
-  const core::PreparedInstance derived =
-      pipeline.derive_prepared(next, delta, base, &stats);
-  EXPECT_TRUE(stats.weight_only);
-  EXPECT_FALSE(stats.session_rebased)
-      << "a shared base's session must never be rebased in place";
-  EXPECT_EQ(stats.strata_reweighted, 1u);
-  EXPECT_EQ(stats.strata_reused, 2u);
-
-  expect_same_optimum(next, pipeline.solve_prepared(next, derived),
-                      pipeline.solve(next), opts.weight_scale, "derived");
-  expect_same_optimum(base_tree, pipeline.solve_prepared(base_tree, base),
-                      pipeline.solve(base_tree), opts.weight_scale,
-                      "base after derive");
-}
-
 // A long-lived session under a 1000-edit drift stream stays within its
 // configured memory cap (the session sheds and lazily rebuilds engines —
 // state is a cache, not required for correctness). The ladder is

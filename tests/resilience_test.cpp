@@ -85,12 +85,14 @@ std::vector<std::size_t> frame_boundaries(const std::string& bytes) {
 using LiveMap = std::map<std::string, JournalEntry>;
 
 /// Mirrors the journal's put semantics: a post-image with an empty solver
-/// (patch records) inherits the live entry's solver from its create.
+/// (patch records) inherits the live entry's solver from its create, and
+/// an older version than the live one is ignored.
 void apply_put(LiveMap& live, const JournalEntry& e) {
   JournalEntry put = e;
-  if (put.solver.empty()) {
-    const auto it = live.find(put.id);
-    if (it != live.end()) put.solver = it->second.solver;
+  const auto it = live.find(put.id);
+  if (it != live.end()) {
+    if (put.solver.empty()) put.solver = it->second.solver;
+    if (put.version < it->second.version) return;
   }
   live[put.id] = std::move(put);
 }
@@ -232,6 +234,31 @@ TEST(TreeJournal, CorruptRecordsStopReplayAtTheGoodPrefix) {
     expect_recovered(j.recover(), script.after.back(), "garbage tail");
     EXPECT_GT(j.recover_stats().truncated_bytes, 0u);
   }
+}
+
+// Concurrent PATCHes on one resource may append their post-images out of
+// order; replay keeps each resource's newest one.
+TEST(TreeJournal, ReplayKeepsTheNewestPostImageOfEachResource) {
+  const std::string dir = fresh_dir("newest");
+  JournalOptions jopts;
+  jopts.dir = dir;
+  LiveMap want;
+  {
+    TreeJournal j(jopts);
+    ASSERT_TRUE(j.recover().empty());
+    j.record_put(entry("t1", "ops", "auto", plant_text(), 1, 0));
+    const JournalEntry v3 = entry("t1", "ops", "", "toplevel v3;", 3, 2);
+    j.record_put(v3);
+    j.record_put(entry("t1", "ops", "", "toplevel v2;", 2, 1));
+    want["t1"] = v3;
+    want["t1"].solver = "auto";
+  }
+  TreeJournal replayed(jopts);
+  expect_recovered(replayed.recover(), want, "put of v3, then of v2");
+  // Compaction writes the same newest post-image.
+  replayed.compact();
+  TreeJournal compacted(jopts);
+  expect_recovered(compacted.recover(), want, "after compaction");
 }
 
 TEST(TreeJournal, CompactionPreservesStateAndReplayConverges) {

@@ -673,6 +673,49 @@ TEST(TreeResources, StaleEtagConflictsAndOmittedEtagWins) {
   EXPECT_EQ(tsec->get_number("etagConflicts", -1), 1);
 }
 
+// Two PATCHes that carry the same etag race for one resource: exactly one
+// lands, and the other is refused as a lost update.
+TEST(TreeResources, ConcurrentPatchesWithOneEtagLandOnce) {
+  ServiceOptions opts = delayed_options(0.2);
+  opts.engine_threads = 4;
+  SolveService svc(opts);
+  const util::JsonValue cdoc = util::JsonValue::parse(
+      svc.handle(req("POST", "/v1/trees",
+                     solve_body("ops", named_tree_text())))
+          .body);
+  const std::string id = cdoc.get_string("id", "");
+  const std::string v1 = cdoc.get_string("etag", "");
+  ASSERT_EQ(v1, id + "-v1");
+
+  HttpResponse answers[2];
+  std::thread racers[2];
+  for (int i = 0; i < 2; ++i) {
+    racers[i] = std::thread([&, i] {
+      answers[i] = svc.handle(req(
+          "PATCH", "/v1/trees/" + id,
+          patch_body("ops", v1,
+                     "[{\"op\": \"weight\", \"event\": \"a\", "
+                     "\"probability\": 0." + std::to_string(i + 4) + "}]")));
+    });
+  }
+  for (std::thread& t : racers) t.join();
+  const HttpResponse& won = answers[0].status == 200 ? answers[0] : answers[1];
+  const HttpResponse& lost = answers[0].status == 200 ? answers[1] : answers[0];
+  EXPECT_EQ(won.status, 200) << won.body;
+  EXPECT_EQ(util::JsonValue::parse(won.body).get_number("version", -1), 2);
+  EXPECT_EQ(lost.status, 409) << lost.body;
+  EXPECT_EQ(util::JsonValue::parse(lost.body).get_string("code", ""),
+            "etag_conflict");
+
+  const util::JsonValue after = util::JsonValue::parse(
+      svc.handle(req("GET", "/v1/trees/" + id, "{\"tenant\": \"ops\"}"))
+          .body);
+  EXPECT_EQ(after.get_number("version", -1), 2);
+  const util::JsonValue stats =
+      util::JsonValue::parse(svc.handle(get("/v1/statsz")).body);
+  EXPECT_EQ(stats.find("trees")->get_number("etagConflicts", -1), 1);
+}
+
 TEST(TreeResources, ForeignTenantSeesNothingAndBadDeltasGet400) {
   SolveService svc(test_options());
   const util::JsonValue cdoc = util::JsonValue::parse(
@@ -1311,7 +1354,7 @@ TEST(PinnedAnswers, EveryStatusAndBodyStaysTheSame) {
               "#, \"errors\": #, \"queueDepth\": #, \"p50Seconds\": #, "
               "\"p99Seconds\": #},\n  \"engine\": {\"submitted\": #, "
               "\"completed\": #, \"cancelled\": #, \"failed\": #, "
-              "\"cacheHits\": #, \"cacheMisses\": #, \"deltaHits\": #, "
+              "\"cacheHits\": #, \"cacheMisses\": #, "
               "\"memoHits\": #, \"sessionMemoryBytes\": #, "
               "\"sessionEvictions\": #, \"poolSteals\": #, \"threads\": "
               "#},\n  \"trees\": {\"active\": #, \"edits\": #, \"created\": "
