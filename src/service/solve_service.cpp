@@ -88,11 +88,14 @@ std::string solution_json(const std::vector<std::string>& names,
   return j + "}";
 }
 
-/// Strong etag over a resource revision: "<id>-v<version>".
+/// Strong etag over a resource revision: "<id>-v<version>", the form the
+/// engine checks a PATCH's etag against (AnalysisRequest::etag).
 std::string make_etag(const std::string& id, std::uint64_t version) {
   return id + "-v" + std::to_string(version);
 }
 
+/// The drain's 503: the admission gate's first refusal, and the one a
+/// create meets.
 HttpResponse shutting_down() {
   return error_response(503, "shutting_down", "server is draining");
 }
