@@ -693,22 +693,40 @@ DeltaApplication MpmcsPipeline::apply_delta(const ft::FaultTree& new_tree,
     }
     return st;
   }
-  // The module pass's shape is weight-independent: a weight edit keeps
-  // the plan and re-prices the kernels (recomposing the collapsed
-  // sub-modules); any other edit re-runs the (linear) pass.
-  maxsat::StratifiedPlan next;
   if (st.weight_only) {
-    next = *prepared.strata;
-    maxsat::reprice_kernels(new_tree, next, opts_.weight_scale);
-  } else {
-    next = maxsat::plan_strata(new_tree, opts_.weight_scale);
-    if (!next.applicable) {
-      prepared = prepare_monolithic(
-          new_tree, event_costs(new_tree, opts_.weight_scale),
-          std::move(cancel));
-      st.reprepared = true;
-      return st;
+    // The module pass's shape is weight-independent, so a weight edit
+    // patches the plan in place (the caller owns it exclusively): the head
+    // of each touched event, then the gates above it while their optimum
+    // moves. Only a kernel whose costs moved (an edited event of its own,
+    // or a placeholder whose sub-module's optimum moved) is reweighted;
+    // every other keeps its artefact, warm session and proven optimum.
+    auto& plan = const_cast<maxsat::StratifiedPlan&>(*prepared.strata);
+    std::vector<bool> moved(plan.strata.size(), false);
+    st.gates_recomposed =
+        maxsat::reprice(new_tree, plan, ft::touched_events(new_tree, delta),
+                        opts_.weight_scale, moved);
+    st.strata_total = plan.strata.size();
+    for (std::size_t j = 0; j < plan.strata.size(); ++j) {
+      if (!moved[j]) {
+        ++st.strata_reused;
+        continue;
+      }
+      const maxsat::StratifiedStratum& s = plan.strata[j];
+      reweight_prepared(s.kernel->tree, s.kernel->cost,
+                        const_cast<PreparedInstance&>(*s.prepared), st);
+      ++st.strata_reweighted;
     }
+    return st;
+  }
+  // Any other edit re-runs the (linear) pass.
+  maxsat::StratifiedPlan next =
+      maxsat::plan_strata(new_tree, opts_.weight_scale);
+  if (!next.applicable) {
+    prepared = prepare_monolithic(
+        new_tree, event_costs(new_tree, opts_.weight_scale),
+        std::move(cancel));
+    st.reprepared = true;
+    return st;
   }
   // Frontier modules pair up by gate (a splice keeps existing node
   // indices): a kernel with the same shape and costs shares its artefact,
@@ -726,9 +744,8 @@ DeltaApplication MpmcsPipeline::apply_delta(const ft::FaultTree& new_tree,
         it == old.end() ? nullptr : it->second;
     const bool same_shape =
         o != nullptr &&
-        (s.kernel == o->kernel ||
-         ft::structural_equal(s.kernel->tree, o->kernel->tree,
-                              /*compare_probabilities=*/false));
+        ft::structural_equal(s.kernel->tree, o->kernel->tree,
+                             /*compare_probabilities=*/false);
     if (same_shape && s.kernel->cost == o->kernel->cost) {
       s.prepared = o->prepared;
       ++st.strata_reused;
@@ -823,9 +840,9 @@ MpmcsSolution MpmcsPipeline::solve_composed(const ft::FaultTree& tree,
   const util::CancelTokenPtr limit = util::make_child_token(std::move(cancel));
   limit->set_deadline_after(opts_.timeout_seconds);
   MpmcsSolution sol;
-  std::vector<maxsat::FrontierList> lists;
-  lists.reserve(plan.strata.size());
-  for (const maxsat::StratifiedStratum& s : plan.strata) {
+  std::vector<maxsat::FrontierHead> frontier(plan.strata.size());
+  for (std::size_t j = 0; j < plan.strata.size(); ++j) {
+    const maxsat::StratifiedStratum& s = plan.strata[j];
     // A kernel's proven optimum stands until an edit reweights or
     // rebuilds its artefact; only proven, shrunk answers are kept.
     FrontierOptimum& memo = *s.prepared->optimum;
@@ -847,19 +864,22 @@ MpmcsSolution MpmcsPipeline::solve_composed(const ft::FaultTree& tree,
     sol.cnf_vars = std::max(sol.cnf_vars, sub->cnf_vars);
     sol.cnf_clauses += sub->cnf_clauses;
     sol.preprocess_removed_vars += sub->preprocess_removed_vars;
-    maxsat::FrontierList& list = lists.emplace_back();
-    if (sub->status == maxsat::MaxSatStatus::Optimal || sub->approximate) {
-      list = maxsat::expand(tree, *s.kernel, sub->cut);
+    maxsat::Head& head = frontier[j].head;
+    head.cut = sub->status == maxsat::MaxSatStatus::Optimal || sub->approximate;
+    head.exact = sub->status != maxsat::MaxSatStatus::Unknown;
+    if (head.cut) {
+      for (const ft::EventIndex e : sub->cut.events()) {
+        head.cost = head.cost + s.kernel->cost[e];
+      }
+      frontier[j].kernel_cut = std::move(sub->cut);
     }
-    list.exact = sub->status != maxsat::MaxSatStatus::Unknown;
-    if (!list.exact) {
-      list.lower = lower_bound_cost(
-          sub->scaled_lower_bound,
-          forbidden_weight(s.kernel->tree, s.kernel->cost));
-    }
+    head.lower = head.exact ? head.cost
+                            : lower_bound_cost(
+                                  sub->scaled_lower_bound,
+                                  forbidden_weight(s.kernel->tree,
+                                                   s.kernel->cost));
   }
-  const maxsat::Composition c =
-      maxsat::compose(tree, plan, lists, 1, opts_.weight_scale, limit);
+  const maxsat::Composition c = maxsat::compose_head(tree, plan, frontier);
   sol.solver_name = "stratified";
   sol.lineage = "strata";
   sol.status = c.exact ? maxsat::MaxSatStatus::Unsatisfiable

@@ -182,6 +182,10 @@ struct DeltaApplication {
   std::size_t strata_reused = 0;      ///< Untouched: artefact shared.
   std::size_t strata_reweighted = 0;  ///< Weight-patched artefacts.
   std::size_t strata_reprepared = 0;  ///< Cold re-prepared artefacts.
+  /// Gates of the module pass's head table that a weight edit recomposed:
+  /// at most one per gate above each touched event. Not rendered by the
+  /// service.
+  std::size_t gates_recomposed = 0;
 };
 
 /// A frontier module's proven optimum (see PreparedInstance::optimum).
@@ -290,12 +294,15 @@ class MpmcsPipeline {
   /// Weight-only deltas rebuild the soft clauses in place and *rebase*
   /// the live incremental sessions — the SAT solver state (hard clauses,
   /// learnt clauses, totalizer networks) is weight-independent, so no
-  /// re-encoding and no cold prepare happens at all. Structural deltas on
-  /// module-pass artefacts re-run the (linear) pass and re-prepare only
-  /// the kernels whose shape changed, paired by gate; everything else
-  /// falls back to a cold prepare. The caller
-  /// must own `prepared` exclusively (no cache-shared copies) because
-  /// sessions and the Step 3.5 result are mutated in place.
+  /// re-encoding and no cold prepare happens at all. On a module-pass
+  /// artefact they cost O(path): the plan's head table is patched in
+  /// place from each touched event up, and only a kernel whose costs
+  /// moved is reweighted. Structural deltas on module-pass artefacts
+  /// re-run the (linear) pass and re-prepare only the kernels whose shape
+  /// changed, paired by gate; everything else falls back to a cold
+  /// prepare. The caller must own `prepared` exclusively (no cache-shared
+  /// copies) because the plan, sessions and the Step 3.5 result are
+  /// mutated in place.
   DeltaApplication apply_delta(const ft::FaultTree& new_tree,
                                const ft::TreeDelta& delta,
                                PreparedInstance& prepared,
@@ -366,9 +373,9 @@ class MpmcsPipeline {
   maxsat::MaxSatResult solve_step5(
       maxsat::IncrementalSolveSession::Guard* session,
       const maxsat::WcnfInstance& working, util::CancelTokenPtr cancel) const;
-  /// The module pass's solve: each kernel on its own artefact, its cut
-  /// expanded through the collapsed sub-modules' optima, then the
-  /// closed-form gates composed, all under one time limit.
+  /// The module pass's solve: each kernel on its own artefact, then the
+  /// closed-form gates above them composed with the plan's head table and
+  /// the top's picks followed down to the cut, all under one time limit.
   MpmcsSolution solve_composed(const ft::FaultTree& tree,
                                const maxsat::StratifiedPlan& plan,
                                util::CancelTokenPtr cancel) const;

@@ -202,6 +202,8 @@ std::string AnalysisEngine::create_tree(ft::FaultTree tree,
   // rebuild-in-disguise.
   const core::MpmcsPipeline p(pipeline);
   res->prepared = p.prepare(tree);
+  res->events = tree.num_events();
+  res->nodes = tree.num_nodes();
   res->tree = std::move(tree);
   res->last_used = use_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::string id =
@@ -221,6 +223,8 @@ void AnalysisEngine::restore_tree(const std::string& id, ft::FaultTree tree,
   res->pipeline = pipeline;
   const core::MpmcsPipeline p(pipeline);
   res->prepared = p.prepare(tree);
+  res->events = tree.num_events();
+  res->nodes = tree.num_nodes();
   res->tree = std::move(tree);
   res->version = version;
   res->edits = edits;
@@ -269,15 +273,18 @@ std::optional<TreeResourceInfo> AnalysisEngine::tree_info(
     const std::string& id, std::string* text) const {
   const std::shared_ptr<TreeResource> res = resource(id);
   if (!res) return std::nullopt;
-  std::lock_guard<std::mutex> lock(res->mutex);
+  std::unique_lock<std::mutex> lock;
+  if (text != nullptr) {
+    lock = std::unique_lock<std::mutex>(res->mutex);
+    *text = ft::to_text(res->tree);
+  }
   TreeResourceInfo info;
   info.id = id;
   info.version = res->version;
   info.edits = res->edits;
-  info.events = res->tree.num_events();
-  info.nodes = res->tree.num_nodes();
+  info.events = res->events;
+  info.nodes = res->nodes;
   info.last_used = res->last_used;
-  if (text != nullptr) *text = ft::to_text(res->tree);
   return info;
 }
 
@@ -475,16 +482,39 @@ void AnalysisEngine::run_resource(const AnalysisRequest& request,
     session_resets_.fetch_add(1, std::memory_order_relaxed);
   }
   if (request.delta && !request.delta->empty()) {
-    // Throws ft::DeltaError on bad edits (a refusal, see execute) with
-    // the resource untouched.
-    ft::FaultTree next = ft::apply_delta(res->tree, *request.delta);
-    result.delta = pipeline.apply_delta(next, *request.delta, res->prepared,
-                                        token);
-    res->tree = std::move(next);
-    result.tree_version = ++res->version;
-    res->edits += request.delta->ops.size();
-    result.delta_applied = true;
-    tree_edits_.fetch_add(1, std::memory_order_relaxed);
+    // Both forms throw ft::DeltaError on bad edits (a refusal, see
+    // execute) with the resource untouched.
+    const auto landed = [&] {
+      result.tree_version = ++res->version;
+      res->edits += request.delta->ops.size();
+      res->events = res->tree.num_events();
+      res->nodes = res->tree.num_nodes();
+      result.delta_applied = true;
+      tree_edits_.fetch_add(1, std::memory_order_relaxed);
+    };
+    if (request.delta->weight_only()) {
+      // Weight edits land on the live tree, with no copy: every op is
+      // checked before any lands, and none can invalidate the tree.
+      ft::apply_weights(res->tree, request.delta->ops);
+      landed();
+      try {
+        result.delta = pipeline.apply_delta(res->tree, *request.delta,
+                                            res->prepared, token);
+      } catch (...) {
+        // The tree changed but its artefact may be half patched: rebuild
+        // it cold before the next request.
+        if (!res->quarantined.exchange(true, std::memory_order_relaxed)) {
+          quarantines_.fetch_add(1, std::memory_order_relaxed);
+        }
+        throw;
+      }
+    } else {
+      ft::FaultTree next = ft::apply_delta(res->tree, *request.delta);
+      result.delta = pipeline.apply_delta(next, *request.delta,
+                                          res->prepared, token);
+      res->tree = std::move(next);
+      landed();
+    }
   }
   switch (request.kind) {
     case AnalysisKind::Mpmcs: {

@@ -246,10 +246,10 @@ class AnalysisEngine {
   /// in-flight request). Returns false for an unknown id.
   bool release_tree(const std::string& id);
 
-  /// The resource's counters; nullopt for an unknown id. A non-null
-  /// `text` receives its current tree in the parser's text format (the GET
-  /// representation and the journal's post-image), read under the same
-  /// hold of the resource lock as the counters.
+  /// The resource's counters, read without its lock; nullopt for an
+  /// unknown id. A non-null `text` receives its current tree in the
+  /// parser's text format (the GET representation and the journal's
+  /// post-image), read under the resource lock with the counters.
   std::optional<TreeResourceInfo> tree_info(const std::string& id,
                                             std::string* text = nullptr) const;
   /// Copy of the resource's current tree (callers render cut-set event
@@ -279,9 +279,13 @@ class AnalysisEngine {
     ft::FaultTree tree;
     core::PipelineOptions pipeline;
     core::PreparedInstance prepared;
-    std::uint64_t version = 1;
-    std::uint64_t edits = 0;
-    std::uint64_t last_used = 0;
+    /// The counters tree_info reports: written under `mutex`, read without
+    /// it, so a listing or an eviction never waits for a solve.
+    std::atomic<std::uint64_t> version{1};
+    std::atomic<std::uint64_t> edits{0};
+    std::atomic<std::uint64_t> last_used{0};
+    std::atomic<std::size_t> events{0};
+    std::atomic<std::size_t> nodes{0};
     /// Set by the watchdog (outside `mutex` — the wedged solve holds it);
     /// the next solve observes it and rebuilds the artefact cold.
     std::atomic<bool> quarantined{false};
@@ -319,8 +323,9 @@ class AnalysisEngine {
   void run_top_k(const AnalysisRequest& request, util::CancelTokenPtr token,
                  AnalysisResult& result);
   /// The tree_id path, in one hold of the resource lock: check the etag,
-  /// apply any delta (patching the artefact in place), then run the
-  /// analysis on the resource's current state.
+  /// apply any delta (a weight edit to the live tree in place; both
+  /// patch the artefact in place), then run the analysis on the
+  /// resource's current state.
   void run_resource(const AnalysisRequest& request, util::CancelTokenPtr token,
                     AnalysisResult& result);
   void run_importance(const ft::FaultTree& tree, util::CancelTokenPtr token,

@@ -137,28 +137,40 @@ void apply_replace(FaultTree& tree, const DeltaOp& op) {
 
 }  // namespace
 
+void apply_weights(FaultTree& tree, std::span<const DeltaOp> ops) {
+  std::vector<EventIndex> targets;
+  targets.reserve(ops.size());
+  for (const DeltaOp& op : ops) {
+    targets.push_back(event_target(tree, op));
+    if (op.kind == DeltaOpKind::WeightUpdate &&
+        !(op.probability >= 0.0 && op.probability <= 1.0)) {
+      throw DeltaError("probability of '" + op.target + "' out of [0,1]: " +
+                       std::to_string(op.probability));
+    }
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind == DeltaOpKind::WeightUpdate) {
+      tree.set_event_probability(targets[i], ops[i].probability);
+    } else {
+      tree.set_event_enabled(targets[i], ops[i].enabled);
+    }
+  }
+}
+
 FaultTree apply_delta(const FaultTree& tree, const TreeDelta& delta) {
   FaultTree out = tree;
   try {
-    for (const DeltaOp& op : delta.ops) {
-      switch (op.kind) {
-        case DeltaOpKind::WeightUpdate: {
-          const EventIndex e = event_target(out, op);
-          if (!(op.probability >= 0.0 && op.probability <= 1.0)) {
-            throw DeltaError("probability of '" + op.target +
-                             "' out of [0,1]: " +
-                             std::to_string(op.probability));
-          }
-          out.set_event_probability(e, op.probability);
-          break;
-        }
-        case DeltaOpKind::EventToggle:
-          out.set_event_enabled(event_target(out, op), op.enabled);
-          break;
-        case DeltaOpKind::SubtreeReplace:
-          apply_replace(out, op);
-          break;
-      }
+    // Each run of weight ops, then the splice that ends it.
+    std::span<const DeltaOp> ops = delta.ops;
+    while (!ops.empty()) {
+      const auto splice =
+          std::find_if(ops.begin(), ops.end(), [](const DeltaOp& op) {
+            return op.kind == DeltaOpKind::SubtreeReplace;
+          });
+      apply_weights(out, {ops.begin(), splice});
+      if (splice == ops.end()) break;
+      apply_replace(out, *splice);
+      ops = {splice + 1, ops.end()};
     }
     out.validate();
   } catch (const ValidationError& e) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -69,6 +70,12 @@ struct TreeDelta {
 /// type mismatches, probabilities outside [0,1], or a resulting tree
 /// that fails validation.
 FaultTree apply_delta(const FaultTree& tree, const TreeDelta& delta);
+
+/// Applies weight updates and toggles (no splice) to `tree` in place,
+/// checking every op before any lands: on a DeltaError (as apply_delta
+/// words it) the tree is untouched. Such ops keep a validated tree valid,
+/// so nothing is re-validated.
+void apply_weights(FaultTree& tree, std::span<const DeltaOp> ops);
 
 /// Events whose effective probability the weight/toggle ops change
 /// (sorted, deduplicated). SubtreeReplace ops are ignored here — callers

@@ -114,60 +114,140 @@ std::shared_ptr<Kernel> extract_kernel(const ft::FaultTree& tree,
   return kernel;
 }
 
-/// Prices `kernel` under `tree`: each event at its own Step 3 cost and
-/// probability; each placeholder at its sub-module's composed optimum
-/// from `heads` (the collapsed gates at k = 1), with that optimum's cut
-/// and a probability of exp(-W/scale) (0 for an impossible optimum; it
-/// may underflow to 0 as well, which only the shrink order sees).
-void price(const ft::FaultTree& tree, Kernel& kernel, const Composer& heads,
-           double weight_scale) {
-  const std::size_t n = kernel.source.size();
-  kernel.cost.resize(n);
-  kernel.cut.assign(n, {});
-  std::vector<ft::EventIndex> events;
-  for (ft::EventIndex e = 0; e < n; ++e) {
-    const ft::NodeIndex g = kernel.source[e];
-    const ft::Node& node = tree.node(g);
-    double p = 0.0;
-    if (node.type == ft::NodeType::BasicEvent) {
-      kernel.cost[e] = event_cost(tree, node.event_index, weight_scale);
-      p = tree.event_probability(node.event_index);
-    } else {
-      kernel.cost[e] = heads.cost(g, 0);
-      events.clear();
-      heads.append_cut(g, 0, events);
-      kernel.cut[e] = ft::CutSet(events);
-      if (kernel.cost[e].impossible == 0) {
-        p = std::exp(-static_cast<double>(kernel.cost[e].ordinary) /
-                     weight_scale);
-      }
+/// Event `e`'s probability in a kernel whose source node `node` has head
+/// cost `cost`: an event's own; a placeholder's exp(-W/scale), or 0 for an
+/// impossible optimum (it may underflow to 0 as well, which only the
+/// shrink order sees).
+double leaf_probability(const ft::FaultTree& tree, ft::NodeIndex node,
+                        const ScaledCutCost& cost, double weight_scale) {
+  const ft::Node& n = tree.node(node);
+  if (n.type == ft::NodeType::BasicEvent) {
+    return tree.event_probability(n.event_index);
+  }
+  if (cost.impossible > 0) return 0.0;
+  return std::exp(-static_cast<double>(cost.ordinary) / weight_scale);
+}
+
+/// Gate `g`'s children into `nodes` and their heads, `head_of(child)`,
+/// into `kids`: an AND's repeated child once.
+template <typename HeadOf>
+void gather(const ft::FaultTree& tree, const HeadTable& t, ft::NodeIndex g,
+            HeadOf head_of, std::vector<Head>& kids,
+            std::vector<ft::NodeIndex>& nodes) {
+  kids.clear();
+  nodes.clear();
+  for (const ft::NodeIndex c : tree.node(g).children) {
+    if (t.repeats[g] &&
+        std::find(nodes.begin(), nodes.end(), c) != nodes.end()) {
+      continue;
     }
-    kernel.tree.set_event_probability(e, p);
+    nodes.push_back(c);
+    kids.push_back(head_of(c));
   }
 }
 
-/// Whether price() would leave `kernel` as it is under `tree`: its events'
-/// probabilities and its placeholders' optima (cost and cut) are `tree`'s.
-bool priced(const ft::FaultTree& tree, const Kernel& kernel,
-            const Composer& heads, std::vector<ft::EventIndex>& scratch) {
-  for (ft::EventIndex e = 0; e < kernel.source.size(); ++e) {
-    const ft::NodeIndex g = kernel.source[e];
-    const ft::Node& node = tree.node(g);
-    if (node.type == ft::NodeType::BasicEvent) {
-      if (tree.event_probability(node.event_index) !=
-          kernel.tree.event_probability(e)) {
-        return false;
+/// Recomputes Gates' heads in a plan's table, with its own scratch.
+class Recomposer {
+ public:
+  Recomposer(const ft::FaultTree& tree, HeadTable& table)
+      : tree_(tree), t_(table) {}
+
+  /// Gate `g`'s head from its children's: writes its cost and picks, and
+  /// says whether the cost moved.
+  bool operator()(ft::NodeIndex g) {
+    const ft::Node& n = tree_.node(g);
+    gather(
+        tree_, t_, g,
+        [this](ft::NodeIndex c) { return Head{t_.cost[c], t_.cost[c]}; },
+        kids_, nodes_);
+    const Head head = cheapest(n.type, n.k, kids_, picks_);
+    if (n.type != ft::NodeType::And) {
+      for (std::size_t i = 0; i < picks_.size(); ++i) {
+        t_.picks[t_.slot[g] + i] = nodes_[picks_[i]];
       }
-      continue;
     }
-    if (heads.cost(g, 0) != kernel.cost[e]) return false;
-    scratch.clear();
-    heads.append_cut(g, 0, scratch);
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    if (scratch != kernel.cut[e].events()) return false;
+    const bool moved = head.cost != t_.cost[g];
+    t_.cost[g] = head.cost;
+    return moved;
   }
-  return true;
+
+ private:
+  const ft::FaultTree& tree_;
+  HeadTable& t_;
+  std::vector<Head> kids_;
+  std::vector<ft::NodeIndex> nodes_;
+  std::vector<std::uint32_t> picks_;
+};
+
+/// Builds `plan`'s head table under `tree`, the frontier gates in
+/// `frontier` and the kernels in `kernels` (parallel to it), and prices
+/// each kernel's leaves from it.
+void build_heads(const ft::FaultTree& tree, StratifiedPlan& plan,
+                 const std::vector<ft::NodeIndex>& frontier,
+                 std::vector<std::shared_ptr<Kernel>>& kernels,
+                 double weight_scale) {
+  const std::size_t n = tree.num_nodes();
+  HeadTable& t = plan.heads;
+  t.cost.assign(n, {});
+  t.up.assign(n, {});
+  t.role.assign(n, HeadRole::None);
+  t.slot.assign(n, kNone);
+  t.repeats.assign(n, false);
+  for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
+    t.cost[tree.event_node(e)] = event_cost(tree, e, weight_scale);
+  }
+  for (std::size_t j = 0; j < frontier.size(); ++j) {
+    t.role[frontier[j]] = HeadRole::Frontier;
+    t.slot[frontier[j]] = static_cast<std::uint32_t>(j);
+  }
+  // A closed gate with a frontier module below it is on the spine.
+  for (const ft::NodeIndex g : plan.closed) {
+    t.role[g] = HeadRole::Gate;
+    for (const ft::NodeIndex c : tree.node(g).children) {
+      if (t.role[c] == HeadRole::Frontier || t.role[c] == HeadRole::Spine) {
+        t.role[g] = HeadRole::Spine;
+      }
+    }
+    if (t.role[g] == HeadRole::Spine) {
+      t.slot[g] = static_cast<std::uint32_t>(plan.spine.size());
+      plan.spine.push_back(g);
+    }
+  }
+  for (const ft::NodeIndex g : plan.collapsed) t.role[g] = HeadRole::Gate;
+  std::vector<ft::NodeIndex> sorted;
+  for (const auto* gates : {&plan.collapsed, &plan.closed}) {
+    for (const ft::NodeIndex g : *gates) {
+      const ft::Node& node = tree.node(g);
+      for (const ft::NodeIndex c : node.children) t.up[c] = {g, kNone};
+      if (node.type == ft::NodeType::And) {
+        sorted = node.children;
+        std::sort(sorted.begin(), sorted.end());
+        t.repeats[g] =
+            std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+      } else if (t.role[g] == HeadRole::Gate) {
+        t.slot[g] = static_cast<std::uint32_t>(t.picks.size());
+        t.picks.resize(t.picks.size() +
+                       (node.type == ft::NodeType::Or ? 1 : node.k));
+      }
+    }
+  }
+  Recomposer recompose(tree, t);
+  for (const auto* gates : {&plan.collapsed, &plan.closed}) {
+    for (const ft::NodeIndex g : *gates) {
+      if (t.role[g] == HeadRole::Gate) recompose(g);
+    }
+  }
+  for (std::size_t j = 0; j < kernels.size(); ++j) {
+    Kernel& kernel = *kernels[j];
+    kernel.cost.resize(kernel.source.size());
+    for (ft::EventIndex e = 0; e < kernel.source.size(); ++e) {
+      const ft::NodeIndex node = kernel.source[e];
+      t.up[node] = {static_cast<std::uint32_t>(j), e};
+      kernel.cost[e] = t.cost[node];
+      kernel.tree.set_event_probability(
+          e, leaf_probability(tree, node, t.cost[node], weight_scale));
+    }
+  }
 }
 
 }  // namespace
@@ -229,30 +309,48 @@ StratifiedPlan plan_strata(const ft::FaultTree& tree, double weight_scale) {
   // A frontier top with nothing to collapse is the tree's own instance.
   if (plan.closed.empty() && plan.collapsed.empty()) return {};
   plan.applicable = true;
-  if (frontier.empty()) return plan;
-
-  Composer heads(tree, plan, {}, 1, weight_scale);
-  heads.evaluate(plan.collapsed, nullptr);
+  build_heads(tree, plan, frontier, kernels, weight_scale);
   for (std::size_t j = 0; j < frontier.size(); ++j) {
-    price(tree, *kernels[j], heads, weight_scale);
     kernels[j]->tree.validate();
     plan.strata.push_back({frontier[j], std::move(kernels[j]), nullptr});
   }
   return plan;
 }
 
-void reprice_kernels(const ft::FaultTree& tree, StratifiedPlan& plan,
-                     double weight_scale) {
-  if (plan.strata.empty()) return;
-  Composer heads(tree, plan, {}, 1, weight_scale);
-  heads.evaluate(plan.collapsed, nullptr);
-  std::vector<ft::EventIndex> scratch;
-  for (StratifiedStratum& s : plan.strata) {
-    if (priced(tree, *s.kernel, heads, scratch)) continue;
-    auto kernel = std::make_shared<Kernel>(*s.kernel);
-    price(tree, *kernel, heads, weight_scale);
-    s.kernel = std::move(kernel);
+std::size_t reprice(const ft::FaultTree& tree, StratifiedPlan& plan,
+                    std::span<const ft::EventIndex> events,
+                    double weight_scale, std::vector<bool>& moved) {
+  HeadTable& t = plan.heads;
+  Recomposer recompose(tree, t);
+  std::size_t recomposed = 0;
+  for (const ft::EventIndex e : events) {
+    ft::NodeIndex node = tree.event_node(e);
+    const ScaledCutCost cost = event_cost(tree, e, weight_scale);
+    bool changed = cost != t.cost[node];
+    t.cost[node] = cost;
+    for (;;) {
+      const HeadTable::Up up = t.up[node];
+      if (up.kernel_event != kNone) {
+        // The plan's exclusive owner patches it (see
+        // core::MpmcsPipeline::apply_delta).
+        auto& kernel = const_cast<Kernel&>(*plan.strata[up.index].kernel);
+        kernel.cost[up.kernel_event] = t.cost[node];
+        kernel.tree.set_event_probability(
+            up.kernel_event,
+            leaf_probability(tree, node, t.cost[node], weight_scale));
+        if (changed) moved[up.index] = true;
+        break;
+      }
+      if (!changed || up.index == kNone ||
+          t.role[up.index] != HeadRole::Gate) {
+        break;
+      }
+      node = up.index;
+      ++recomposed;
+      changed = recompose(node);
+    }
   }
+  return recomposed;
 }
 
 ScaledCutCost scaled_cut_cost(const ft::FaultTree& tree,
@@ -324,10 +422,65 @@ bool Composer::evaluate(std::span<const ft::NodeIndex> gates,
   return true;
 }
 
+Head cheapest(ft::NodeType type, std::uint32_t k, std::span<const Head> kids,
+              std::vector<std::uint32_t>& picks) {
+  const std::size_t need = type == ft::NodeType::Or    ? 1
+                           : type == ft::NodeType::And ? kids.size()
+                                                       : k;
+  // A child may fire when it has a cut or its search is undecided.
+  Head head{{}, {}, false, true};
+  picks.clear();
+  for (std::uint32_t c = 0; c < kids.size(); ++c) {
+    head.exact = head.exact && kids[c].exact;
+    if (kids[c].cut || !kids[c].exact) picks.push_back(c);
+  }
+  if (picks.size() < need) {
+    picks.clear();
+    return {{}, {}, false, true};  // too few children can fire: no cut at all
+  }
+  if (!head.exact) {
+    // The `need` smallest lower bounds of the children that may fire.
+    std::nth_element(picks.begin(), picks.begin() + (need - 1), picks.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return kids[a].lower < kids[b].lower;
+                     });
+    for (std::size_t i = 0; i < need; ++i) {
+      head.lower = head.lower + kids[picks[i]].lower;
+    }
+    picks.erase(std::remove_if(picks.begin(), picks.end(),
+                               [&](std::uint32_t c) { return !kids[c].cut; }),
+                picks.end());
+    if (picks.size() < need) {
+      picks.clear();
+      return head;
+    }
+  }
+  // The `need` cheapest by (cost, position): a partial selection, linear
+  // in the fan-in.
+  const auto less = [&](std::uint32_t a, std::uint32_t b) {
+    const ScaledCutCost& x = kids[a].cost;
+    const ScaledCutCost& y = kids[b].cost;
+    return std::tie(x.impossible, x.ordinary, a) <
+           std::tie(y.impossible, y.ordinary, b);
+  };
+  if (need == 1) {
+    picks.front() = *std::min_element(picks.begin(), picks.end(), less);
+  } else if (need < picks.size()) {
+    std::nth_element(picks.begin(), picks.begin() + (need - 1), picks.end(),
+                     less);
+  }
+  picks.resize(need);
+  head.cut = true;
+  for (const std::uint32_t c : picks) head.cost = head.cost + kids[c].cost;
+  if (head.exact) head.lower = head.cost;
+  return head;
+}
+
 void Composer::evaluate(ft::NodeIndex gate) {
   const ft::Node& n = tree_.node(gate);
   // AND/OR ignore repeated children; a closed-form vote has none.
   children_.clear();
+  heads_.clear();
   singles_.clear();
   singles_.reserve(n.children.size());  // spans below point into it
   for (const ft::NodeIndex c : n.children) {
@@ -338,69 +491,34 @@ void Composer::evaluate(ft::NodeIndex gate) {
       singles_.push_back({event_cost(tree_, cn.event_index, weight_scale_)});
       children_.push_back({c, {&singles_.back(), 1}, true,
                            singles_.back().cost});
-      continue;
+    } else {
+      const std::uint32_t s = slot_[c];
+      children_.push_back({c, {entries_.data() + begin_[s], size_[s]},
+                           exact_[s] != 0, lower_[s]});
     }
-    const std::uint32_t s = slot_[c];
-    children_.push_back({c, {entries_.data() + begin_[s], size_[s]},
-                         exact_[s] != 0, lower_[s]});
+    const ChildList& child = children_.back();
+    heads_.push_back({child.list.empty() ? ScaledCutCost{}
+                                         : child.list.front().cost,
+                      child.lower, !child.list.empty(), child.exact});
   }
-  bool exact = true;
-  std::vector<ScaledCutCost>& lowers = lowers_;
-  lowers.clear();
-  for (const ChildList& c : children_) {
-    exact = exact && c.exact;
-    if (c.live()) lowers.push_back(c.lower);
-  }
-  const std::size_t need = n.type == ft::NodeType::Or    ? 1
-                           : n.type == ft::NodeType::And ? children_.size()
-                                                         : n.k;
-  if (lowers.size() < need) {
-    store(gate, {}, true, {});  // too few children can fire: no cut at all
-    return;
-  }
-  std::nth_element(lowers.begin(), lowers.begin() + (need - 1), lowers.end());
-  ScaledCutCost lower;
-  for (std::size_t j = 0; j < need; ++j) lower = lower + lowers[j];
-  if (k_ == 1) {
-    const Entry best = cheapest(static_cast<std::uint32_t>(need));
-    store(gate, {&best, best.part == kNone ? 0u : 1u}, exact, lower);
+  const Head head = cheapest(n.type, n.k, heads_, picks_);
+  if (k_ == 1 || !head.cut) {
+    // The optimum alone: the head's picks, each by its own head.
+    Entry best{head.cost};
+    for (const std::uint32_t c : picks_) {
+      parts_.push_back({children_[c].node, 0, best.part});
+      best.part = static_cast<std::uint32_t>(parts_.size() - 1);
+    }
+    store(gate, {&best, head.cut ? 1u : 0u}, head.exact, head.lower);
     return;
   }
   std::vector<Entry> list{Entry{}};
   if (n.type == ft::NodeType::And) {
     for (const ChildList& c : children_) list = extend(list, c);
   } else {
-    list = choose(static_cast<std::uint32_t>(need));  // OR: 1-of-n
+    list = choose(n.type == ft::NodeType::Or ? 1 : n.k);  // OR: 1-of-n
   }
-  store(gate, list, exact, lower);
-}
-
-/// The optimum alone: the `threshold` cheapest children with a cut, each
-/// by its head (a partial selection, linear in the fan-in). No entry (part
-/// kNone) when fewer children have one.
-Composer::Entry Composer::cheapest(std::uint32_t threshold) {
-  picks_.clear();
-  for (std::uint32_t c = 0; c < children_.size(); ++c) {
-    if (!children_[c].list.empty()) picks_.push_back(c);
-  }
-  if (picks_.size() < threshold) return {};
-  const auto head = [this](std::uint32_t c) {
-    const ScaledCutCost& x = children_[c].list.front().cost;
-    return std::tuple(x.impossible, x.ordinary, c);
-  };
-  if (threshold < picks_.size()) {
-    std::nth_element(
-        picks_.begin(), picks_.begin() + (threshold - 1), picks_.end(),
-        [&](std::uint32_t a, std::uint32_t b) { return head(a) < head(b); });
-  }
-  Entry best;
-  for (std::uint32_t i = 0; i < threshold; ++i) {
-    const ChildList& c = children_[picks_[i]];
-    best.cost = best.cost + c.list.front().cost;
-    parts_.push_back({c.node, 0, best.part});
-    best.part = static_cast<std::uint32_t>(parts_.size() - 1);
-  }
-  return best;
+  store(gate, list, head.exact, head.lower);
 }
 
 void Composer::store(ft::NodeIndex node, std::span<const Entry> list,
@@ -503,23 +621,64 @@ Composition compose(const ft::FaultTree& tree, const StratifiedPlan& plan,
   return composer.result(tree.top());
 }
 
-FrontierList expand(const ft::FaultTree& tree, const Kernel& kernel,
-                    const ft::CutSet& cut) {
+Composition compose_head(const ft::FaultTree& tree, const StratifiedPlan& plan,
+                         std::span<const FrontierHead> frontier) {
+  const HeadTable& t = plan.heads;
+  // The spine's heads, children first; spine gate i's picks are
+  // picked[first[i], first[i + 1]).
+  std::vector<Head> spine(plan.spine.size());
+  std::vector<std::uint32_t> first{0};
+  std::vector<ft::NodeIndex> picked;
+  const auto head_of = [&](ft::NodeIndex c) -> Head {
+    switch (t.role[c]) {
+      case HeadRole::Spine: return spine[t.slot[c]];
+      case HeadRole::Frontier: return frontier[t.slot[c]].head;
+      default: return {t.cost[c], t.cost[c]};
+    }
+  };
+  std::vector<Head> kids;
+  std::vector<ft::NodeIndex> nodes;
+  std::vector<std::uint32_t> picks;
+  for (std::size_t i = 0; i < plan.spine.size(); ++i) {
+    const ft::Node& n = tree.node(plan.spine[i]);
+    gather(tree, t, plan.spine[i], head_of, kids, nodes);
+    spine[i] = cheapest(n.type, n.k, kids, picks);
+    for (const std::uint32_t p : picks) picked.push_back(nodes[p]);
+    first.push_back(static_cast<std::uint32_t>(picked.size()));
+  }
+  const Head head = head_of(tree.top());
+  Composition out;
+  out.exact = head.exact;
+  out.lower = head.lower;
+  if (!head.cut) return out;
+  // Down the picks: a table Gate's, a spine gate's, or a frontier
+  // module's kernel cut, whose leaves are events and collapsed roots.
   std::vector<ft::EventIndex> events;
-  ScaledCutCost cost;
-  for (const ft::EventIndex e : cut.events()) {
-    cost = cost + kernel.cost[e];
-    const ft::Node& n = tree.node(kernel.source[e]);
+  std::vector<ft::NodeIndex> todo{tree.top()};
+  while (!todo.empty()) {
+    const ft::NodeIndex g = todo.back();
+    todo.pop_back();
+    const ft::Node& n = tree.node(g);
     if (n.type == ft::NodeType::BasicEvent) {
       events.push_back(n.event_index);
+    } else if (t.role[g] == HeadRole::Spine) {
+      todo.insert(todo.end(), picked.begin() + first[t.slot[g]],
+                  picked.begin() + first[t.slot[g] + 1]);
+    } else if (t.role[g] == HeadRole::Frontier) {
+      const Kernel& kernel = *plan.strata[t.slot[g]].kernel;
+      for (const ft::EventIndex e : frontier[t.slot[g]].kernel_cut.events()) {
+        todo.push_back(kernel.source[e]);
+      }
+    } else if (n.type == ft::NodeType::And) {
+      todo.insert(todo.end(), n.children.begin(), n.children.end());
     } else {
-      const std::vector<ft::EventIndex>& part = kernel.cut[e].events();
-      events.insert(events.end(), part.begin(), part.end());
+      const auto at = t.picks.begin() + t.slot[g];
+      todo.insert(todo.end(), at,
+                  at + (n.type == ft::NodeType::Or ? 1 : n.k));
     }
   }
-  FrontierList out;
   out.cuts.emplace_back(std::move(events));
-  out.costs.push_back(cost);
+  out.costs.push_back(head.cost);
   return out;
 }
 

@@ -31,14 +31,27 @@
 // is a frontier module with nothing to collapse, the plan does not apply
 // and the tree's own artefact serves.
 //
+// The optimum of every closed-form gate whose children's optima are known
+// without search is kept in the plan's head table (HeadTable), one k = 1
+// *head* per gate: its cost and the children it picks. One evaluator,
+// cheapest(), computes a gate's head from its children's heads in
+// O(fan-in), and breaks ties by cost, then child position. Under a module
+// every node has exactly one parent gate (a node below a module is reached
+// only through it), so the table's gates form a forest: a weight edit
+// recomputes the head above each edited event and climbs only while the
+// head's cost moves (reprice). The table therefore always equals a cold
+// composition of the edited tree. The closed-form gates above a frontier
+// module (the *spine*) depend on the kernels' answers and are composed
+// per solve (compose_head).
+//
 // Composer evaluates closed-form gates children first, without
-// recursion, over k-best lists: OR merges its children's lists, AND takes
-// k-best sums, k-of-n runs a DP over its children (at k = 1, the optimum,
-// it takes its k cheapest children). Costs are ScaledCutCost, Step 3's
-// per-event rounding, so a composed optimum equals the monolithic scaled
-// optimum. tests/property_sweep_test and tests/module_pass_test hold
-// optima and top-k cost sequences equal to the monolithic members, BDD
-// and brute force.
+// recursion, over k-best lists for top-k: OR merges its children's lists,
+// AND takes k-best sums, k-of-n runs a DP over its children (at k = 1 it
+// takes cheapest()'s head). Costs are ScaledCutCost, Step 3's per-event
+// rounding, so a composed optimum equals the monolithic scaled optimum.
+// tests/property_sweep_test and tests/module_pass_test hold optima and
+// top-k cost sequences equal to the monolithic members, BDD and brute
+// force.
 //
 // The frontier artefacts (instances, Step 3.5, incremental sessions) are
 // owned by core::PreparedInstance; this header knows the plan's shape and
@@ -100,7 +113,8 @@ ScaledCutCost scaled_cut_cost(const ft::FaultTree& tree,
 struct Kernel {
   ft::FaultTree tree;
   /// Kernel event -> the node it stands for in the original tree: a basic
-  /// event, or a collapsed sub-module's gate.
+  /// event, or a collapsed sub-module's gate (whose optimum's cut the
+  /// plan's head table holds).
   std::vector<ft::NodeIndex> source;
   /// Kernel event -> its Step 3 cost: the event's own, or the sub-module's
   /// composed optimum. Never a probability: a sub-module's -ln P passes
@@ -108,18 +122,68 @@ struct Kernel {
   /// probability in `tree` is exp(-W/scale), or 0 when the optimum has a
   /// p == 0 member; only the minimality shrink's order reads it.)
   std::vector<ScaledCutCost> cost;
-  /// Kernel event -> the composed optimum's cut of a placeholder's
-  /// sub-module (original event indices); empty for an event.
-  std::vector<ft::CutSet> cut;
 };
 
-/// A frontier module: its gate in the tree, its kernel (shared by the plan
-/// copies an edit leaves it alone in) and, once
+/// A frontier module: its gate in the tree, its kernel and, once
 /// core::MpmcsPipeline::prepare ran, the kernel's monolithic artefact.
 struct StratifiedStratum {
   ft::NodeIndex gate = ft::kNoIndex;  ///< The module's gate in the tree.
   std::shared_ptr<const Kernel> kernel;
   std::shared_ptr<const core::PreparedInstance> prepared;
+};
+
+/// A k = 1 head: the optimum of a node as a composition sees it.
+struct Head {
+  ScaledCutCost cost;   ///< The cheapest known cut's cost (when `cut`).
+  ScaledCutCost lower;  ///< Certified lower bound on the optimum.
+  bool cut = true;      ///< A cut is known.
+  /// `cost` is the optimum, or no cut exists. False only above a frontier
+  /// module whose search stopped undecided.
+  bool exact = true;
+};
+
+/// The one k = 1 evaluator: the head of a closed-form gate of `type`
+/// (threshold `k` when a vote) from the heads of its distinct children,
+/// `kids`, in child order. It takes the cheapest children that have a cut
+/// (one for OR, all for AND, k for a vote), by cost and then position, and
+/// leaves their positions in `picks`. No cut, and exact, when too few
+/// children may fire; no cut, inexact, when an undecided child lacks one.
+Head cheapest(ft::NodeType type, std::uint32_t k, std::span<const Head> kids,
+              std::vector<std::uint32_t>& picks);
+
+/// What a node is to the head table.
+enum class HeadRole : std::uint8_t {
+  None,      ///< An event, a kernel's own gate, or a node off the top's DAG.
+  Gate,      ///< A closed-form gate with its head in the table.
+  Spine,     ///< A closed-form gate above a frontier module.
+  Frontier,  ///< A frontier module's gate.
+};
+
+/// The plan's k = 1 composition, kept per node of the tree.
+struct HeadTable {
+  /// Node -> where its head is read. `kernel_event == kNoIndex`: by gate
+  /// `index` (a Gate or Spine node; kNoIndex when none). Otherwise the
+  /// node is a leaf of stratum `index`'s kernel, as event `kernel_event`:
+  /// a basic event of the kernel, or a collapsed sub-module's root.
+  struct Up {
+    std::uint32_t index = ft::kNoIndex;
+    std::uint32_t kernel_event = ft::kNoIndex;
+    friend bool operator==(const Up&, const Up&) noexcept = default;
+  };
+  /// Node -> its head's cost: a basic event's Step 3 cost, or a Gate's
+  /// composed optimum.
+  std::vector<ScaledCutCost> cost;
+  std::vector<Up> up;
+  std::vector<HeadRole> role;
+  /// Node -> an OR or vote Gate's first pick in `picks` (it has 1 or k;
+  /// an AND picks all its children), a Spine gate's position in the
+  /// plan's spine, a Frontier gate's stratum; kNoIndex otherwise.
+  std::vector<std::uint32_t> slot;
+  /// Node -> an AND gate lists a child twice (it counts once).
+  std::vector<bool> repeats;
+  std::vector<ft::NodeIndex> picks;
+
+  friend bool operator==(const HeadTable&, const HeadTable&) = default;
 };
 
 struct StratifiedPlan {
@@ -134,20 +198,31 @@ struct StratifiedPlan {
   std::vector<StratifiedStratum> strata;
   /// The gates of every collapsed sub-module, children before parents.
   std::vector<ft::NodeIndex> collapsed;
+  /// The closed gates above a frontier module, children before parents
+  /// (the top last): composed per solve. Empty when the top is a Gate (a
+  /// pure tree) or a frontier module.
+  std::vector<ft::NodeIndex> spine;
+  /// The heads of the other closed gates and of the collapsed ones.
+  HeadTable heads;
 };
 
 /// The module pass over `tree` (validated): linear in its size, with no
-/// recursion. Kernels come back extracted and priced under
+/// recursion. Kernels come back extracted, their costs set under
 /// `weight_scale`, with empty `prepared` slots — preparation is the
 /// pipeline's job.
 StratifiedPlan plan_strata(const ft::FaultTree& tree,
                            double weight_scale = 1e6);
 
-/// Re-prices the kernels of `plan` (made for a tree of `tree`'s shape)
-/// under `tree`'s probabilities: a kernel whose events or placeholder
-/// optima moved is replaced by a repriced copy; the others stay shared.
-void reprice_kernels(const ft::FaultTree& tree, StratifiedPlan& plan,
-                     double weight_scale);
+/// Brings `plan` (made for `tree`'s shape, under `weight_scale`) up to
+/// date in place after the probabilities of `events` changed: each
+/// event's head, then the Gates above it while their head's cost moves. A
+/// kernel leaf on the way (the event itself, or a collapsed sub-module's
+/// root) takes its new cost and probability in its kernel, and `moved[j]`
+/// is set when stratum j's costs moved. Returns how many Gates it
+/// recomposed.
+std::size_t reprice(const ft::FaultTree& tree, StratifiedPlan& plan,
+                    std::span<const ft::EventIndex> events,
+                    double weight_scale, std::vector<bool>& moved);
 
 /// What one frontier module contributes to a composition: its cheapest
 /// cuts (original event indices) with their costs, cheapest first.
@@ -215,9 +290,6 @@ class Composer {
     std::span<const Entry> list;
     bool exact = true;
     ScaledCutCost lower;
-
-    /// The child may fire: it has a cut, or its search is undecided.
-    bool live() const noexcept { return !list.empty() || !exact; }
   };
 
   void evaluate(ft::NodeIndex gate);
@@ -227,7 +299,6 @@ class Composer {
                             const ChildList& child,
                             const std::vector<Entry>& kept = {});
   std::vector<Entry> choose(std::uint32_t threshold);
-  Entry cheapest(std::uint32_t threshold);
 
   const ft::FaultTree& tree_;
   std::span<const FrontierList> frontier_;
@@ -244,7 +315,7 @@ class Composer {
   std::vector<ft::NodeIndex> last_parent_;
   std::vector<ChildList> children_;  ///< Scratch for evaluate().
   std::vector<Entry> singles_;       ///< Scratch: event children's lists.
-  std::vector<ScaledCutCost> lowers_;  ///< Scratch for evaluate().
+  std::vector<Head> heads_;            ///< Scratch: children_'s heads.
   std::vector<std::uint32_t> picks_;   ///< Scratch for cheapest().
 };
 
@@ -254,10 +325,18 @@ Composition compose(const ft::FaultTree& tree, const StratifiedPlan& plan,
                     std::span<const FrontierList> frontier, std::size_t k,
                     double weight_scale, const util::CancelTokenPtr& cancel);
 
-/// The cheapest cut of the tree that the kernel cut `cut` (kernel events)
-/// stands for: its events joined with each placeholder's optimum cut.
-FrontierList expand(const ft::FaultTree& tree, const Kernel& kernel,
-                    const ft::CutSet& cut);
+/// A frontier module's k = 1 answer: its head and, when the head has a
+/// cut, the kernel cut (kernel events) it stands for.
+struct FrontierHead {
+  Head head;
+  ft::CutSet kernel_cut;
+};
+
+/// The tree's cheapest cut: the top's head (the spine composed from the
+/// table and `frontier`, indexed like plan.strata), its picks followed
+/// down to the events. At most one cut.
+Composition compose_head(const ft::FaultTree& tree, const StratifiedPlan& plan,
+                         std::span<const FrontierHead> frontier);
 
 /// The k cheapest cuts of the tree that the kernel cut `cut` stands for,
 /// cheapest first: its events joined with one cut of each placeholder's

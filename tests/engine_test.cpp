@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "bdd/fta_bdd.hpp"
 #include "engine/analysis_engine.hpp"
@@ -540,6 +543,64 @@ TEST(AnalysisEngine, InlineTreeWithDeltaAnswersTheEditedTree) {
       EXPECT_EQ(result.mpmcs.scaled_cost, cold.scaled_cost) << context;
       EXPECT_EQ(result.mpmcs.cut, cold.cut) << context;
     }
+  }
+}
+
+// A weight delta edits the resource's live tree, but only once every op
+// has checked out: a refused one leaves the tree, its version and its
+// next answer as they were, and words the refusal as before.
+TEST(AnalysisEngine, RefusedInPlaceDeltaLeavesTheResourceUntouched) {
+  AnalysisEngine engine;
+  const std::string id = engine.create_tree(
+      ft::parse_fault_tree("toplevel TOP;\n"
+                           "TOP or M1 M2;\n"
+                           "M1 and X1 Y1;\nX1 or a b;\nY1 or a c;\n"
+                           "M2 and d e;\n"
+                           "a prob=0.1; b prob=0.2; c prob=0.3;\n"
+                           "d prob=0.1; e prob=0.05;\n"),
+      core::PipelineOptions{});
+  const auto run = [&](std::optional<ft::TreeDelta> delta) {
+    AnalysisRequest req;
+    req.id = "resource";
+    req.tree_id = id;
+    req.delta = std::move(delta);
+    return engine.submit(std::move(req)).get();
+  };
+  const AnalysisResult before = run(std::nullopt);
+  ASSERT_TRUE(before.ok) << before.error;
+  std::string text_before;
+  const std::optional<TreeResourceInfo> info_before =
+      engine.tree_info(id, &text_before);
+  ASSERT_TRUE(info_before.has_value());
+
+  ft::TreeDelta out_of_range;
+  out_of_range.ops = {ft::TreeDelta::weight("a", 0.5),
+                      ft::TreeDelta::weight("b", 1.5)};
+  ft::TreeDelta unknown;
+  unknown.ops = {ft::TreeDelta::weight("a", 0.5),
+                 ft::TreeDelta::toggle("nosuch", false)};
+  const std::pair<ft::TreeDelta, std::string> cases[] = {
+      {out_of_range, "probability of 'b' out of [0,1]: 1.500000"},
+      {unknown, "unknown event 'nosuch'"},
+  };
+  for (const auto& [delta, error] : cases) {
+    const AnalysisResult refused = run(delta);
+    EXPECT_EQ(refused.refusal, Refusal::BadDelta) << error;
+    EXPECT_EQ(refused.error, error);
+    EXPECT_FALSE(refused.delta_applied) << error;
+    std::string text;
+    const std::optional<TreeResourceInfo> info = engine.tree_info(id, &text);
+    ASSERT_TRUE(info.has_value()) << error;
+    EXPECT_EQ(text, text_before) << error;
+    EXPECT_EQ(info->version, info_before->version) << error;
+    EXPECT_EQ(info->edits, info_before->edits) << error;
+    const AnalysisResult after = run(std::nullopt);
+    ASSERT_TRUE(after.ok) << error << ": " << after.error;
+    EXPECT_EQ(after.tree_version, before.tree_version) << error;
+    EXPECT_EQ(after.mpmcs.cut, before.mpmcs.cut) << error;
+    EXPECT_EQ(after.mpmcs.scaled_cost, before.mpmcs.scaled_cost) << error;
+    EXPECT_EQ(after.mpmcs.probability, before.mpmcs.probability) << error;
+    EXPECT_EQ(after.cut_names, before.cut_names) << error;
   }
 }
 

@@ -23,6 +23,7 @@
 #include "ft/tree_delta.hpp"
 #include "gen/generator.hpp"
 #include "maxsat/incremental.hpp"
+#include "sat/solver.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -273,6 +274,198 @@ TEST(MutationDifferential, SessionMemoryBoundedAcross1000Edits) {
   // Cap plus slack for engines rebuilt since the last shed.
   EXPECT_LE(prepared.session->memory_bytes_estimate(),
             2 * opts.incremental_memory_cap_bytes);
+}
+
+/// A fresh prepare of `tree` builds the head table and kernel costs that
+/// the edits left in `warm`.
+void expect_fresh_heads(const core::MpmcsPipeline& pipeline,
+                        const ft::FaultTree& tree,
+                        const core::PreparedInstance& warm,
+                        const std::string& context) {
+  const core::PreparedInstance cold = pipeline.prepare(tree);
+  ASSERT_EQ(warm.strata == nullptr, cold.strata == nullptr) << context;
+  if (!cold.strata) return;
+  EXPECT_TRUE(warm.strata->heads == cold.strata->heads) << context;
+  EXPECT_EQ(warm.strata->spine, cold.strata->spine) << context;
+  ASSERT_EQ(warm.strata->strata.size(), cold.strata->strata.size())
+      << context;
+  for (std::size_t j = 0; j < cold.strata->strata.size(); ++j) {
+    EXPECT_EQ(warm.strata->strata[j].kernel->cost,
+              cold.strata->strata[j].kernel->cost)
+        << context << " kernel " << j;
+  }
+}
+
+/// One model family of the warm-equals-cold sweep.
+struct EditedModel {
+  std::string name;
+  ft::FaultTree tree;
+  bool tree_shaped = false;
+};
+
+std::vector<EditedModel> edited_models(std::uint64_t seed) {
+  std::vector<EditedModel> out;
+  for (const double votes : {0.0, 0.2}) {
+    gen::GeneratorOptions g;
+    g.num_events = 20 + static_cast<std::uint32_t>(seed % 40);
+    g.vote_fraction = votes;
+    out.push_back({"tree" + std::string(votes > 0 ? "+votes" : ""),
+                   gen::random_tree(g, seed), true});
+  }
+  gen::LadderOptions l;
+  l.subsystems = 2 + static_cast<std::uint32_t>(seed % 4);
+  l.members = 3 + static_cast<std::uint32_t>(seed % 3);
+  l.k = 2;
+  l.nested = seed % 2 == 1;
+  l.combine = seed % 3 == 0   ? ft::NodeType::Or
+              : seed % 3 == 1 ? ft::NodeType::And
+                              : ft::NodeType::Vote;
+  out.push_back({"ladder", gen::ladder_tree(l, seed), true});
+  {
+    // Every fifth event certain and every seventh impossible.
+    gen::GeneratorOptions g;
+    g.num_events = 30;
+    g.vote_fraction = 0.2;
+    ft::FaultTree tree = gen::random_tree(g, seed);
+    for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
+      if (e % 5 == 0) tree.set_event_probability(e, 1.0);
+      if (e % 7 == 0) tree.set_event_probability(e, 0.0);
+    }
+    out.push_back({"p0/p1", std::move(tree), true});
+  }
+  for (const double sharing : {0.02, 0.05, 0.1}) {
+    gen::GeneratorOptions g;
+    g.num_events = 40 + static_cast<std::uint32_t>(seed % 30);
+    g.sharing = sharing;
+    g.vote_fraction = seed % 2 == 0 ? 0.0 : 0.1;
+    out.push_back({"dag" + std::to_string(sharing), gen::random_tree(g, seed),
+                   false});
+  }
+  return out;
+}
+
+// After every edit of a random script, the warm artefact answers what a
+// cold solve answers (the same cut on tree-shaped models, where ties
+// break alike), and its head table is the one a fresh prepare builds.
+TEST(MutationDifferential, WarmAnswersAndHeadsEqualColdOnes) {
+  const core::PipelineOptions opts;
+  const core::MpmcsPipeline pipeline(opts);
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    for (EditedModel& m : edited_models(seed)) {
+      ft::FaultTree tree = std::move(m.tree);
+      core::PreparedInstance prepared = pipeline.prepare(tree);
+      util::Rng rng(0x4eadull * (seed + 1));
+      for (int step = 0; step < 5; ++step) {
+        const std::string context = m.name + " seed " +
+                                    std::to_string(seed) + " step " +
+                                    std::to_string(step);
+        const ft::TreeDelta delta = random_delta(
+            tree, rng, "w" + std::to_string(seed) + "x" + std::to_string(step),
+            true);
+        ft::FaultTree next = ft::apply_delta(tree, delta);
+        pipeline.apply_delta(next, delta, prepared);
+        tree = std::move(next);
+        const core::MpmcsSolution warm =
+            pipeline.solve_prepared(tree, prepared);
+        const core::MpmcsSolution cold = pipeline.solve(tree);
+        ASSERT_EQ(warm.status, maxsat::MaxSatStatus::Optimal) << context;
+        ASSERT_EQ(cold.status, maxsat::MaxSatStatus::Optimal) << context;
+        EXPECT_EQ(warm.scaled_cost, cold.scaled_cost) << context;
+        if (m.tree_shaped) EXPECT_EQ(warm.cut, cold.cut) << context;
+        expect_fresh_heads(pipeline, tree, prepared, context);
+      }
+    }
+  }
+}
+
+// A weight edit recomposes only the gates above the events it touched:
+// on a 10^5-event pure tree, at most depth(e) + 1 per touched event e
+// (the count is DeltaApplication's, not a timer's).
+TEST(MutationDifferential, WeightEditRecomposesOnlyThePathAboveIt) {
+  gen::GeneratorOptions g;
+  g.num_events = 100000;
+  g.vote_fraction = 0.1;
+  ft::FaultTree tree = gen::random_tree(g, 2205);
+  const core::MpmcsPipeline pipeline;
+  core::PreparedInstance prepared = pipeline.prepare(tree);
+  ASSERT_NE(prepared.strata, nullptr);
+  ASSERT_TRUE(prepared.strata->strata.empty()) << "a pure tree has no kernel";
+  // Gates above each node: every node of a pure tree has one parent.
+  std::vector<std::size_t> depth(tree.num_nodes(), 0);
+  std::vector<ft::NodeIndex> stack{tree.top()};
+  while (!stack.empty()) {
+    const ft::NodeIndex n = stack.back();
+    stack.pop_back();
+    for (const ft::NodeIndex c : tree.node(n).children) {
+      depth[c] = depth[n] + 1;
+      stack.push_back(c);
+    }
+  }
+  util::Rng rng(0xdee9ull);
+  std::size_t recomposed = 0;
+  for (int i = 0; i < 50; ++i) {
+    ft::TreeDelta delta;
+    std::size_t bound = 0;
+    for (std::uint64_t o = 0; o < 1 + rng.below(3); ++o) {
+      const auto e = static_cast<ft::EventIndex>(rng.below(tree.num_events()));
+      delta.ops.push_back(
+          ft::TreeDelta::weight(tree.event(e).name, rng.uniform(0.01, 0.99)));
+      bound += depth[tree.event_node(e)] + 1;
+    }
+    ft::FaultTree next = ft::apply_delta(tree, delta);
+    const core::DeltaApplication st =
+        pipeline.apply_delta(next, delta, prepared);
+    tree = std::move(next);
+    EXPECT_TRUE(st.weight_only);
+    EXPECT_LE(st.gates_recomposed, bound) << "edit " << i;
+    recomposed += st.gates_recomposed;
+  }
+  EXPECT_GT(recomposed, 0u);
+  const core::MpmcsSolution warm = pipeline.solve_prepared(tree, prepared);
+  const core::MpmcsSolution cold = pipeline.solve(tree);
+  ASSERT_EQ(warm.status, maxsat::MaxSatStatus::Optimal);
+  EXPECT_EQ(warm.scaled_cost, cold.scaled_cost);
+  EXPECT_EQ(warm.cut, cold.cut);
+  expect_fresh_heads(pipeline, tree, prepared, "10^5-event tree");
+}
+
+// An edit whose walk ends below the top without reaching a kernel
+// reuses every kernel, and the re-solve makes no SAT call.
+TEST(MutationDifferential, WalkThatMissesEveryKernelRunsNoSearch) {
+  const core::PipelineOptions opts;
+  const core::MpmcsPipeline pipeline(opts);
+  ft::FaultTree tree = ft::parse_fault_tree(
+      "toplevel TOP;\n"
+      "TOP or M1 M2 P;\n"
+      "M1 and X1 Y1;\nX1 or a b;\nY1 or a c;\n"
+      "M2 and X2 Y2;\nX2 or d e;\nY2 or d f;\n"
+      "P and Q r;\nQ or p q;\n"
+      "a prob=0.1; b prob=0.2; c prob=0.3;\n"
+      "d prob=0.1; e prob=0.05; f prob=0.02;\n"
+      "p prob=0.01; q prob=0.02; r prob=0.03;\n");
+  core::PreparedInstance prepared = pipeline.prepare(tree);
+  ASSERT_NE(prepared.strata, nullptr);
+  ASSERT_EQ(prepared.strata->strata.size(), 2u);
+  ASSERT_EQ(pipeline.solve_prepared(tree, prepared).status,
+            maxsat::MaxSatStatus::Optimal);
+  for (const double p : {0.5, 0.001, 0.9}) {
+    ft::TreeDelta delta;
+    delta.ops.push_back(ft::TreeDelta::weight("p", p));
+    ft::FaultTree next = ft::apply_delta(tree, delta);
+    const core::DeltaApplication st =
+        pipeline.apply_delta(next, delta, prepared);
+    tree = std::move(next);
+    EXPECT_EQ(st.strata_total, 2u);
+    EXPECT_EQ(st.strata_reused, st.strata_total);
+    EXPECT_EQ(st.strata_reweighted, 0u);
+    const std::uint64_t calls = sat::Solver::global_solve_calls();
+    const core::MpmcsSolution warm = pipeline.solve_prepared(tree, prepared);
+    EXPECT_EQ(sat::Solver::global_solve_calls(), calls) << "p = " << p;
+    const core::MpmcsSolution cold = pipeline.solve(tree);
+    ASSERT_EQ(warm.status, maxsat::MaxSatStatus::Optimal);
+    EXPECT_EQ(warm.scaled_cost, cold.scaled_cost) << "p = " << p;
+    EXPECT_EQ(warm.cut, cold.cut) << "p = " << p;
+  }
 }
 
 }  // namespace

@@ -810,6 +810,68 @@ TEST(TreeResources, TenantQuotaAndGlobalLruEviction) {
   EXPECT_EQ(tsec->get_number("active", -1), 2);
 }
 
+TEST(TreeResources, CreateAtTheCapAndOtherReadsDoNotWaitForASolve) {
+  // A PATCH holds its resource's lock through the solve, here over a
+  // second: every SAT call of its kernel's search sleeps 600 ms. The
+  // eviction of a create at the cap reads every resource's counters, and
+  // another tenant's GET meets the ownership lock that eviction holds;
+  // neither may wait for the solve.
+  if (!util::failpoints_compiled()) {
+    GTEST_SKIP() << "build without MPMCS_FAILPOINTS";
+  }
+  ServiceOptions opts = test_options();
+  opts.max_trees = 2;
+  SolveService svc(opts);
+  const auto create = [&svc](const std::string& tenant,
+                             const std::string& tree) {
+    return svc.handle(req("POST", "/v1/trees", solve_body(tenant, tree)));
+  };
+  // M1's kernel needs search: a is shared by X1 and Y1.
+  const HttpResponse searched = create(
+      "a",
+      "toplevel TOP;\nTOP or M1 M2;\nM1 and X1 Y1;\nX1 or a b;\n"
+      "Y1 or a c;\nM2 and d e;\n"
+      "a prob=0.1; b prob=0.2; c prob=0.3; d prob=0.1; e prob=0.05;\n");
+  ASSERT_EQ(searched.status, 201) << searched.body;
+  const std::string held =
+      util::JsonValue::parse(searched.body).get_string("id", "");
+  const HttpResponse other = create("b", named_tree_text());
+  ASSERT_EQ(other.status, 201) << other.body;
+  const std::string other_id =
+      util::JsonValue::parse(other.body).get_string("id", "");
+
+  util::configure_failpoints("sat.solve=delay(600)");
+  std::thread patch([&] {
+    svc.handle(req("PATCH", "/v1/trees/" + held,
+                   "{\"tenant\": \"a\", \"deadline_ms\": 1000, \"delta\": "
+                   "[{\"op\": \"weight\", \"event\": \"a\", "
+                   "\"probability\": 0.4}]}"));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  const auto timed = [](auto&& call) {
+    const auto start = std::chrono::steady_clock::now();
+    call();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  HttpResponse capped;
+  double create_seconds = 0.0;
+  std::thread creator([&] {
+    create_seconds = timed([&] { capped = create("c", ladder_text()); });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const double get_seconds = timed([&] {
+    svc.handle(req("GET", "/v1/trees/" + other_id, "{\"tenant\": \"b\"}"));
+  });
+  creator.join();
+  patch.join();
+  util::clear_failpoints();
+  EXPECT_EQ(capped.status, 201) << capped.body;
+  EXPECT_LT(create_seconds, 0.2);
+  EXPECT_LT(get_seconds, 0.2);
+}
+
 // --- pinned answers -------------------------------------------------------
 
 /// `body` with the value of every `key` member (of every member when
