@@ -160,17 +160,12 @@ void apply_weights(FaultTree& tree, std::span<const DeltaOp> ops) {
 FaultTree apply_delta(const FaultTree& tree, const TreeDelta& delta) {
   FaultTree out = tree;
   try {
-    // Each run of weight ops, then the splice that ends it.
-    std::span<const DeltaOp> ops = delta.ops;
-    while (!ops.empty()) {
-      const auto splice =
-          std::find_if(ops.begin(), ops.end(), [](const DeltaOp& op) {
-            return op.kind == DeltaOpKind::SubtreeReplace;
-          });
-      apply_weights(out, {ops.begin(), splice});
-      if (splice == ops.end()) break;
-      apply_replace(out, *splice);
-      ops = {splice + 1, ops.end()};
+    for (const DeltaOp& op : delta.ops) {
+      if (op.kind == DeltaOpKind::SubtreeReplace) {
+        apply_replace(out, op);
+      } else {
+        apply_weights(out, {&op, 1});
+      }
     }
     out.validate();
   } catch (const ValidationError& e) {
