@@ -75,10 +75,10 @@ std::atomic<std::uint64_t> g_prepare_calls{0};
 /// MpmcsPipeline::escalations).
 std::atomic<std::uint64_t> g_escalations{0};
 
-/// The events reachable from the top gate. A superset of the events the
-/// built formula mentions only in degenerate cases, and a superset is
-/// harmless for reweighting: a soft on an unconstrained variable is
-/// always satisfiable and never changes the optimum.
+/// The events reachable from the top gate: the events that carry a soft
+/// clause. On a validated tree they equal the events the built formula
+/// mentions (no gate is empty and no vote threshold leaves [1, n], so the
+/// formula store folds no event away).
 std::vector<bool> reachable_events(const ft::FaultTree& tree) {
   std::vector<bool> used(tree.num_events(), false);
   if (!tree.has_top()) return used;
@@ -180,22 +180,6 @@ maxsat::WcnfInstance MpmcsPipeline::build_weighted(
   // solver minimises the (weighted) set of occurring events.
   logic::FormulaStore store;
   const logic::NodeId fault = tree.to_formula(store);
-  // Which events the formula actually mentions: softs are only emitted
-  // for those.
-  std::vector<bool> used(tree.num_events(), false);
-  {
-    std::vector<logic::NodeId> stack{fault};
-    std::unordered_map<logic::NodeId, bool> seen;
-    while (!stack.empty()) {
-      const logic::NodeId id = stack.back();
-      stack.pop_back();
-      if (seen.count(id)) continue;
-      seen.emplace(id, true);
-      const auto& n = store.node(id);
-      if (n.kind == logic::NodeKind::Var) used[n.payload] = true;
-      for (logic::NodeId c : n.children) stack.push_back(c);
-    }
-  }
 
   // Reserve variable indices for every basic event (the formula may not
   // mention all of them; Tseitin auxiliaries must start above the event
@@ -219,7 +203,7 @@ maxsat::WcnfInstance MpmcsPipeline::build_weighted(
   // p == 0 get the "forbidden" weight: worse than every possible
   // combination of ordinary events, so they are only chosen when
   // unavoidable.
-  rebuild_softs(costs, used, instance);
+  rebuild_softs(costs, reachable_events(tree), instance);
   return instance;
 }
 
@@ -285,7 +269,7 @@ preprocess::PreprocessOptions effective_preprocess_options(
 /// Step 5 by one solver: the session's engine for Oll and Lsu when the
 /// caller holds the session, else a fresh stateless solver on `working`.
 /// Under Oll a fragmentation-latched session engine (hit
-/// OllOptions::core_ceiling on an earlier solve of this structure) would
+/// maxsat::kOllCoreCeiling on an earlier solve of this structure) would
 /// burn the whole budget again, so the solve diverts to LSU, whose
 /// counting encoding is immune to core fragmentation. The divert lives
 /// here rather than inside solve_oll because races drive the OLL and LSU

@@ -325,10 +325,8 @@ PreparedTreePtr AnalysisEngine::prepared_for(
     result.cache_hit = true;
     return prepared;
   }
-  util::Timer build;
   auto built = std::make_shared<PreparedTree>();
   built->prepared = pipeline.prepare(request.tree);
-  built->build_seconds = build.seconds();
   // If a concurrent miss on the same key inserted first, adopt that
   // entry (keeping its memoized solutions) and drop ours.
   return cache_.insert(key, std::move(built));

@@ -39,7 +39,6 @@ namespace fta::engine {
 /// solver-independent; a memoized solution is keyed by outcome_key.
 struct PreparedTree {
   core::PreparedInstance prepared;
-  double build_seconds = 0.0;  ///< Transformation cost this entry saved.
 
   mutable std::mutex memo_mutex;
   mutable std::unordered_map<std::string, core::MpmcsSolution> solutions;

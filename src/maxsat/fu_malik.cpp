@@ -11,6 +11,13 @@ namespace fta::maxsat {
 using logic::Clause;
 using logic::Lit;
 
+namespace {
+/// Clause-growth budget: clause splitting adds clauses every core, so
+/// adversarial (wide-core) instances are abandoned with Unknown instead of
+/// thrashing memory; the portfolio's other members cover them.
+constexpr std::size_t kMaxAddedClauses = 4'000'000;
+}  // namespace
+
 MaxSatResult FuMalikSolver::solve(const WcnfInstance& instance,
                                   util::CancelTokenPtr cancel) {
   util::Timer timer;
@@ -51,14 +58,11 @@ MaxSatResult FuMalikSolver::solve(const WcnfInstance& instance,
   for (const auto& s : instance.soft()) add_working_soft(s.lits, s.weight);
 
   Weight lower_bound = 0;
-  std::uint64_t iterations = 0;
   std::size_t clauses_added = 0;
   std::vector<Lit> assumptions;
 
   while (true) {
     if (cancel && cancel->cancelled()) break;
-    if (opts_.max_iterations != 0 && iterations >= opts_.max_iterations) break;
-    ++iterations;
 
     assumptions.clear();
     for (const auto& s : softs) {
@@ -127,7 +131,7 @@ MaxSatResult FuMalikSolver::solve(const WcnfInstance& instance,
     // Cloning grows the formula every iteration; give up honestly instead
     // of thrashing memory on instances where WPM1 is the wrong tool.
     clauses_added += relaxers.size() * 4 + core.size();
-    if (clauses_added > opts_.max_added_clauses) break;
+    if (clauses_added > kMaxAddedClauses) break;
   }
 
   res.status = MaxSatStatus::Unknown;

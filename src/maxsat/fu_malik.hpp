@@ -16,11 +16,6 @@ namespace fta::maxsat {
 
 struct FuMalikOptions {
   sat::SolverOptions sat;
-  std::uint64_t max_iterations = 0;  ///< 0 = unlimited.
-  /// Clause-growth budget: clause splitting adds clauses every core, so
-  /// adversarial (wide-core) instances are abandoned with Unknown instead
-  /// of thrashing memory; the portfolio's other members cover them.
-  std::size_t max_added_clauses = 4'000'000;
 };
 
 class FuMalikSolver final : public MaxSatSolver {

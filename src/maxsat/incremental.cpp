@@ -17,7 +17,6 @@ IncrementalOll::IncrementalOll(std::shared_ptr<const WcnfInstance> instance,
                                OllOptions opts)
     : inst_(std::move(instance)), opts_(opts), sat_(opts.sat) {
   sat_.ensure_vars(inst_->num_vars());
-  for (logic::Var v = 0; v < inst_->num_vars(); ++v) sat_.set_frozen(v, true);
   for (const auto& c : inst_->hard()) {
     if (!sat_.add_clause(c)) {
       dead_ = true;
@@ -34,7 +33,6 @@ IncrementalOll::IncrementalOll(std::shared_ptr<const WcnfInstance> instance,
       assume = s.lits[0];
     } else {
       const Lit b = Lit::pos(sat_.new_var());
-      sat_.set_frozen(b.var(), true);
       logic::Clause relaxed = s.lits;
       relaxed.push_back(b);
       sat_.add_clause(relaxed);
@@ -241,12 +239,9 @@ MaxSatResult IncrementalOll::run(State& st, std::span<const Lit> context,
   util::Timer timer;
   MaxSatResult res;
   res.solver_name = "oll-inc";
-  std::uint64_t iterations = 0;
 
   while (true) {
     if (cancel && cancel->cancelled()) break;
-    if (opts_.max_iterations != 0 && iterations >= opts_.max_iterations) break;
-    ++iterations;
 
     std::span<const Lit> assumptions;
     if (context.empty()) {
@@ -277,7 +272,7 @@ MaxSatResult IncrementalOll::run(State& st, std::span<const Lit> context,
       return res;
     }
 
-    if (opts_.core_ceiling != 0 && res.cores >= opts_.core_ceiling) {
+    if (res.cores >= kOllCoreCeiling) {
       // Weight-fragmentation pathology: give up before transforming yet
       // another near-equal-weight core, and remember the diagnosis so
       // callers stop routing this structure at OLL.
@@ -364,9 +359,8 @@ MaxSatResult IncrementalOll::run(State& st, std::span<const Lit> context,
 
 IncrementalLsu::IncrementalLsu(std::shared_ptr<const WcnfInstance> instance,
                                LsuOptions opts)
-    : inst_(std::move(instance)), opts_(opts), sat_(opts.sat) {
+    : inst_(std::move(instance)), sat_(opts.sat) {
   sat_.ensure_vars(inst_->num_vars());
-  for (logic::Var v = 0; v < inst_->num_vars(); ++v) sat_.set_frozen(v, true);
   for (const auto& c : inst_->hard()) {
     if (!sat_.add_clause(c)) {
       dead_ = true;
@@ -379,7 +373,6 @@ IncrementalLsu::IncrementalLsu(std::shared_ptr<const WcnfInstance> instance,
       indicators_.emplace_back(~s.lits[0], s.weight);
     } else {
       const Lit v = Lit::pos(sat_.new_var());
-      sat_.set_frozen(v.var(), true);
       logic::Clause c = s.lits;
       c.push_back(v);
       sat_.add_clause(c);
@@ -441,13 +434,10 @@ MaxSatResult IncrementalLsu::solve_impl(std::span<const Lit> context,
   }
 
   const std::size_t context_prefix = assumptions.size();
-  std::uint64_t iterations = 0;
   [[maybe_unused]] bool have_bound = false;
 
   while (true) {
     if (cancel && cancel->cancelled()) break;
-    if (opts_.max_iterations != 0 && iterations >= opts_.max_iterations) break;
-    ++iterations;
 
     ++res.sat_calls;
     const sat::SolveResult r = sat_.solve(assumptions);
@@ -490,10 +480,8 @@ MaxSatResult IncrementalLsu::solve_impl(std::span<const Lit> context,
     if (!gte_ && !gte_failed_) {
       constexpr std::uint32_t kMaxBuildAttempts = 2;
       ++gte_build_attempts_;
-      gte_ = GeneralizedTotalizer::build(sat_, indicators_,
-                                         opts_.max_encoding_outputs,
-                                         opts_.max_encoding_clauses,
-                                         cancel.get());
+      gte_ = GeneralizedTotalizer::build(sat_, indicators_, kLsuOutputBudget,
+                                         kLsuClauseBudget, cancel.get());
       if (gte_) {
         // The order chain makes upper bounds a single assumption literal
         // (retractable) instead of destructive unit clauses.
@@ -535,10 +523,7 @@ IncrementalSolveSession::IncrementalSolveSession(
 
 IncrementalSolveSession::Guard IncrementalSolveSession::try_acquire() {
   std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    return Guard();
-  }
+  if (!lock.owns_lock()) return Guard();
   Guard guard;
   guard.session_ = this;
   guard.lock_ = std::move(lock);
@@ -558,15 +543,7 @@ bool IncrementalSolveSession::rebase(
   // let the next solve rebuild it (and re-judge its budget) lazily.
   lsu_.reset();
   lsu_failed_.store(false);
-  if (oll_) {
-    const std::uint64_t patched_before = oll_->patched_rebases();
-    if (!oll_->rebase(inst_)) {
-      oll_.reset();
-    } else if (oll_->patched_rebases() != patched_before) {
-      patched_rebases_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  rebases_.fetch_add(1, std::memory_order_relaxed);
+  if (oll_ && !oll_->rebase(inst_)) oll_.reset();
   maybe_shed_memory();
   return true;
 }
@@ -574,13 +551,7 @@ bool IncrementalSolveSession::rebase(
 SessionStats IncrementalSolveSession::stats() const {
   SessionStats s;
   s.solves = solves_.load(std::memory_order_relaxed);
-  s.oll_solves = oll_solves_.load(std::memory_order_relaxed);
-  s.lsu_solves = lsu_solves_.load(std::memory_order_relaxed);
-  s.contexts = contexts_.load(std::memory_order_relaxed);
   s.resets = resets_.load(std::memory_order_relaxed);
-  s.rebases = rebases_.load(std::memory_order_relaxed);
-  s.patched_rebases = patched_rebases_.load(std::memory_order_relaxed);
-  s.fallbacks = fallbacks_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -651,7 +622,6 @@ MaxSatResult IncrementalSolveSession::Guard::solve_oll(
   }
   MaxSatResult res = engine.solve(context, std::move(cancel));
   session_->solves_.fetch_add(1, std::memory_order_relaxed);
-  session_->oll_solves_.fetch_add(1, std::memory_order_relaxed);
   return res;
 }
 
@@ -667,13 +637,11 @@ MaxSatResult IncrementalSolveSession::Guard::solve_lsu(
   MaxSatResult res = engine.solve(context, std::move(cancel));
   if (engine.encoding_failed()) session_->lsu_failed_.store(true);
   session_->solves_.fetch_add(1, std::memory_order_relaxed);
-  session_->lsu_solves_.fetch_add(1, std::memory_order_relaxed);
   return res;
 }
 
 bool IncrementalSolveSession::Guard::lsu_useful() const {
   assert(session_);
-  if (!session_->opts_.enable_lsu) return false;
   if (session_->lsu_failed_.load()) return false;
   return !(session_->lsu_ && session_->lsu_->encoding_failed());
 }
@@ -718,7 +686,6 @@ void IncrementalSolveSession::Guard::end_context() {
   s->lsu_selector_ = logic::kNoLit;
   s->context_clauses_.clear();
   s->in_context_ = false;
-  s->contexts_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace fta::maxsat

@@ -24,6 +24,9 @@
 //     request. Sessions are single-owner at a time (try_acquire); callers
 //     that lose the race fall back to stateless solvers.
 //
+// The stateless OllSolver and LsuSolver are these engines solved once and
+// discarded, so each algorithm has one implementation.
+//
 // Soundness notes. Everything the engines add to their solvers is either
 // definitional over fresh variables (totalizer outputs, soft relaxers,
 // order chains) or guarded by an activation selector, so the clause
@@ -92,7 +95,7 @@ class IncrementalOll {
   /// re-solve is a single (cheap) verification SAT call.
   bool base_converged() const noexcept { return base_optimal_; }
 
-  /// A solve hit OllOptions::core_ceiling: the instance fragments its
+  /// A solve hit kOllCoreCeiling: the instance fragments its
   /// optimum across too many cores for core-guided search to pay off.
   /// Sticky — callers should route this structure to LSU instead.
   bool fragmented() const noexcept { return fragmented_; }
@@ -167,7 +170,6 @@ class IncrementalLsu {
                           const util::CancelTokenPtr& cancel);
 
   std::shared_ptr<const WcnfInstance> inst_;
-  LsuOptions opts_;
   sat::Solver sat_;
   std::vector<std::pair<logic::Lit, Weight>> indicators_;
   std::optional<GeneralizedTotalizer> gte_;
@@ -189,19 +191,11 @@ struct IncrementalOptions {
   /// lazily rebuilt — learnt clauses and totalizers are a cache, not
   /// state the correctness depends on.
   std::size_t memory_cap_bytes = std::size_t{256} << 20;
-  bool enable_lsu = true;
 };
 
 struct SessionStats {
   std::uint64_t solves = 0;       ///< Engine solve() calls, total.
-  std::uint64_t oll_solves = 0;
-  std::uint64_t lsu_solves = 0;
-  std::uint64_t contexts = 0;     ///< Retired blocking contexts.
   std::uint64_t resets = 0;       ///< Memory-cap engine rebuilds.
-  std::uint64_t rebases = 0;      ///< Weight-only instance swaps.
-  std::uint64_t patched_rebases = 0;  ///< Rebases that kept the OLL charge
-                                      ///< history (in-place weight patch).
-  std::uint64_t fallbacks = 0;    ///< try_acquire lost to a concurrent owner.
 };
 
 /// The per-prepared-instance persistent solving state. Owned by
@@ -315,13 +309,7 @@ class IncrementalSolveSession {
   std::atomic<std::size_t> memory_estimate_{0};
 
   std::atomic<std::uint64_t> solves_{0};
-  std::atomic<std::uint64_t> oll_solves_{0};
-  std::atomic<std::uint64_t> lsu_solves_{0};
-  std::atomic<std::uint64_t> contexts_{0};
   std::atomic<std::uint64_t> resets_{0};
-  std::atomic<std::uint64_t> rebases_{0};
-  std::atomic<std::uint64_t> patched_rebases_{0};
-  std::atomic<std::uint64_t> fallbacks_{0};
 };
 
 using IncrementalSessionPtr = std::shared_ptr<IncrementalSolveSession>;

@@ -1,6 +1,6 @@
 // LSU: linear SAT-UNSAT (solution-improving) Weighted Partial MaxSAT.
 //
-// Finds any hard-model, reads off its soft cost, asserts "total violated
+// Finds any hard-model, reads off its soft cost, bounds "total violated
 // weight <= cost - 1" through a generalized totalizer, and repeats until
 // UNSAT: the last model is optimal. Strong when good models are easy to
 // find; the weighted counting encoding can grow combinatorially for many
@@ -9,17 +9,20 @@
 // portfolio the core-guided members cover that regime.
 #pragma once
 
+#include <cstddef>
+
 #include "maxsat/solver.hpp"
 #include "sat/solver.hpp"
 
 namespace fta::maxsat {
 
+/// Budgets for LSU's generalized-totalizer encoding: distinct sums and
+/// emitted clauses.
+inline constexpr std::size_t kLsuOutputBudget = 100'000;
+inline constexpr std::size_t kLsuClauseBudget = 2'000'000;
+
 struct LsuOptions {
   sat::SolverOptions sat;
-  /// Budgets for the generalized-totalizer encoding.
-  std::size_t max_encoding_outputs = 100'000;
-  std::size_t max_encoding_clauses = 2'000'000;
-  std::uint64_t max_iterations = 0;  ///< 0 = unlimited.
 };
 
 class LsuSolver final : public MaxSatSolver {

@@ -9,30 +9,30 @@
 // with fine-grained log-probability weights.
 #pragma once
 
+#include <cstdint>
+
 #include "maxsat/solver.hpp"
 #include "sat/solver.hpp"
 
 namespace fta::maxsat {
 
+/// Ceiling on cores discovered within one solve. Nested vote gates
+/// lowered by expansion can fragment the optimum across thousands of
+/// near-equal-weight cores — OLL then burns its whole budget re-cutting
+/// the same counting structure (healthy fault-tree instances discover
+/// well under a hundred). Hitting the ceiling latches the engine as
+/// fragmented and returns Unknown quickly, so a portfolio race moves on
+/// and the session pipeline diverts the request to LSU (see
+/// MpmcsPipeline::solve_step5).
+inline constexpr std::uint64_t kOllCoreCeiling = 2000;
+
 struct OllOptions {
   sat::SolverOptions sat;
-  /// Optional hard cap on core iterations (0 = unlimited); exceeded =>
-  /// Unknown. A safety valve for adversarial instances.
-  std::uint64_t max_iterations = 0;
   /// Weight stratification (RC2's Boolean lexicographic heuristic):
   /// heavy softs are assumed first; lighter strata join only once the
   /// current set is satisfiable. Often reduces core count drastically on
   /// instances with wide weight spreads (like scaled -log probabilities).
   bool stratified = false;
-  /// Ceiling on cores discovered within one solve (0 = unlimited). Nested
-  /// vote gates lowered by expansion can fragment the optimum across
-  /// thousands of near-equal-weight cores — OLL then burns its whole
-  /// budget re-cutting the same counting structure (healthy fault-tree
-  /// instances discover well under a hundred). Hitting the ceiling
-  /// latches the engine as fragmented and returns Unknown quickly, so a
-  /// portfolio race moves on and the session pipeline diverts the
-  /// request to LSU (see MpmcsPipeline::solve_step5).
-  std::uint64_t core_ceiling = 2000;
 };
 
 class OllSolver final : public MaxSatSolver {

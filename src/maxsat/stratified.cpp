@@ -12,23 +12,6 @@ namespace {
 
 constexpr std::uint32_t kNone = UINT32_MAX;
 
-/// A gate whose children are basic events or modules, none repeated under
-/// a vote (VOT(2; a, a, b) fires on a alone, so repeats change the count).
-bool closed_form(const ft::FaultTree& tree, const std::vector<bool>& module,
-                 ft::NodeIndex gate) {
-  const ft::Node& n = tree.node(gate);
-  for (const ft::NodeIndex c : n.children) {
-    if (tree.node(c).type != ft::NodeType::BasicEvent && !module[c]) {
-      return false;
-    }
-  }
-  if (n.type != ft::NodeType::Vote) return true;
-  std::vector<ft::NodeIndex> children = n.children;
-  std::sort(children.begin(), children.end());
-  return std::adjacent_find(children.begin(), children.end()) ==
-         children.end();
-}
-
 /// Calls `visit(gate)` for `root` and every gate below it that `descend`
 /// admits, children before parents, skipping gates `seen` already holds
 /// (and marking the ones it reaches in it).
@@ -180,19 +163,19 @@ class Recomposer {
 };
 
 /// Builds `plan`'s head table under `tree`, the frontier gates in
-/// `frontier` and the kernels in `kernels` (parallel to it), and prices
-/// each kernel's leaves from it.
+/// `frontier`, the kernels in `kernels` (parallel to it) and the AND
+/// gates that repeat a child, and prices each kernel's leaves from it.
 void build_heads(const ft::FaultTree& tree, StratifiedPlan& plan,
                  const std::vector<ft::NodeIndex>& frontier,
                  std::vector<std::shared_ptr<Kernel>>& kernels,
-                 double weight_scale) {
+                 std::vector<bool> repeats, double weight_scale) {
   const std::size_t n = tree.num_nodes();
   HeadTable& t = plan.heads;
   t.cost.assign(n, {});
   t.up.assign(n, {});
   t.role.assign(n, HeadRole::None);
   t.slot.assign(n, kNone);
-  t.repeats.assign(n, false);
+  t.repeats = std::move(repeats);
   for (ft::EventIndex e = 0; e < tree.num_events(); ++e) {
     t.cost[tree.event_node(e)] = event_cost(tree, e, weight_scale);
   }
@@ -200,41 +183,31 @@ void build_heads(const ft::FaultTree& tree, StratifiedPlan& plan,
     t.role[frontier[j]] = HeadRole::Frontier;
     t.slot[frontier[j]] = static_cast<std::uint32_t>(j);
   }
-  // A closed gate with a frontier module below it is on the spine.
-  for (const ft::NodeIndex g : plan.closed) {
-    t.role[g] = HeadRole::Gate;
-    for (const ft::NodeIndex c : tree.node(g).children) {
-      if (t.role[c] == HeadRole::Frontier || t.role[c] == HeadRole::Spine) {
-        t.role[g] = HeadRole::Spine;
-      }
-    }
-    if (t.role[g] == HeadRole::Spine) {
-      t.slot[g] = static_cast<std::uint32_t>(plan.spine.size());
-      plan.spine.push_back(g);
-    }
-  }
-  for (const ft::NodeIndex g : plan.collapsed) t.role[g] = HeadRole::Gate;
-  std::vector<ft::NodeIndex> sorted;
+  // Children first, so a Gate's children have their heads when it takes
+  // its own.
+  Recomposer recompose(tree, t);
   for (const auto* gates : {&plan.collapsed, &plan.closed}) {
     for (const ft::NodeIndex g : *gates) {
       const ft::Node& node = tree.node(g);
-      for (const ft::NodeIndex c : node.children) t.up[c] = {g, kNone};
-      if (node.type == ft::NodeType::And) {
-        sorted = node.children;
-        std::sort(sorted.begin(), sorted.end());
-        t.repeats[g] =
-            std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
-      } else if (t.role[g] == HeadRole::Gate) {
+      t.role[g] = HeadRole::Gate;
+      for (const ft::NodeIndex c : node.children) {
+        t.up[c] = {g, kNone};
+        // A closed gate with a frontier module below it is on the spine.
+        if (t.role[c] == HeadRole::Frontier || t.role[c] == HeadRole::Spine) {
+          t.role[g] = HeadRole::Spine;
+        }
+      }
+      if (t.role[g] == HeadRole::Spine) {
+        t.slot[g] = static_cast<std::uint32_t>(plan.spine.size());
+        plan.spine.push_back(g);
+        continue;
+      }
+      if (node.type != ft::NodeType::And) {
         t.slot[g] = static_cast<std::uint32_t>(t.picks.size());
         t.picks.resize(t.picks.size() +
                        (node.type == ft::NodeType::Or ? 1 : node.k));
       }
-    }
-  }
-  Recomposer recompose(tree, t);
-  for (const auto* gates : {&plan.collapsed, &plan.closed}) {
-    for (const ft::NodeIndex g : *gates) {
-      if (t.role[g] == HeadRole::Gate) recompose(g);
+      recompose(g);
     }
   }
   for (std::size_t j = 0; j < kernels.size(); ++j) {
@@ -268,16 +241,28 @@ StratifiedPlan plan_strata(const ft::FaultTree& tree, double weight_scale) {
   for (const analysis::ModuleInfo& m : analysis::find_modules(tree)) {
     module[m.gate] = true;
   }
-  // A pure gate is a closed-form module whose gates below are all pure:
-  // its whole sub-module composes.
-  std::vector<bool> pure(n, false), seen(n, false);
+  // One children-first pass decides every gate's closed form: its
+  // children are basic events or modules, none repeated under a vote
+  // (VOT(2; a, a, b) fires on a alone, so repeats change the count). A
+  // repeated child already holds the gate's stamp; an AND's repeats go to
+  // the head table. A pure gate is a closed-form module whose gates below
+  // are all pure: its whole sub-module composes.
+  std::vector<bool> closed(n, false), repeats(n, false), pure(n, false),
+      seen(n, false);
+  std::vector<ft::NodeIndex> stamp(n, ft::kNoIndex);
   post_order(tree, top, seen, kAll, [&](ft::NodeIndex g) {
-    if (!module[g] || !closed_form(tree, module, g)) return;
-    bool all = true;
-    for (const ft::NodeIndex c : tree.node(g).children) {
-      all = all && (tree.node(c).type == ft::NodeType::BasicEvent || pure[c]);
+    const ft::Node& node = tree.node(g);
+    bool repeated = false, leaves = true, all_pure = true;
+    for (const ft::NodeIndex c : node.children) {
+      repeated = repeated || stamp[c] == g;
+      stamp[c] = g;
+      const bool event = tree.node(c).type == ft::NodeType::BasicEvent;
+      leaves = leaves && (event || module[c]);
+      all_pure = all_pure && (event || pure[c]);
     }
-    pure[g] = all;
+    closed[g] = leaves && !(repeated && node.type == ft::NodeType::Vote);
+    repeats[g] = repeated && node.type == ft::NodeType::And;
+    pure[g] = module[g] && closed[g] && all_pure;
   });
 
   // Down from a closed-form top, children before parents in `closed`; its
@@ -286,11 +271,11 @@ StratifiedPlan plan_strata(const ft::FaultTree& tree, double weight_scale) {
   // repeats. A frontier top is the one frontier module.
   std::vector<ft::NodeIndex> frontier;
   std::fill(seen.begin(), seen.end(), false);
-  if (closed_form(tree, module, top)) {
+  if (closed[top]) {
     post_order(
         tree, top, seen,
         [&](ft::NodeIndex c) {
-          if (closed_form(tree, module, c)) return true;
+          if (closed[c]) return true;
           frontier.push_back(c);
           return false;
         },
@@ -309,7 +294,8 @@ StratifiedPlan plan_strata(const ft::FaultTree& tree, double weight_scale) {
   // A frontier top with nothing to collapse is the tree's own instance.
   if (plan.closed.empty() && plan.collapsed.empty()) return {};
   plan.applicable = true;
-  build_heads(tree, plan, frontier, kernels, weight_scale);
+  build_heads(tree, plan, frontier, kernels, std::move(repeats),
+              weight_scale);
   for (std::size_t j = 0; j < frontier.size(); ++j) {
     kernels[j]->tree.validate();
     plan.strata.push_back({frontier[j], std::move(kernels[j]), nullptr});

@@ -97,13 +97,6 @@ std::optional<GeneralizedTotalizer> GeneralizedTotalizer::build(
   return gte;
 }
 
-void GeneralizedTotalizer::assert_upper_bound(sat::Solver& solver,
-                                              Weight bound) const {
-  for (auto it = root_.upper_bound(bound); it != root_.end(); ++it) {
-    solver.add_clause({~it->second});
-  }
-}
-
 void GeneralizedTotalizer::add_order_chain(sat::Solver& solver) const {
   auto it = root_.begin();
   if (it == root_.end()) return;

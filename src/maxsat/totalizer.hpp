@@ -108,18 +108,13 @@ class GeneralizedTotalizer {
     return root_;
   }
 
-  /// Asserts (as unit clauses) that the weighted sum is <= bound: every
-  /// output for a sum exceeding `bound` is forced false. Monotone: may be
-  /// called repeatedly with decreasing bounds.
-  void assert_upper_bound(sat::Solver& solver, Weight bound) const;
-
   /// Adds the order chain over the root outputs: for consecutive
   /// attainable sums w < w', clause (o_{w'} -> o_w). Semantically free
   /// (the count function is monotone, and the outputs are auxiliary), and
   /// it makes a *retractable* upper bound possible: with the chain in
   /// place, assuming ~o_w falsifies every output >= w by propagation, so
-  /// a single assumption literal bounds the whole sum — the incremental
-  /// LSU's alternative to the destructive unit clauses above.
+  /// a single assumption literal bounds the whole sum, and the solver
+  /// survives LSU's optimality proof.
   void add_order_chain(sat::Solver& solver) const;
 
   /// The literal to *assume false* (returned negated, ready to assume) to

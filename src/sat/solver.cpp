@@ -13,6 +13,10 @@ namespace fta::sat {
 
 namespace {
 constexpr double kActivityRescale = 1e100;
+constexpr double kVarDecay = 0.95;           ///< EVSIDS activity decay.
+constexpr std::uint32_t kRestartBase = 100;  ///< Conflicts per Luby unit.
+constexpr std::uint32_t kInitialLearntCap = 8192;
+constexpr double kLearntGrowth = 1.3;  ///< DB limit growth per reduction.
 }
 
 Solver::Solver(SolverOptions opts)
@@ -24,9 +28,8 @@ Solver::Solver(SolverOptions opts)
 Var Solver::new_var() {
   const Var v = static_cast<Var>(assigns_.size());
   assigns_.push_back(LBool::Undef);
-  frozen_.push_back(false);
   selector_.push_back(false);
-  polarity_.push_back(opts_.default_phase);
+  polarity_.push_back(false);  // fresh variables try false first
   level_.push_back(0);
   reason_.push_back(kNoClause);
   double act = 0.0;
@@ -266,7 +269,7 @@ void Solver::backtrack(std::uint32_t target_level) {
   for (std::size_t i = trail_.size(); i-- > bound;) {
     const Var v = trail_[i].var();
     assigns_[v] = LBool::Undef;
-    if (opts_.phase_saving) polarity_[v] = !trail_[i].negated();
+    polarity_[v] = !trail_[i].negated();  // phase saving
     reason_[v] = kNoClause;
     heap_insert(v);
   }
@@ -496,12 +499,6 @@ void Solver::garbage_collect_if_needed() {
 
 // ------------------------------------------------- persistent sessions --
 
-void Solver::set_frozen(Var v, bool frozen) {
-  ensure_vars(v + 1);
-  assert(!(frozen && selector_[v]) && "selectors must never be frozen");
-  frozen_[v] = frozen;
-}
-
 Lit Solver::new_selector() {
   const Var v = new_var();
   selector_[v] = true;
@@ -553,23 +550,6 @@ void Solver::retire_selector(Lit selector) {
   };
   purge(problem_clauses_, false);
   purge(learnt_clauses_, true);
-  garbage_collect_if_needed();
-}
-
-void Solver::clear_learnts() {
-  std::size_t kept = 0;
-  for (ClauseRef cref : learnt_clauses_) {
-    if (locked(cref)) {
-      learnt_clauses_[kept++] = cref;
-      continue;
-    }
-    detach(cref);
-    arena_.view(cref).mark_deleted();
-    arena_.note_deleted(cref);
-    ++stats_.removed_clauses;
-  }
-  learnt_clauses_.resize(kept);
-  learnt_cap_ = opts_.initial_learnt_cap;
   garbage_collect_if_needed();
 }
 
@@ -637,11 +617,10 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
   for (Lit a : assumptions_) ensure_vars(a.var() + 1);
   core_.clear();
 
-  if (learnt_cap_ == 0) learnt_cap_ = opts_.initial_learnt_cap;
+  if (learnt_cap_ == 0) learnt_cap_ = kInitialLearntCap;
   std::uint64_t restart_count = 0;
   std::uint64_t conflicts_until_restart =
-      opts_.restart_base * util::luby(++restart_count);
-  std::uint64_t conflicts_at_start = stats_.conflicts;
+      kRestartBase * util::luby(++restart_count);
   std::vector<Lit> learnt;
 
   while (true) {
@@ -678,26 +657,24 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
         attach(cref);
         enqueue(learnt[0], cref);
       }
-      decay_var_activity();
+      var_inc_ /= kVarDecay;
       if (--conflicts_until_restart == 0) {
         ++stats_.restarts;
-        conflicts_until_restart = opts_.restart_base * util::luby(++restart_count);
+        conflicts_until_restart = kRestartBase * util::luby(++restart_count);
         backtrack(0);
       }
       continue;
     }
 
     // No conflict: bookkeeping, then decide.
-    if (cancelled() ||
-        (opts_.conflict_budget != 0 &&
-         stats_.conflicts - conflicts_at_start >= opts_.conflict_budget)) {
+    if (cancelled()) {
       backtrack(0);
       return SolveResult::Unknown;
     }
     if (learnt_clauses_.size() >= learnt_cap_) {
       reduce_db();
       learnt_cap_ = static_cast<std::uint32_t>(
-          static_cast<double>(learnt_cap_) * opts_.learnt_growth);
+          static_cast<double>(learnt_cap_) * kLearntGrowth);
     }
 
     Lit decision = logic::kNoLit;

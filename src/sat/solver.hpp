@@ -4,10 +4,10 @@
 // database, EVSIDS decision heuristic with phase saving, first-UIP conflict
 // analysis with recursive clause minimisation, LBD-aware learnt-clause
 // reduction, Luby restarts, incremental solving under assumptions with
-// final-conflict (unsat core) extraction, conflict budgets and cooperative
-// cancellation for portfolio use. It solves flat CNF: every clause,
-// binaries included, lives in the arena behind the same two watches, and
-// a reason clause keeps its implied literal in slot 0.
+// final-conflict (unsat core) extraction, and cooperative cancellation for
+// portfolio use. It solves flat CNF: every clause, binaries included,
+// lives in the arena behind the same two watches, and a reason clause
+// keeps its implied literal in slot 0.
 //
 // The MaxSAT layer drives this solver both iteratively (solution-improving
 // search) and incrementally (core-guided search over assumption literals).
@@ -40,7 +40,7 @@ using logic::Var;
 enum class SolveResult : std::uint8_t {
   Sat,
   Unsat,
-  Unknown,  ///< Budget exhausted or cancelled.
+  Unknown,  ///< Cancelled.
 };
 
 struct SolverStats {
@@ -63,14 +63,9 @@ struct GlobalSatCounters {
   std::uint64_t conflicts = 0;
 };
 
+/// What diversifies the portfolio's members; every other heuristic
+/// setting is a constant of the solver.
 struct SolverOptions {
-  double var_decay = 0.95;
-  std::uint32_t restart_base = 100;     ///< Conflicts per Luby unit.
-  double learnt_growth = 1.3;           ///< DB limit growth per reduction.
-  std::uint32_t initial_learnt_cap = 8192;
-  bool phase_saving = true;
-  bool default_phase = false;           ///< Polarity picked for fresh vars.
-  std::uint64_t conflict_budget = 0;    ///< 0 = unlimited.
   std::uint64_t seed = 0;               ///< Randomises initial activities.
   double random_pick_freq = 0.0;        ///< Probability of a random decision.
 };
@@ -120,17 +115,6 @@ class Solver {
 
   // --- persistent-session API -------------------------------------------
 
-  /// Marks `v` as frozen: a variable whose meaning outlives any single
-  /// solve (soft-clause indicators, basic events). The solver itself never
-  /// eliminates variables, so today this is bookkeeping consumed by the
-  /// incremental MaxSAT session (frozen variables must never be minted as
-  /// activation selectors, and future in-solver simplification must leave
-  /// them untouched).
-  void set_frozen(Var v, bool frozen);
-  bool is_frozen(Var v) const noexcept {
-    return v < frozen_.size() && frozen_[v];
-  }
-
   /// Mints an activation selector: a fresh variable `s`, returned as the
   /// positive literal to assume while the clauses guarded by it should
   /// bind. Selectors are tracked so retire_selector() can assert they are
@@ -153,11 +137,6 @@ class Solver {
   /// long-lived session does not accumulate dead blocking constraints.
   void retire_selector(Lit selector);
 
-  /// Drops the learnt-clause database (except clauses locked as reasons).
-  /// Problem clauses, assignments, saved phases and activities survive;
-  /// used by long-lived sessions to bound memory.
-  void clear_learnts();
-
   /// Approximate heap footprint of the solver (arena, watches, per-var
   /// metadata) — the signal sessions use for their memory cap.
   std::size_t memory_bytes() const noexcept;
@@ -165,12 +144,7 @@ class Solver {
   // --- control ---------------------------------------------------------
 
   void set_cancel_token(util::CancelTokenPtr token) { cancel_ = std::move(token); }
-  void set_conflict_budget(std::uint64_t budget) { opts_.conflict_budget = budget; }
   const SolverStats& stats() const noexcept { return stats_; }
-  const SolverOptions& options() const noexcept { return opts_; }
-
-  /// Suggests a polarity to try first for `v` (overrides saved phase once).
-  void set_polarity_hint(Var v, bool value) { polarity_[v] = value; }
 
  private:
   struct Watcher {
@@ -203,7 +177,6 @@ class Solver {
 
   // Heuristics.
   void bump_var(Var v);
-  void decay_var_activity() { var_inc_ /= opts_.var_decay; }
   void heap_insert(Var v);
   void heap_update(Var v);
   Var heap_pop();
@@ -223,7 +196,6 @@ class Solver {
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::index()
 
   std::vector<LBool> assigns_;
-  std::vector<bool> frozen_;         // session-pinned variables
   std::vector<bool> selector_;       // activation selectors (retractable layer)
   std::vector<bool> polarity_;       // saved phases
   std::vector<std::uint32_t> level_;

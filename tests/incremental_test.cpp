@@ -65,10 +65,7 @@ TEST(SatSession, RetractableClausesBindOnlyUnderSelector) {
 TEST(SatSession, RetireSelectorPurgesGuardedClauses) {
   sat::Solver solver;
   solver.ensure_vars(6);
-  for (logic::Var v = 0; v < 6; ++v) solver.set_frozen(v, true);
-  EXPECT_TRUE(solver.is_frozen(3));
   const Lit s = solver.new_selector();
-  EXPECT_FALSE(solver.is_frozen(s.var()));
   // A handful of wide guarded clauses plus one unguarded one.
   ASSERT_TRUE(solver.add_clause({Lit::pos(0), Lit::pos(1)}));
   for (int i = 0; i < 4; ++i) {
@@ -82,14 +79,9 @@ TEST(SatSession, RetireSelectorPurgesGuardedClauses) {
   EXPECT_EQ(solver.solve(), sat::SolveResult::Sat);
 }
 
-TEST(SatSession, FrozenMarkingRoundTrips) {
+TEST(SatSession, MemoryFootprintIsReported) {
   sat::Solver solver;
   solver.ensure_vars(3);
-  EXPECT_FALSE(solver.is_frozen(1));
-  solver.set_frozen(1, true);
-  EXPECT_TRUE(solver.is_frozen(1));
-  solver.set_frozen(1, false);
-  EXPECT_FALSE(solver.is_frozen(1));
   EXPECT_GT(solver.memory_bytes(), 0u);
 }
 
@@ -503,7 +495,7 @@ TEST(IncrementalSession, FragmentedNestedVoteDivertsToLsu) {
   // k-of-n top over 2-of-3 subsystems — with the vote gates lowered by
   // expansion fragments monolithic core-guided OLL into thousands of
   // near-duplicate cores (in practice it stops terminating). The
-  // OllOptions::core_ceiling must latch the session after bounded work,
+  // maxsat::kOllCoreCeiling must latch the session after bounded work,
   // the pipeline must divert the solve to the session's LSU engine
   // (whose upper-bound search is immune to fragmentation), and the
   // request must still end Optimal with the exact MPMCS.

@@ -143,15 +143,18 @@ TEST(GeneralizedTotalizer, WeightedBounds) {
   ASSERT_TRUE(gte.has_value());
   // Attainable sums: 3,5,7,8,10,12,15.
   EXPECT_EQ(gte->outputs().size(), 7u);
+  gte->add_order_chain(s);
+  const auto under = [&](Weight bound, std::vector<Lit> lits) {
+    lits.push_back(gte->upper_bound_assumption(bound));
+    return s.solve(lits);
+  };
   // Bound 8 forbids sums 10, 12, 15: {b,c}, {a,b,c}... check {b,c} UNSAT.
-  gte->assert_upper_bound(s, 8);
-  EXPECT_EQ(s.solve(std::vector<Lit>{b, c}), sat::SolveResult::Unsat);
-  EXPECT_EQ(s.solve(std::vector<Lit>{a, b}), sat::SolveResult::Sat);  // 8 ok
-  EXPECT_EQ(s.solve(std::vector<Lit>{a, c}), sat::SolveResult::Unsat);  // 10
+  EXPECT_EQ(under(8, {b, c}), sat::SolveResult::Unsat);
+  EXPECT_EQ(under(8, {a, b}), sat::SolveResult::Sat);  // 8 ok
+  EXPECT_EQ(under(8, {a, c}), sat::SolveResult::Unsat);  // 10
   // Tighten to 7: {a,b}=8 now also forbidden.
-  gte->assert_upper_bound(s, 7);
-  EXPECT_EQ(s.solve(std::vector<Lit>{a, b}), sat::SolveResult::Unsat);
-  EXPECT_EQ(s.solve(std::vector<Lit>{c}), sat::SolveResult::Sat);
+  EXPECT_EQ(under(7, {a, b}), sat::SolveResult::Unsat);
+  EXPECT_EQ(under(7, {c}), sat::SolveResult::Sat);
 }
 
 TEST(GeneralizedTotalizer, RespectsBudget) {

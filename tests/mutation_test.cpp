@@ -23,6 +23,8 @@
 #include "ft/tree_delta.hpp"
 #include "gen/generator.hpp"
 #include "maxsat/incremental.hpp"
+#include "maxsat/stratified.hpp"
+#include "preprocess/preprocess.hpp"
 #include "sat/solver.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -371,7 +373,9 @@ TEST(MutationDifferential, WarmAnswersAndHeadsEqualColdOnes) {
         ASSERT_EQ(warm.status, maxsat::MaxSatStatus::Optimal) << context;
         ASSERT_EQ(cold.status, maxsat::MaxSatStatus::Optimal) << context;
         EXPECT_EQ(warm.scaled_cost, cold.scaled_cost) << context;
-        if (m.tree_shaped) EXPECT_EQ(warm.cut, cold.cut) << context;
+        if (m.tree_shaped) {
+          EXPECT_EQ(warm.cut, cold.cut) << context;
+        }
         expect_fresh_heads(pipeline, tree, prepared, context);
       }
     }
@@ -466,6 +470,104 @@ TEST(MutationDifferential, WalkThatMissesEveryKernelRunsNoSearch) {
     EXPECT_EQ(warm.scaled_cost, cold.scaled_cost) << "p = " << p;
     EXPECT_EQ(warm.cut, cold.cut) << "p = " << p;
   }
+}
+
+/// A weight-only edit: one event to p = 0, p = 1 or a random
+/// probability (by step), another to a random one, and a third disabled
+/// or re-enabled.
+ft::TreeDelta weight_edit(const ft::FaultTree& tree, util::Rng& rng,
+                          int step) {
+  const auto event = [&] {
+    return tree.event(static_cast<ft::EventIndex>(rng.below(tree.num_events())))
+        .name;
+  };
+  const double p = step % 3 == 0   ? 0.0
+                   : step % 3 == 1 ? 1.0
+                                   : rng.uniform(0.01, 0.99);
+  ft::TreeDelta delta;
+  delta.ops.push_back(ft::TreeDelta::weight(event(), p));
+  delta.ops.push_back(ft::TreeDelta::weight(event(), rng.uniform(0.01, 0.99)));
+  delta.ops.push_back(ft::TreeDelta::toggle(event(), rng.chance(0.5)));
+  return delta;
+}
+
+/// The artefacts that carry soft clauses: every frontier module's under
+/// the module pass, else the tree's own.
+std::vector<const core::PreparedInstance*> artefacts(
+    const core::PreparedInstance& prepared) {
+  if (!prepared.strata) return {&prepared};
+  std::vector<const core::PreparedInstance*> out;
+  for (const maxsat::StratifiedStratum& s : prepared.strata->strata) {
+    out.push_back(s.prepared.get());
+  }
+  return out;
+}
+
+void expect_same_softs(const maxsat::WcnfInstance& warm,
+                       const maxsat::WcnfInstance& cold,
+                       const std::string& context) {
+  ASSERT_EQ(warm.soft().size(), cold.soft().size()) << context;
+  for (std::size_t i = 0; i < cold.soft().size(); ++i) {
+    EXPECT_EQ(warm.soft()[i].lits, cold.soft()[i].lits)
+        << context << " soft " << i;
+    EXPECT_EQ(warm.soft()[i].weight, cold.soft()[i].weight)
+        << context << " soft " << i;
+  }
+}
+
+// Reweighting an artefact in place is bit-identical to a rebuild: after
+// every weight or toggle edit, each artefact holds the raw and Step 3.5
+// soft clauses, in the same order, and the cost offset of a fresh prepare
+// of the edited tree. Under auto the artefacts are the kernels', under
+// oll the whole tree's; Step 3.5 runs on and off.
+TEST(MutationDifferential, ReweightedArtefactEqualsARebuild) {
+  std::size_t checked = 0;
+  for (const core::SolverChoice choice :
+       {core::SolverChoice::Auto, core::SolverChoice::Oll}) {
+    for (const bool preprocess : {true, false}) {
+      core::PipelineOptions opts;
+      opts.solver = choice;
+      opts.preprocess = preprocess;
+      const core::MpmcsPipeline pipeline(opts);
+      for (std::uint64_t seed = 0; seed < 200; ++seed) {
+        gen::GeneratorOptions g;
+        g.num_events = 30 + static_cast<std::uint32_t>(seed % 40);
+        g.sharing = 0.02 + 0.01 * static_cast<double>(seed % 11);
+        g.vote_fraction = seed % 2 == 0 ? 0.0 : 0.05;
+        ft::FaultTree tree = gen::random_tree(g, seed);
+        core::PreparedInstance warm = pipeline.prepare(tree);
+        util::Rng rng(0x50f7ull * (seed + 1));
+        for (int step = 0; step < 5; ++step) {
+          const ft::TreeDelta delta = weight_edit(tree, rng, step);
+          ft::FaultTree next = ft::apply_delta(tree, delta);
+          pipeline.apply_delta(next, delta, warm);
+          tree = std::move(next);
+          const core::PreparedInstance cold = pipeline.prepare(tree);
+          const auto warm_parts = artefacts(warm);
+          const auto cold_parts = artefacts(cold);
+          const std::string context =
+              std::string(choice == core::SolverChoice::Auto ? "auto" : "oll") +
+              (preprocess ? "" : " no-preprocess") + " seed " +
+              std::to_string(seed) + " step " + std::to_string(step);
+          ASSERT_EQ(warm_parts.size(), cold_parts.size()) << context;
+          for (std::size_t j = 0; j < cold_parts.size(); ++j) {
+            const core::PreparedInstance& w = *warm_parts[j];
+            const core::PreparedInstance& c = *cold_parts[j];
+            const std::string at = context + " artefact " + std::to_string(j);
+            expect_same_softs(w.raw, c.raw, at + " raw");
+            ASSERT_EQ(w.pre == nullptr, c.pre == nullptr) << at;
+            if (c.pre) {
+              expect_same_softs(w.pre->simplified, c.pre->simplified,
+                                at + " simplified");
+              EXPECT_EQ(w.pre->cost_offset, c.pre->cost_offset) << at;
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 3000u);
 }
 
 }  // namespace

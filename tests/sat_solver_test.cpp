@@ -230,12 +230,6 @@ TEST(SatSolver, UnsatCoreFromRandomInstances) {
   EXPECT_GT(unsat_seen, 0) << "test produced no UNSAT-with-core instances";
 }
 
-TEST(SatSolver, ConflictBudgetReturnsUnknown) {
-  Solver s(SolverOptions{.conflict_budget = 1});
-  add_pigeonhole(s, 7);
-  EXPECT_EQ(s.solve(), SolveResult::Unknown);
-}
-
 TEST(SatSolver, CancellationReturnsUnknown) {
   SolverOptions opts;
   Solver s(opts);

@@ -322,24 +322,6 @@ TEST(Stress, CancellationFromAnotherThread) {
               r.status == maxsat::MaxSatStatus::Optimal);
 }
 
-TEST(Stress, OllIterationCapHonest) {
-  gen::GeneratorOptions gopts;
-  gopts.num_events = 500;
-  gopts.and_fraction = 0.7;
-  const auto tree = gen::random_tree(gopts, 99);
-  const auto instance = core::MpmcsPipeline().build_instance(tree);
-  maxsat::OllOptions oopts;
-  oopts.max_iterations = 1;
-  maxsat::OllSolver capped(oopts);
-  const auto r = capped.solve(instance);
-  // One iteration is almost surely not enough: status must be honest.
-  if (r.status == maxsat::MaxSatStatus::Optimal) {
-    EXPECT_EQ(instance.cost_of(r.model), r.cost);
-  } else {
-    EXPECT_EQ(r.status, maxsat::MaxSatStatus::Unknown);
-  }
-}
-
 TEST(Stress, RepeatedPipelineCallsAreDeterministic) {
   gen::GeneratorOptions gopts;
   gopts.num_events = 200;
